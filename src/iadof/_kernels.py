@@ -1,92 +1,17 @@
-"""Hot numeric kernels with numba acceleration and pure-numpy fallbacks.
+"""Hot numeric kernels: sorted search over candidate lists.
 
-Set IADOF_NO_NUMBA=1 to force the numpy paths (same results, slower).  Both
-implementations scan candidates in the same order and associate float sums
-identically, so they agree bit for bit, ties included.
+Both kernels return exactly what a full scan would, bit for bit, ties
+included.  They rest on one fact: float rounding is monotone, so fl(a - v)
+and fl(a + v) are monotone in v and every best candidate lies next to the
+insertion point of the query in the sorted candidates.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("IADOF_NO_NUMBA", "") != "1"
-
-_NUMPY_CHUNK = 10**7
-
-
-@njit(cache=True)
-def _nearest_numba(y, values):  # pragma: no cover - exercised via dispatcher
-    out = np.empty(y.shape[0], np.int64)
-    for t in range(y.shape[0]):
-        yt = y[t]
-        best = abs(yt - values[0])
-        bi = 0
-        for c in range(1, values.shape[0]):
-            d = abs(yt - values[c])
-            if d < best:
-                best = d
-                bi = c
-        out[t] = bi
-    return out
-
-
-def _nearest_numpy(y, values):
-    out = np.empty(y.shape[0], dtype=np.int64)
-    for t in range(y.shape[0]):
-        out[t] = int(np.argmin(np.abs(y[t] - values)))
-    return out
-
-
-@njit(cache=True)
-def _min_abs_numba(gains, radii, n_desired):  # pragma: no cover - see dispatcher
-    n = gains.shape[0]
-    c = np.empty(n, np.int64)
-    for i in range(n):
-        c[i] = -radii[i]
-    best = np.inf
-    while True:
-        live = False
-        for i in range(n_desired):
-            if c[i] != 0:
-                live = True
-                break
-        if live:
-            # sum desired and interference parts separately; the numpy path
-            # accumulates them as two blocks and equality must be exact
-            sd = 0.0
-            for i in range(n_desired):
-                sd += c[i] * gains[i]
-            si = 0.0
-            for i in range(n_desired, n):
-                si += c[i] * gains[i]
-            v = abs(sd + si)
-            if v < best:
-                best = v
-        i = n - 1
-        while i >= 0:
-            c[i] += 1
-            if c[i] <= radii[i]:
-                break
-            c[i] = -radii[i]
-            i -= 1
-        if i < 0:
-            return best
+# No compiled path exists; perfbench/worker.py records this flag.
+USE_NUMBA = False
 
 
 def _block_sums(gains, radii, lo, hi):
@@ -99,44 +24,58 @@ def _block_sums(gains, radii, lo, hi):
     return v
 
 
-def _min_abs_numpy(gains, radii, n_desired):
-    n = gains.shape[0]
-    d_sum = _block_sums(gains, radii, 0, n_desired)
-    zero_idx = 0
-    for i in range(n_desired):
-        zero_idx = zero_idx * (2 * int(radii[i]) + 1) + int(radii[i])
-    keep = np.ones(d_sum.shape[0], dtype=bool)
-    keep[zero_idx] = False
-    d_sum = d_sum[keep]
-    i_sum = _block_sums(gains, radii, n_desired, n)
-    best = np.inf
-    step = max(1, _NUMPY_CHUNK // max(1, i_sum.shape[0]))
-    for s in range(0, d_sum.shape[0], step):
-        m = float(np.min(np.abs(d_sum[s : s + step, None] + i_sum[None, :])))
-        if m < best:
-            best = m
-    return best
-
-
 def nearest_candidate_indices(y: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index of the closest candidate value for each entry of y.
 
-    Ties resolve to the lowest index in both implementations.
+    Equal to argmin(abs(y[t] - values)) for every t: ties resolve to the
+    lowest index.  Candidates are sorted once and each query is bisected,
+    so the cost is O((C + T) log C) for C candidates and T queries.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape[0] == 0:
         raise ValueError("candidate list is empty")
-    if USE_NUMBA:
-        return _nearest_numba(y, values)
-    return _nearest_numpy(y, values)
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    # one entry per group of equal values; a stable sort puts the group's
+    # lowest index first
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    distinct = ranked[starts]
+    first = order[starts]
+    n = distinct.shape[0]
+
+    pos = np.searchsorted(distinct, y)
+    below = np.maximum(pos - 1, 0)
+    above = np.minimum(pos, n - 1)
+    best = np.minimum(np.abs(y - distinct[below]), np.abs(y - distinct[above]))
+    # The distance falls up to the insertion point and rises after it, so
+    # the groups at the best distance form one run through below or above.
+    # Walk it both ways and keep the lowest index seen.
+    out = np.full(y.shape[0], values.shape[0], dtype=np.int64)
+    for start, step in ((below, -1), (above, 1)):
+        t = np.arange(y.shape[0])
+        j = start
+        while t.shape[0]:
+            hit = np.abs(y[t] - distinct[j]) == best[t]
+            t, j = t[hit], j[hit]
+            out[t] = np.minimum(out[t], first[j])
+            j = j + step
+            inside = (j >= 0) & (j < n)
+            t, j = t[inside], j[inside]
+    return out
 
 
 def min_abs_combination(
     gains: np.ndarray, radii: np.ndarray, n_desired: int
 ) -> float:
     """Minimum |sum c_i * gains_i| over integer c_i in [-radii_i, radii_i],
-    excluding choices whose first n_desired entries are all zero."""
+    excluding choices whose first n_desired entries are all zero.
+
+    Each choice is a desired-block sum d plus an interference-block sum i,
+    each accumulated in index order, and the value is |fl(d + i)|.  The
+    interference sums are sorted once and -d is bisected among them: fl(d + i)
+    is monotone in i, so the two neighbours hold the minimum (Horowitz-Sahni).
+    """
     gains = np.ascontiguousarray(gains, dtype=np.float64)
     radii = np.ascontiguousarray(radii, dtype=np.int64)
     if gains.shape != radii.shape or gains.ndim != 1:
@@ -145,6 +84,15 @@ def min_abs_combination(
         raise ValueError(f"n_desired {n_desired} out of range")
     if np.any(radii < 0):
         raise ValueError("radii must be non-negative")
-    if USE_NUMBA:
-        return float(_min_abs_numba(gains, radii, n_desired))
-    return float(_min_abs_numpy(gains, radii, n_desired))
+    d_sum = _block_sums(gains, radii, 0, n_desired)
+    zero_idx = 0
+    for i in range(n_desired):
+        zero_idx = zero_idx * (2 * int(radii[i]) + 1) + int(radii[i])
+    d_sum = np.delete(d_sum, zero_idx)
+    if d_sum.shape[0] == 0:
+        return float("inf")
+    i_sum = np.sort(_block_sums(gains, radii, n_desired, gains.shape[0]))
+    pos = np.searchsorted(i_sum, -d_sum)
+    below = i_sum[np.maximum(pos - 1, 0)]
+    above = i_sum[np.minimum(pos, i_sum.shape[0] - 1)]
+    return float(min(np.min(np.abs(d_sum + below)), np.min(np.abs(d_sum + above))))

@@ -69,7 +69,7 @@ class ChannelRealization:
     keyed by CoefficientId.
     """
 
-    __slots__ = ("config", "gains", "_matrix")
+    __slots__ = ("config", "gains")
 
     def __init__(self, config: SystemConfig, gains: dict[CoefficientId, float]):
         expected = config.coefficient_count
@@ -81,21 +81,10 @@ class ChannelRealization:
                 raise ValueError(f"gain {cid} must be finite and nonzero, got {v}")
         self.config = config
         self.gains = gains
-        self._matrix = None
 
     def coefficient(self, k: int, j: int, n: int, m: int) -> float:
         _check_id(self.config, k, j, n, m)
         return self.gains[(k, j, n, m)]
-
-    def gain_matrix(self) -> np.ndarray:
-        """Dense (K+1, K+1, N+1, M+1) array, index 0 unused (1-based access)."""
-        if self._matrix is None:
-            c = self.config
-            mat = np.zeros((c.K + 1, c.K + 1, c.N + 1, c.M + 1))
-            for (k, j, n, m), v in self.gains.items():
-                mat[k, j, n, m] = v
-            self._matrix = mat
-        return self._matrix
 
     def to_json_dict(self) -> dict:
         c = self.config
@@ -157,7 +146,3 @@ def generate_channel(config: SystemConfig) -> ChannelRealization:
     rng = np.random.default_rng(config.seed)
     vals = GAIN_LOW + (GAIN_HIGH - GAIN_LOW) * rng.random(len(ids))
     return ChannelRealization(config, dict(zip(ids, vals.tolist())))
-
-
-def coefficient(h: ChannelRealization, k: int, j: int, n: int, m: int) -> float:
-    return h.coefficient(k, j, n, m)

@@ -165,9 +165,7 @@ def _render_alignment(report, L: int, l_prime: int) -> str:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
-    config = SystemConfig(
-        K=args.K, M=args.M, N=args.N, gamma=args.gamma, seed=args.seed
-    )
+    config = SystemConfig(K=args.K, M=args.M, N=args.N, gamma=args.gamma)
     budget = args.budget if args.budget is not None else DEFAULT_STREAM_BUDGET
     L, l_prime = closed_form_counts(config)
     try:
@@ -238,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    common.add_argument("--budget", type=int, default=None, help="enumeration budget override")
 
     parser = argparse.ArgumentParser(
         prog="iadof",
@@ -261,21 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, required=True)
     p.set_defaults(func=cmd_sweep)
 
-    for name, help_text in (
-        ("directions", "build direction sets and run alignment checks"),
-        ("verify", "alias of directions with --strict"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        _add_config_flags(p)
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 1 when any check fails (always on; kept for the alias)",
-        )
-        p.set_defaults(func=cmd_directions, strict=(name == "verify"))
+    p = sub.add_parser(
+        "directions",
+        aliases=["verify"],
+        parents=[common],
+        help="build direction sets and run alignment checks",
+    )
+    _add_config_flags(p)
+    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
+    p.set_defaults(func=cmd_directions)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo link simulation")
     _add_config_flags(p)
+    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     p.add_argument("--q", type=int, default=2, help="symbol alphabet half-width (default 2)")
     p.add_argument("--cap", type=int, default=1, help="directions kept per stream (default 1)")
     p.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials (default 1000)")

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import min_abs_combination, nearest_candidate_indices
+from ._kernels import _block_sums, min_abs_combination, nearest_candidate_indices
 from .alignment import (
     TransmitPlan,
     build_transmit_directions,
@@ -119,14 +119,9 @@ def propagate(
     h: ChannelRealization,
     X: dict[tuple[int, int], float],
     noise_seed: Optional[int] = None,
-    rho: Optional[float] = None,
 ) -> dict[tuple[int, int], float]:
     """Received value at every antenna: linear mixing plus unit-variance
-    Gaussian noise when noise_seed is given, noiseless otherwise.
-
-    rho is accepted so callers can thread the operating point through;
-    noise variance is fixed at one and power enters via the amplitude rule.
-    """
+    Gaussian noise when noise_seed is given, noiseless otherwise."""
     c = h.config
     expected = {(k, m) for k in range(1, c.K + 1) for m in range(1, c.M + 1)}
     if set(X) != expected:
@@ -248,17 +243,9 @@ def _lattice_values(model: AntennaModel, Q: int, budget: int) -> tuple[np.ndarra
     n_cand = math.prod(dims)
     if n_cand > budget:
         raise DecodeBudgetError(n_cand, budget, "candidate lattice")
-    v = np.zeros(1)
-    for g, dim in zip(
-        np.concatenate([model.desired_gains, model.agg_gains])
-        if len(model.agg_gains)
-        else model.desired_gains,
-        dims,
-    ):
-        r = (dim - 1) // 2
-        vals = np.arange(-r, r + 1).astype(np.float64) * g
-        v = (v[:, None] + vals[None, :]).ravel()
-    return v, tuple(dims)
+    gains = np.concatenate([model.desired_gains, model.agg_gains])
+    radii = [(dim - 1) // 2 for dim in dims]
+    return _block_sums(gains, radii, 0, len(dims)), tuple(dims)
 
 
 def min_distance(
@@ -271,7 +258,7 @@ def min_distance(
     budget: int = DEFAULT_DECODE_BUDGET,
 ) -> float:
     """Smallest gap between noiseless received points whose desired symbols
-    differ, by exhaustive search over the difference box.
+    differ, found exactly over the whole difference box.
 
     Differences of desired symbols range over -2(Q-1)..2(Q-1) (not all
     zero) and each aggregate difference over twice its own bound; this

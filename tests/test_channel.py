@@ -10,7 +10,6 @@ from iadof.channel import (
     GAIN_LOW,
     ChannelRealization,
     SystemConfig,
-    coefficient,
     generate_channel,
 )
 
@@ -82,23 +81,10 @@ def test_generate_draw_order_matches_id_order():
 def test_coefficient_accessors():
     h = generate_channel(SystemConfig(K=2, M=2, N=2, seed=0))
     assert h.coefficient(2, 1, 2, 1) == h.gains[(2, 1, 2, 1)]
-    assert coefficient(h, 1, 2, 1, 2) == h.gains[(1, 2, 1, 2)]
     with pytest.raises(IndexError):
         h.coefficient(3, 1, 1, 1)
     with pytest.raises(IndexError):
         h.coefficient(1, 1, 0, 1)
-
-
-def test_gain_matrix_consistency():
-    c = SystemConfig(K=2, M=3, N=2, seed=9)
-    h = generate_channel(c)
-    g = h.gain_matrix()
-    assert g.shape == (c.K + 1, c.K + 1, c.N + 1, c.M + 1)
-    for (k, j, n, m), v in h.gains.items():
-        assert g[k, j, n, m] == v
-    # index 0 is padding
-    assert np.all(g[0] == 0.0)
-    assert np.all(g[:, 0] == 0.0)
 
 
 def test_realization_rejects_bad_gains():

@@ -1,29 +1,42 @@
-"""Kernel dispatch tests.
+"""Kernel tests.
 
-The numba and numpy implementations must agree bit for bit, ties
-included, so simulation output is independent of which one happens to
-run.  A subprocess check covers the env-flag fallback end to end.
+The sorted-search kernels must equal a full scan bit for bit, ties
+included, so simulation output does not depend on how the search is done.
+The scans below are the references.
 """
 
 import itertools
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iadof._kernels import (
-    HAS_NUMBA,
-    USE_NUMBA,
-    _min_abs_numpy,
-    _nearest_numpy,
-    min_abs_combination,
-    nearest_candidate_indices,
-)
+from iadof._kernels import _block_sums, min_abs_combination, nearest_candidate_indices
+from iadof.alignment import build_transmit_directions, truncate_plan
+from iadof.channel import SystemConfig, generate_channel
+from iadof.simulate import _lattice_values, antenna_model
 
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
+
+def scan_nearest(y, values):
+    """Reference: argmin of the distance to every candidate, per query."""
+    out = np.empty(y.shape[0], dtype=np.int64)
+    for t in range(y.shape[0]):
+        out[t] = int(np.argmin(np.abs(y[t] - values)))
+    return out
+
+
+def scan_min_abs(gains, radii, n_desired):
+    """Reference: |d + i| over every pair of desired and interference sums."""
+    d_sum = _block_sums(gains, radii, 0, n_desired)
+    zero_idx = 0
+    for i in range(n_desired):
+        zero_idx = zero_idx * (2 * int(radii[i]) + 1) + int(radii[i])
+    d_sum = np.delete(d_sum, zero_idx)
+    if d_sum.shape[0] == 0:
+        return np.inf
+    i_sum = _block_sums(gains, radii, n_desired, len(gains))
+    return float(np.min(np.abs(d_sum[:, None] + i_sum[None, :])))
 
 
 def random_instance(rng, n, radius_hi=2):
@@ -51,36 +64,77 @@ def brute_min_abs(gains, radii, n_desired):
     return best
 
 
+# A coarse grid gives duplicate candidates and distinct candidates at an
+# equal rounded distance; wide floats give huge magnitudes, next to which
+# whole runs of small candidates round to one distance.
+grid = st.integers(-8, 8).map(lambda k: k * 0.1)
+wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+real = st.one_of(grid, wide)
+
+
+@st.composite
+def nearest_cases(draw):
+    values = draw(st.lists(real, min_size=1, max_size=40))
+    member = st.sampled_from(values)
+    midpoint = st.tuples(member, member).map(lambda p: p[0] / 2 + p[1] / 2)
+    y = draw(st.lists(st.one_of(real, member, midpoint), max_size=40))
+    return np.array(y, dtype=np.float64), np.array(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearest_cases())
+@example((np.array([0.5, 1e300, -1e300]), np.array([0.0, 1.0, 1.0, 0.0, -0.3, 0.3])))
+@example((np.array([2.0, -7.5]), np.array([3.0])))
+def test_nearest_equals_scan(case):
+    y, values = case
+    assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
+
+
+@st.composite
+def min_abs_cases(draw):
+    n = draw(st.integers(1, 5))
+    gains = np.array(draw(st.lists(real, min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+    return gains, radii, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_abs_cases())
+@example((np.array([0.0, 0.0, 0.4]), np.array([2, 1, 2], dtype=np.int64), 2))
+@example((np.array([0.7, 0.2, 0.5]), np.array([0, 0, 2], dtype=np.int64), 2))
+@example((np.array([1e300, -1e300, 0.1]), np.array([2, 2, 0], dtype=np.int64), 1))
+def test_min_abs_equals_scan(case):
+    gains, radii, n_desired = case
+    assert min_abs_combination(gains, radii, n_desired) == scan_min_abs(
+        gains, radii, n_desired
+    )
+
+
+def test_kernels_equal_scan_on_decode_lattice():
+    # the 117,649-point lattice a K=3, Q=4, cap=2 simulation decodes on
+    config = SystemConfig(K=3, Q=4, seed=0)
+    h = generate_channel(config)
+    plan = truncate_plan(build_transmit_directions(config), 2)
+    model = antenna_model(plan, h, 1, 1)
+    values, _ = _lattice_values(model, 4, 10**7)
+    assert values.shape == (117649,)
+    rng = np.random.default_rng(5)
+    exact = values[rng.integers(0, values.shape[0], size=60)]
+    y = np.concatenate([exact, exact + rng.normal(scale=1e-5, size=60)])
+    assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
+
+    gains = np.concatenate([model.desired_gains, model.agg_gains])
+    radii = np.array([6] * len(model.coords) + [6 * m for m in model.agg_mults])
+    assert min_abs_combination(gains, radii, len(model.coords)) == scan_min_abs(
+        gains, radii, len(model.coords)
+    )
+
+
 def test_numpy_min_abs_matches_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(20):
         gains, radii, nd = random_instance(rng, int(rng.integers(1, 5)))
-        assert _min_abs_numpy(gains, radii, nd) == brute_min_abs(gains, radii, nd)
-
-
-@needs_numba
-def test_min_abs_numba_equals_numpy():
-    from iadof._kernels import _min_abs_numba
-
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        gains, radii, nd = random_instance(rng, int(rng.integers(1, 6)))
-        a = float(_min_abs_numba(gains, radii.astype(np.int64), nd))
-        b = float(_min_abs_numpy(gains, radii, nd))
-        assert a == b  # exact, not approx
-
-
-@needs_numba
-def test_min_abs_numba_equals_numpy_with_ties():
-    from iadof._kernels import _min_abs_numba
-
-    # symmetric gains force many exactly-equal candidates
-    gains = np.array([1.0, 1.0, -1.0])
-    radii = np.array([2, 2, 2], dtype=np.int64)
-    for nd in (1, 2, 3):
-        assert float(_min_abs_numba(gains, radii, nd)) == float(
-            _min_abs_numpy(gains, radii, nd)
-        )
+        assert min_abs_combination(gains, radii, nd) == brute_min_abs(gains, radii, nd)
 
 
 def test_min_abs_no_aggregates():
@@ -113,56 +167,11 @@ def test_min_abs_validation():
 def test_nearest_numpy_basic_and_ties():
     values = np.array([0.0, 1.0, 1.0, 2.0])
     y = np.array([0.9, 1.5, -3.0])
-    out = _nearest_numpy(y, values)
+    out = nearest_candidate_indices(y, values)
     # 1.5 ties between 1.0 (idx 1, 2) and 2.0 (idx 3); lowest index wins
     assert out.tolist() == [1, 1, 0]
-
-
-@needs_numba
-def test_nearest_numba_equals_numpy():
-    from iadof._kernels import _nearest_numba
-
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        values = np.sort(rng.normal(size=int(rng.integers(1, 30))))
-        # inject exact ties
-        if values.shape[0] > 3:
-            values[1] = values[2]
-        y = rng.normal(size=50)
-        a = _nearest_numba(np.ascontiguousarray(y), np.ascontiguousarray(values))
-        b = _nearest_numpy(y, values)
-        assert np.array_equal(a, b)
 
 
 def test_nearest_dispatcher_validation():
     with pytest.raises(ValueError):
         nearest_candidate_indices(np.array([1.0]), np.array([]))
-
-
-def test_dispatcher_uses_env_flag():
-    # a fresh interpreter with the flag set must take the numpy path and
-    # still produce the exact same numbers
-    gains = [0.831, -0.244, 1.502]
-    radii = [2, 1, 2]
-    here = min_abs_combination(
-        np.array(gains), np.array(radii, dtype=np.int64), 2
-    )
-    prog = (
-        "import json, numpy as np\n"
-        "from iadof import _kernels as k\n"
-        "v = k.min_abs_combination(np.array(%r), np.array(%r, dtype=np.int64), 2)\n"
-        "print(json.dumps({'use_numba': k.USE_NUMBA, 'value': v}))\n"
-    ) % (gains, radii)
-    env = dict(os.environ, IADOF_NO_NUMBA="1")
-    res = subprocess.run(
-        [sys.executable, "-c", prog], capture_output=True, text=True, env=env
-    )
-    assert res.returncode == 0, res.stderr
-    out = json.loads(res.stdout)
-    assert out["use_numba"] is False
-    assert out["value"] == here
-
-
-def test_use_numba_reflects_install():
-    if not HAS_NUMBA:
-        assert not USE_NUMBA
