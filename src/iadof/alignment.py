@@ -5,19 +5,34 @@ coefficient pairs; receivers then see desired streams on squared direct
 gains and interference confined (by construction) to a common reference
 family per receive antenna.  Verification is exact: set relations are
 checked on exponent vectors, never on evaluated floats.
+
+Every direction set here is an integer exponent matrix over the config's
+coefficient ids (see directions.py): a stream set is a box of pair-family
+exponents times the family incidence matrix, an arrival is a row add, and
+membership in the reference family is a set of column sums.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .channel import CoefficientId, SystemConfig
-from .directions import Direction, DirectionSet, direction, mono_mul
+from .directions import (
+    Columns,
+    Direction,
+    DirectionSet,
+    direction,
+    merge_columns,
+    tally,
+)
 
 # (k, m, n): stream of user k, transmit antenna m, destined receive antenna n
 Stream = tuple[int, int, int]
@@ -149,22 +164,33 @@ class TransmitPlan:
         return self.streams[(k, m, n)]
 
 
+@lru_cache(maxsize=64)
+def _columns(config: SystemConfig) -> Columns:
+    return tuple(config.coefficient_ids())
+
+
+def _box(config: SystemConfig, dest: int, caps: dict[PairFamily, int]) -> DirectionSet:
+    """Every product of the given pair families at dest, family f raised to
+    each power 0..caps[f]: the box of family exponents times the incidence
+    matrix of families and coefficient ids."""
+    cols = _columns(config)
+    index = {cid: c for c, cid in enumerate(cols)}
+    incidence = np.zeros((len(caps), len(cols)), dtype=np.int64)
+    for f, fam in enumerate(caps):
+        for cid in family_pair(fam, dest):
+            incidence[f, index[cid]] += 1
+    shape = [cap + 1 for cap in caps.values()]
+    choices = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    return DirectionSet.from_matrix(cols, choices @ incidence)
+
+
 def _build_stream(config: SystemConfig, k: int, m: int, n: int) -> DirectionSet:
-    active = []
+    caps = {}
     for fam in families(config.K, config.M, config.N, n):
         cap = stream_family_cap((k, m, n), fam, config.gamma)
         if cap > 0:
-            active.append((family_pair(fam, n), cap))
-    members = []
-    for choice in itertools.product(*(range(cap + 1) for _, cap in active)):
-        exps: dict[CoefficientId, int] = {}
-        for (pair, _), e in zip(active, choice):
-            if e:
-                a_cid, b_cid = pair
-                exps[a_cid] = exps.get(a_cid, 0) + e
-                exps[b_cid] = exps.get(b_cid, 0) + e
-        members.append(direction(exps))
-    return DirectionSet(members)
+            caps[fam] = cap
+    return _box(config, n, caps)
 
 
 def build_transmit_directions(
@@ -213,21 +239,45 @@ class ReferenceFamily:
     def __init__(self, config: SystemConfig):
         self.config = config
 
+    def within_at(self, ds: DirectionSet, dests) -> np.ndarray:
+        """Membership of every member of ds in the superset of each dest, as
+        a (len(ds), len(dests)) boolean matrix.
+
+        Columns fall into blocks by transmit antenna (t, m).  At dest, a
+        block's direct coefficient (t, t, dest, m) must carry the sum of the
+        block's other exponents, and each of those stays within gamma; both
+        are column sums over the whole matrix, for every dest at once.
+        """
+        cols = ds.columns
+        dests = tuple(dests)
+        blocks = sorted({(t, m) for _, t, _, m in cols})
+        block = {b: i for i, b in enumerate(blocks)}
+        # +1 on a block's direct coefficient at a dest, -1 on its others
+        balance = np.zeros((len(cols), len(dests), len(blocks)), dtype=np.int64)
+        capped = np.ones((len(cols), len(dests)), dtype=np.int64)
+        for c, (r, t, a, m) in enumerate(cols):
+            b = block[(t, m)]
+            balance[c, :, b] = -1
+            for i, dest in enumerate(dests):
+                if r == t and a == dest:
+                    balance[c, i, b] = 1
+                    capped[c, i] = 0
+        exps = ds.matrix
+        sums = exps @ balance.reshape(len(cols), len(dests) * len(blocks))
+        balanced = ~np.any(sums.reshape(len(exps), len(dests), len(blocks)), axis=2)
+        over = (exps > self.config.gamma).astype(np.int64) @ capped
+        return balanced & (over == 0)
+
+    def within(self, ds: DirectionSet) -> np.ndarray:
+        """For each member of ds, whether some receive antenna's superset
+        holds it."""
+        return self.within_at(ds, range(1, self.config.N + 1)).any(axis=1)
+
     def contains_at(self, d: Direction, dest: int) -> bool:
-        gamma = self.config.gamma
-        need: Counter = Counter()
-        have: Counter = Counter()
-        for (r, t, a, m), e in d.exponents().items():
-            if r == t and a == dest:
-                need[(t, m)] += e
-            else:
-                if e > gamma:
-                    return False
-                have[(t, m)] += e
-        return need == have
+        return bool(self.within_at(DirectionSet([d]), (dest,))[0, 0])
 
     def contains(self, d: Direction) -> bool:
-        return any(self.contains_at(d, dest) for dest in range(1, self.config.N + 1))
+        return bool(self.within(DirectionSet([d]))[0])
 
     def materialize(
         self, dest: int, budget: int = DEFAULT_REFERENCE_BUDGET
@@ -238,16 +288,37 @@ class ReferenceFamily:
         size = (c.gamma + 1) ** len(fams)
         if size > budget:
             raise EnumerationBudgetError(size, budget, "reference enumeration")
-        members = []
-        for choice in itertools.product(range(c.gamma + 1), repeat=len(fams)):
-            exps: dict[CoefficientId, int] = {}
-            for fam, e in zip(fams, choice):
-                if e:
-                    a_cid, b_cid = family_pair(fam, dest)
-                    exps[a_cid] = exps.get(a_cid, 0) + e
-                    exps[b_cid] = exps.get(b_cid, 0) + e
-            members.append(direction(exps))
-        return DirectionSet(members)
+        return _box(c, dest, dict.fromkeys(fams, c.gamma))
+
+
+class Multiplicity(Mapping):
+    """Number of stream arrivals aligned onto each interference direction.
+
+    A mapping keyed by Direction, stored as counts in the order of the
+    interference set; values() returns those counts without building any
+    Direction.
+    """
+
+    __slots__ = ("_directions", "_counts", "_index")
+
+    def __init__(self, directions: DirectionSet, counts: np.ndarray):
+        self._directions = directions
+        self._counts = counts
+        self._index: Optional[dict[Direction, int]] = None
+
+    def __getitem__(self, d: Direction) -> int:
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self._directions)}
+        return int(self._counts[self._index[d]])
+
+    def __iter__(self) -> Iterator[Direction]:
+        return iter(self._directions)
+
+    def __len__(self) -> int:
+        return len(self._directions)
+
+    def values(self) -> list[int]:
+        return self._counts.tolist()
 
 
 @dataclass(frozen=True)
@@ -264,7 +335,7 @@ class ReceiverProfile:
     n: int
     desired: dict[int, DirectionSet]
     interference: DirectionSet
-    multiplicity: dict[Direction, int]
+    multiplicity: Multiplicity
     reference: ReferenceFamily
     l_total: int
     l_prime: int
@@ -275,7 +346,7 @@ class ReceiverProfile:
         return len(self.interference)
 
     def desired_union(self) -> DirectionSet:
-        return reduce(DirectionSet.union, self.desired.values(), DirectionSet())
+        return reduce(DirectionSet.union, self.desired.values())
 
 
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
@@ -292,23 +363,27 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
         tag = direction({(k, k, n, m): 2})
         desired[m] = plan.streams[(k, m, n)].scale(tag)
 
-    counts: Counter = Counter()
+    # every arrival, repeats included: each stream's rows plus its tag row
+    stream_cols = (ds.columns for ds in plan.streams.values())
+    cols = reduce(merge_columns, stream_cols, _columns(config))
+    index = {cid: c for c, cid in enumerate(cols)}
+    arrivals = [np.zeros((0, len(cols)), dtype=np.int64)]
     for (j, mp, np_), base in plan.streams.items():
         if j == k and np_ == n:
             continue
-        if j == k:
-            tag = direction({(k, k, np_, mp): 1, (k, k, n, mp): 1})
-        else:
-            tag = direction({(j, j, np_, mp): 1, (k, j, n, mp): 1})
-        for d in base:
-            counts[mono_mul(d, tag)] += 1
+        # the direct gain to antenna np_ times the gain into (k, n); for
+        # j == k that second factor is user k's own direct gain
+        tag = np.zeros(len(cols), dtype=np.int64)
+        tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
+        arrivals.append(base.matrix_over(cols) + tag)
+    interference, counts = tally(cols, np.concatenate(arrivals))
 
     return ReceiverProfile(
         k=k,
         n=n,
         desired=desired,
-        interference=DirectionSet(counts.keys()),
-        multiplicity=dict(counts),
+        interference=interference,
+        multiplicity=Multiplicity(interference, counts),
         reference=ReferenceFamily(config),
         l_total=L,
         l_prime=l_prime,
@@ -384,7 +459,7 @@ def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
             )
             du = prof.desired_union()
             separated = not du.intersect(prof.interference)
-            within = all(prof.reference.contains(d) for d in prof.interference)
+            within = bool(prof.reference.within(prof.interference).all())
             counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
                 len(plan.streams[(k, m, n)]) == expected for m in ms
             )

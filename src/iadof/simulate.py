@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from ._kernels import _block_sums, min_abs_combination, nearest_candidate_indices
 from .alignment import (
+    ReceiverProfile,
     TransmitPlan,
     build_transmit_directions,
     expand_received,
     truncate_plan,
 )
 from .channel import ChannelRealization, SystemConfig, generate_channel
-from .directions import UNIT, Direction, mono_eval
+from .directions import UNIT, Direction, DirectionSet, mono_eval
 
 MAX_DISTANCE_DIRECTIONS = 12
 DEFAULT_DECODE_BUDGET = 10**7
@@ -187,6 +189,7 @@ class AntennaModel:
     coords lists the desired (m, l) stream coordinates in decode order;
     desired_gains their arrival gains; the aggregate entries describe each
     distinct interference direction with its alignment multiplicity.
+    profile is the symbolic view the model was built from.
     """
 
     k: int
@@ -196,6 +199,7 @@ class AntennaModel:
     agg_directions: tuple[Direction, ...]
     agg_mults: tuple[int, ...]
     agg_gains: np.ndarray
+    profile: ReceiverProfile
 
 
 def antenna_model(
@@ -204,12 +208,12 @@ def antenna_model(
     _check_pair(plan, h)
     prof = expand_received(plan, k, n)
     for dset in prof.desired.values():
-        for d in dset:
-            if d in prof.interference:
-                raise InconsistentPlanError(
-                    f"desired direction {d.text()} aligned with interference "
-                    f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
-                )
+        overlap = dset.intersect(prof.interference)
+        if overlap:
+            raise InconsistentPlanError(
+                f"desired direction {overlap[0].text()} aligned with interference "
+                f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
+            )
     coords = []
     gains = []
     for m in range(1, plan.config.M + 1):
@@ -225,8 +229,9 @@ def antenna_model(
         coords=tuple(coords),
         desired_gains=np.array(gains),
         agg_directions=aggs,
-        agg_mults=tuple(prof.multiplicity[d] for d in aggs),
+        agg_mults=tuple(prof.multiplicity.values()),
         agg_gains=np.array([mono_eval(d, h) for d in aggs]),
+        profile=prof,
     )
 
 
@@ -266,9 +271,15 @@ def min_distance(
     """
     if Q is None:
         Q = plan.config.Q
+    return _min_distance(antenna_model(plan, h, k, n), Q, amplitude, budget)
+
+
+def _min_distance(
+    model: AntennaModel, Q: int, amplitude: float, budget: int
+) -> float:
+    """min_distance on an antenna model already built."""
     if Q < 2:
         raise ValueError(f"Q must be >= 2, got {Q}")
-    model = antenna_model(plan, h, k, n)
     nd = len(model.coords)
     na = len(model.agg_directions)
     if nd + na > MAX_DISTANCE_DIRECTIONS:
@@ -300,7 +311,12 @@ def separation_exponent(
     """Least-squares slope of log d_min against log Q at unit amplitude."""
     if len(q_list) < 4:
         raise ValueError(f"need at least 4 Q values, got {len(q_list)}")
-    d = [min_distance(plan, h, k, n, Q=q, amplitude=1.0) for q in q_list]
+    return _separation_exponent(antenna_model(plan, h, k, n), q_list)
+
+
+def _separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
+    """separation_exponent on an antenna model already built."""
+    d = [_min_distance(model, q, 1.0, DEFAULT_DECODE_BUDGET) for q in q_list]
     if any(v <= 0 for v in d):
         return float("nan")
     slope = np.polyfit(np.log(np.array(q_list, dtype=float)), np.log(d), 1)[0]
@@ -310,12 +326,13 @@ def separation_exponent(
 def separation_floor(plan: TransmitPlan, k: int, n: int, epsilon: float) -> float:
     """Theoretical slope floor -(m + eps), with m the count of distinct
     non-unit directions arriving at the antenna."""
-    prof = expand_received(plan, k, n)
-    seen = set(prof.interference)
-    for dset in prof.desired.values():
-        seen.update(dset)
-    seen.discard(UNIT)
-    return -(len(seen) + epsilon)
+    return _separation_floor(expand_received(plan, k, n), epsilon)
+
+
+def _separation_floor(prof: ReceiverProfile, epsilon: float) -> float:
+    """separation_floor on a receiver profile already expanded."""
+    seen = reduce(DirectionSet.union, prof.desired.values(), prof.interference)
+    return -(len(seen) - (UNIT in seen) + epsilon)
 
 
 @dataclass(frozen=True)
@@ -414,7 +431,6 @@ def simulate_plan(
             W[ci, ai] = h.coefficient(k, j, n, m) * pre
 
     models = [antenna_model(plan, h, k, n) for (k, n) in ants]
-    lattices = [_lattice_values(model, Q, budget) for model in models]
 
     trials = sim_config.trials
     U = np.random.default_rng((config.seed, _MESSAGE_ROLE)).integers(
@@ -425,40 +441,42 @@ def simulate_plan(
     )
     y_unit = U.astype(np.float64) @ W
 
-    ser: dict[float, float] = {}
-    amplitudes: dict[float, float] = {}
-    for rho in sim_config.snr_points:
-        A = (
+    rhos = sim_config.snr_points
+    amplitudes: dict[float, float] = {
+        rho: (
             sim_config.amplitude
             if sim_config.amplitude is not None
             else amplitude_scale(plan, h, rho)
         )
-        amplitudes[rho] = A
-        wrong = 0
-        total = 0
-        for ai, ((k, n), model, (values, dims)) in enumerate(
-            zip(ants, models, lattices)
-        ):
-            y = y_unit[:, ai]
-            if not sim_config.noiseless:
-                y = y + Z[:, ai] / A
-            pos = np.unravel_index(nearest_candidate_indices(y, values), dims)
-            for d, (m, l) in enumerate(model.coords):
-                decoded = pos[d] - (Q - 1)
-                wrong += int(np.sum(decoded != U[:, col_of[(k, m, n, l)]]))
-                total += trials
-        ser[rho] = wrong / total
+        for rho in rhos
+    }
+    # One lattice at a time, each searched once with the queries of every
+    # rho stacked: the queries are independent, so the indices are those
+    # of one search per rho.
+    wrong = np.zeros(len(rhos), dtype=np.int64)
+    total = 0
+    for ai, ((k, n), model) in enumerate(zip(ants, models)):
+        values, dims = _lattice_values(model, Q, budget)
+        y = y_unit[:, ai]
+        if sim_config.noiseless:
+            ys = [y] * len(rhos)
+        else:
+            ys = [y + Z[:, ai] / amplitudes[rho] for rho in rhos]
+        idx = nearest_candidate_indices(np.concatenate(ys), values)
+        pos = np.unravel_index(idx, dims)
+        for d, (m, l) in enumerate(model.coords):
+            decoded = (pos[d] - (Q - 1)).reshape(len(rhos), trials)
+            wrong += np.sum(decoded != U[:, col_of[(k, m, n, l)]], axis=1)
+            total += trials
+    ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
 
-    a0 = amplitudes[sim_config.snr_points[0]]
+    a0 = amplitudes[rhos[0]]
     try:
-        d_min = min(
-            min_distance(plan, h, k, n, Q=Q, amplitude=a0, budget=budget)
-            for (k, n) in ants
-        )
+        d_min = min(_min_distance(model, Q, a0, budget) for model in models)
     except DecodeBudgetError:
         d_min = float("nan")
     try:
-        slope = separation_exponent(plan, h, 1, 1, (2, 4, 8, 16))
+        slope = _separation_exponent(models[0], (2, 4, 8, 16))
     except DecodeBudgetError:
         slope = float("nan")
 
@@ -476,7 +494,7 @@ def simulate_plan(
         d_min=d_min,
         ser=ser,
         separation_slope=slope,
-        separation_floor=separation_floor(plan, 1, 1, sim_config.epsilon),
+        separation_floor=_separation_floor(models[0].profile, sim_config.epsilon),
         decoded_rate=rate,
         amplitudes=amplitudes,
     )

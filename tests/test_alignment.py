@@ -6,7 +6,9 @@ symbolic membership verifier.  The interference count L' is the exact
 union size at every receive antenna, so enumeration and closed form must
 agree; a hand-built plan with one extra direction shows the verifier
 flags any excess.  For M > 1 the construction's finite-gamma DoF falls
-short of the paper's K*MN/(M+N), and a test pins that gap.
+short of the paper's K*MN/(M+N), and a test pins that gap.  The exponent
+matrix engine makes every acceptance-lattice config cheap, so the exact
+counts are checked at all of them.
 """
 
 import itertools
@@ -31,7 +33,8 @@ from iadof.alignment import (
 )
 from iadof.bounds import achievable_dof
 from iadof.channel import SystemConfig
-from iadof.directions import UNIT, direction
+from iadof.directions import UNIT, DirectionSet, direction
+from test_acceptance import lattice_configs
 
 CHECKS = (
     "desired_pairwise_disjoint",
@@ -245,6 +248,25 @@ def test_reference_materialize_matches_contains():
         assert not ref.contains_at(bumped, 1)
 
 
+@pytest.mark.parametrize("K,M,N,gamma", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
+def test_reference_within_matches_materialized(K, M, N, gamma):
+    # every exponent vector in [0, gamma + 1]^C, and every member of the
+    # enumerated superset of each receive antenna
+    config = cfg(K, M, N, gamma)
+    cols = tuple(config.coefficient_ids())
+    grid = list(itertools.product(range(gamma + 2), repeat=len(cols)))
+    ds = DirectionSet.from_matrix(cols, grid)
+    ref = ReferenceFamily(config)
+    dests = range(1, N + 1)
+    inside = ref.within_at(ds, dests)
+    for i, dest in enumerate(dests):
+        members = ref.materialize(dest)
+        assert ref.within_at(members, [dest]).all()
+        members = frozenset(members)
+        assert [d in members for d in ds] == inside[:, i].tolist()
+    assert ref.within(ds).tolist() == inside.any(axis=1).tolist()
+
+
 def test_reference_rejects_foreign_monomial():
     config = cfg(2, 1, 1, 1)
     ref = ReferenceFamily(config)
@@ -265,6 +287,22 @@ def test_expand_received_single_user():
     assert prof.l_prime == 4  # the closed form counts the union exactly
     assert set(prof.desired) == {1, 2}
     assert all(prof.multiplicity[d] == 1 for d in prof.interference)
+
+
+def test_multiplicity_counts_every_arrival():
+    # each of the K*M*N - M streams not desired at an antenna arrives with
+    # all L of its directions, and the interference set keeps one count per
+    # distinct arrival, in its own order
+    config = cfg(3, 1, 2, 1)
+    plan = build_transmit_directions(config)
+    L, _ = closed_form_counts(config)
+    prof = expand_received(plan, 2, 1)
+    counts = prof.multiplicity.values()
+    assert sum(counts) == (3 * 1 * 2 - 1) * L
+    assert len(counts) == len(prof.interference) == len(prof.multiplicity)
+    assert max(counts) > 1
+    head = list(prof.interference)[:20]
+    assert [prof.multiplicity[d] for d in head] == counts[:20]
 
 
 def test_expand_received_no_cross_terms_when_alone():
@@ -300,6 +338,19 @@ def test_verify_passes_with_observed_counts(K, M, N, gamma, lp_observed):
         assert v.l_prime_observed == lp_observed
         assert v.l_prime_observed == lp_bound
         assert set(v.checks) == set(CHECKS)
+
+
+@pytest.mark.parametrize(
+    "config", lattice_configs(), ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}"
+)
+def test_verify_counts_at_every_lattice_config(config):
+    L, lp = closed_form_counts(config)
+    report = verify_alignment(build_transmit_directions(config))
+    assert report.passed
+    assert len(report.antennas) == config.K * config.N
+    for v in report.antennas:
+        assert v.l_observed == config.M * L
+        assert v.l_prime_observed == lp
 
 
 def test_verify_report_json_shape():

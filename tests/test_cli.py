@@ -289,6 +289,29 @@ def test_module_invocation_matches_in_process(capsys):
     assert res.stdout == out
 
 
+def test_cached_parser_matches_fresh_parser(capsys):
+    # main() builds its parser once per process; a usage error and three
+    # different commands through that one parser must each print and exit
+    # as they do through a parser built for them alone
+    from iadof.cli import _parser
+
+    sequence = [
+        ["bounds", "-M", "5"],
+        ["directions", "-K", "2", "-M", "2", "-N", "1", "--json"],
+        ["simulate", "-K", "2", "-M", "1", "-N", "1", "--trials", "50", "--snr", "1e2"],
+        ["bounds", "-M", "5", "-N", "2", "-K", "4"],
+    ]
+    fresh = []
+    for argv in sequence:
+        _parser.cache_clear()
+        fresh.append(run(argv, capsys)[:2])
+    parser = _parser()
+    shared = [run(argv, capsys)[:2] for argv in sequence]
+    assert _parser() is parser
+    assert shared == fresh
+    assert [code for code, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+
+
 def test_entry_raises_system_exit(capsys):
     from iadof.cli import entry
 

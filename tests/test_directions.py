@@ -1,7 +1,13 @@
-"""Monomial direction tests."""
+"""Monomial direction tests.
+
+DirectionSet keeps its members as an exponent matrix; the engine tests
+check it against Direction objects, Python's sorted() and frozenset
+algebra on random matrices.
+"""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +15,7 @@ from hypothesis import strategies as st
 from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import (
     MAX_EXPONENT,
+    MAX_TOTAL_DEGREE,
     UNIT,
     Direction,
     DirectionSet,
@@ -157,3 +164,88 @@ def test_direction_set_evaluate():
     vals = s.evaluate(h)
     assert vals == [1.0, h.gains[(1, 1, 1, 1)] ** 2]
     assert all(math.isfinite(v) for v in vals)
+
+
+# ------------------------------------------------------- exponent matrices
+
+# five ids, so that two random column lists often differ
+MATRIX_CIDS = CIDS + [(3, 1, 2, 1)]
+
+# mostly small exponents; a large one widens every key, so that five
+# columns need two packed words
+exponents = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 190_000))
+
+
+@st.composite
+def exponent_matrices(draw):
+    cols = sorted(draw(st.lists(st.sampled_from(MATRIX_CIDS), unique=True)))
+    row = st.lists(exponents, min_size=len(cols), max_size=len(cols))
+    rows = draw(st.lists(row, max_size=10))
+    return tuple(cols), np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
+
+
+def row_directions(cols, exps):
+    return [direction(dict(zip(cols, row))) for row in exps.tolist()]
+
+
+@given(exponent_matrices())
+def test_matrix_order_is_sorted_directions(m):
+    cols, exps = m
+    ds = DirectionSet.from_matrix(cols, exps)
+    expected = sorted(set(row_directions(cols, exps)))
+    assert list(ds) == expected
+    assert len(ds) == len(expected)
+    # the rows themselves are the members, in the same order
+    assert row_directions(ds.columns, ds.matrix) == expected
+    assert ds == DirectionSet(expected)
+
+
+@given(exponent_matrices(), exponent_matrices())
+def test_set_operations_match_frozensets(m1, m2):
+    a, b = DirectionSet.from_matrix(*m1), DirectionSet.from_matrix(*m2)
+    fa, fb = frozenset(a), frozenset(b)
+    for got, want in (
+        (a.union(b), fa | fb),
+        (a.intersect(b), fa & fb),
+        (a.difference(b), fa - fb),
+    ):
+        assert list(got) == sorted(want)
+    assert (a == b) == (fa == fb)
+    assert all(d in a for d in fa)
+    assert all((d in a) == (d in fa) for d in fb)
+
+
+@given(exponent_matrices(), exponent_maps)
+def test_scale_matches_mono_mul(m, factor):
+    a = DirectionSet.from_matrix(*m)
+    d = direction(factor)
+    assert list(a.scale(d)) == sorted({mono_mul(x, d) for x in a})
+
+
+def test_keys_span_several_words():
+    # 40 columns with 20-bit keys: three keys per word, 14 words
+    cols = [(1, j, n, 1) for j in range(1, 5) for n in range(1, 11)]
+    rng = np.random.default_rng(5)
+    exps = rng.integers(0, 3, size=(300, 40)) * (rng.random((300, 40)) < 0.3)
+    exps[::7, 39] = 500_000
+    exps[::11, 0] = 400_000
+    exps = np.concatenate([exps, exps[:50]])
+    ds = DirectionSet.from_matrix(cols, exps)
+    assert list(ds) == sorted(set(row_directions(cols, exps)))
+
+
+def test_set_guards():
+    cid = (1, 1, 1, 1)
+    big = DirectionSet([direction({cid: 600_000})])
+    with pytest.raises(OverflowError):
+        big.scale(direction({cid: 600_000}))
+    with pytest.raises(OverflowError):
+        DirectionSet.from_matrix([cid], [[MAX_EXPONENT + 1]])
+    with pytest.raises(OverflowError):
+        DirectionSet.from_matrix([cid, (1, 2, 1, 1)], [[MAX_TOTAL_DEGREE, 1]])
+    with pytest.raises(ValueError):
+        DirectionSet.from_matrix([cid], [[-1]])
+    with pytest.raises(ValueError):
+        DirectionSet.from_matrix([(1, 2, 1, 1), cid], [[1, 1]])
+    with pytest.raises(ValueError):
+        DirectionSet.from_matrix([cid], [[1, 1]])

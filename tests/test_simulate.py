@@ -10,7 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from iadof.alignment import build_transmit_directions, truncate_plan, TransmitPlan
+from iadof.alignment import (
+    TransmitPlan,
+    build_transmit_directions,
+    expand_received,
+    truncate_plan,
+)
 from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import DirectionSet, direction
 from iadof.simulate import (
@@ -357,6 +362,30 @@ def test_noisy_run_frozen_values():
     assert result.ser[1e4] == pytest.approx(0.011666666666666667, abs=1e-12)
     assert result.ser[1e6] == 0.0
     assert result.decoded_rate > 0
+
+
+def test_simulate_plan_expands_each_antenna_once(monkeypatch):
+    # one symbolic expansion per receive antenna feeds the decoder, d_min,
+    # the separation slope and its floor, which equal the public one-shot
+    # functions that expand on their own
+    import iadof.simulate as sim
+
+    config, h, plan = make(3, seed=4, cap=1)
+    calls = []
+
+    def counted(plan, k, n):
+        calls.append((k, n))
+        return expand_received(plan, k, n)
+
+    monkeypatch.setattr(sim, "expand_received", counted)
+    result = simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4), trials=200))
+    assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
+    monkeypatch.undo()
+    a0 = result.amplitudes[1e2]
+    d_min = [min_distance(plan, h, k, 1, amplitude=a0) for k in (1, 2, 3)]
+    assert result.d_min == min(d_min)
+    assert result.separation_slope == separation_exponent(plan, h, 1, 1, (2, 4, 8, 16))
+    assert result.separation_floor == separation_floor(plan, 1, 1, 0.1)
 
 
 def test_run_determinism():
