@@ -156,10 +156,6 @@ class TransmitPlan:
     streams: dict[Stream, DirectionSet]
     truncation_cap: Optional[int] = None
 
-    @property
-    def gamma(self) -> int:
-        return self.config.gamma
-
     def stream(self, k: int, m: int, n: int) -> DirectionSet:
         return self.streams[(k, m, n)]
 

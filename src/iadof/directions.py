@@ -401,8 +401,18 @@ class DirectionSet:
             raise ValueError(f"cap must be non-negative, got {cap}")
         return DirectionSet._of(self._cols, self._exps[:cap])
 
-    def evaluate(self, h: ChannelRealization) -> list[float]:
-        return [mono_eval(d, h) for d in self]
+    def evaluate(self, h: ChannelRealization) -> np.ndarray:
+        """Numeric value of every member under a channel draw, in member
+        order: mono_eval's arithmetic on each row, no Direction built."""
+        gains = [h.gains[cid] for cid in self._cols]
+        out = []
+        for row in self._exps.tolist():
+            v = 1.0
+            for g, e in zip(gains, row):
+                if e:
+                    v *= g**e
+            out.append(v)
+        return np.array(out, dtype=np.float64)
 
 
 def tally(columns: Iterable[CoefficientId], exps) -> tuple[DirectionSet, np.ndarray]:

@@ -1,5 +1,7 @@
 """Link-level simulation: encode over direction sets, propagate, decode.
 
+One forward model (_forward) carries every plan coordinate to every receive
+antenna; encode/propagate and the Monte Carlo loop are products on it.
 Decoding is exhaustive nearest-point search over the exact finite
 constellation each antenna can see: desired symbols jointly with bounded
 integer interference aggregates.  All randomness is keyed by (seed, role)
@@ -24,7 +26,7 @@ from .alignment import (
     truncate_plan,
 )
 from .channel import ChannelRealization, SystemConfig, generate_channel
-from .directions import UNIT, Direction, DirectionSet, mono_eval
+from .directions import UNIT, DirectionSet
 
 MAX_DISTANCE_DIRECTIONS = 12
 DEFAULT_DECODE_BUDGET = 10**7
@@ -81,13 +83,59 @@ def plan_coordinates(plan: TransmitPlan) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def draw_messages(plan: TransmitPlan, seed: int = 0) -> MessageMatrix:
-    """Uniform random symbols for every plan coordinate, seeded."""
-    coords = plan_coordinates(plan)
+def _antennas(K: int, per_user: int) -> list[tuple[int, int]]:
+    """(user, antenna) pairs, user-major: the order of H's rows and columns."""
+    return [(k, a) for k in range(1, K + 1) for a in range(1, per_user + 1)]
+
+
+def _draw_symbols(seed: int, Q: int, trials: int, width: int) -> np.ndarray:
+    """Uniform symbols on -(Q-1)..Q-1, one row per trial: the message role."""
     rng = np.random.default_rng((seed, _MESSAGE_ROLE))
-    top = plan.config.Q - 1
-    vals = rng.integers(-top, top + 1, size=len(coords))
-    return MessageMatrix(plan.config, dict(zip(coords, vals.tolist())))
+    return rng.integers(-(Q - 1), Q, size=(trials, width))
+
+
+def _draw_noise(seed: int, trials: int, width: int) -> np.ndarray:
+    """Unit-variance Gaussian noise, one row per trial: the noise role."""
+    return np.random.default_rng((seed, _NOISE_ROLE)).standard_normal((trials, width))
+
+
+def _channel_matrix(h: ChannelRealization) -> np.ndarray:
+    """H[(j, m), (k, n)] = h(k, j, n, m): one row per transmit antenna and
+    one column per receive antenna, both user-major."""
+    c = h.config
+    g = np.array([h.gains[cid] for cid in c.coefficient_ids()])
+    return g.reshape(c.K, c.K, c.N, c.M).transpose(1, 3, 0, 2).reshape(c.K * c.M, c.K * c.N)
+
+
+def _forward(plan: TransmitPlan, h: ChannelRealization):
+    """The linear map from plan coordinates to receive antennas, as
+    (coords, tx, pre, W).
+
+    coords are the plan coordinates; coordinate i leaves transmit antenna
+    tx[i] (a row of H) with weight pre[i], its direction value times the
+    direct gain to its destination antenna; W = pre[:, None] * H[tx] maps
+    unit-amplitude symbols to every receive antenna, so one trial receives
+    y = A * u @ W + z.
+    """
+    _check_pair(plan, h)
+    M = plan.config.M
+    coords = plan_coordinates(plan)
+    tx = np.array([(j - 1) * M + m - 1 for (j, m, _, _) in coords], dtype=np.intp)
+    pre = np.concatenate(
+        [
+            h.coefficient(j, j, n, m) * plan.streams[(j, m, n)].evaluate(h)
+            for (j, m, n) in sorted(plan.streams)
+        ]
+    )
+    return coords, tx, pre, pre[:, None] * _channel_matrix(h)[tx]
+
+
+def draw_messages(plan: TransmitPlan, seed: int = 0) -> MessageMatrix:
+    """Uniform random symbols for every plan coordinate, seeded: trial 0 of
+    a simulation of the plan with that seed."""
+    coords = plan_coordinates(plan)
+    u = _draw_symbols(seed, plan.config.Q, 1, len(coords))[0]
+    return MessageMatrix(plan.config, dict(zip(coords, u.tolist())))
 
 
 def encode(
@@ -98,23 +146,13 @@ def encode(
 ) -> dict[tuple[int, int], float]:
     """Transmit value of every antenna: each stream rides its directions,
     pre-weighted by the direct gain to its destination antenna."""
-    _check_pair(plan, h)
-    expected = set(plan_coordinates(plan))
-    if set(msgs.symbols) != expected:
+    coords, tx, pre, _ = _forward(plan, h)
+    if set(msgs.symbols) != set(coords):
         raise InconsistentPlanError("message index set does not match the plan")
     c = plan.config
-    X = {}
-    for k in range(1, c.K + 1):
-        for m in range(1, c.M + 1):
-            total = 0.0
-            for n in range(1, c.N + 1):
-                ds = plan.streams[(k, m, n)]
-                s = 0.0
-                for l in range(len(ds)):
-                    s += msgs.symbols[(k, m, n, l)] * mono_eval(ds[l], h)
-                total += h.coefficient(k, k, n, m) * amplitude * s
-            X[(k, m)] = total
-    return X
+    u = np.array([msgs.symbols[coord] for coord in coords], dtype=np.float64)
+    x = amplitude * np.bincount(tx, weights=u * pre, minlength=c.K * c.M)
+    return dict(zip(_antennas(c.K, c.M), x.tolist()))
 
 
 def propagate(
@@ -123,26 +161,17 @@ def propagate(
     noise_seed: Optional[int] = None,
 ) -> dict[tuple[int, int], float]:
     """Received value at every antenna: linear mixing plus unit-variance
-    Gaussian noise when noise_seed is given, noiseless otherwise."""
+    Gaussian noise when noise_seed is given (trial 0 of that seed's noise),
+    noiseless otherwise."""
     c = h.config
-    expected = {(k, m) for k in range(1, c.K + 1) for m in range(1, c.M + 1)}
-    if set(X) != expected:
+    tx = _antennas(c.K, c.M)
+    if set(X) != set(tx):
         raise InconsistentPlanError("transmit values do not cover every (k, m)")
-    ants = [(k, n) for k in range(1, c.K + 1) for n in range(1, c.N + 1)]
-    if noise_seed is None:
-        noise = np.zeros(len(ants))
-    else:
-        noise = np.random.default_rng((noise_seed, _NOISE_ROLE)).standard_normal(
-            len(ants)
-        )
-    Y = {}
-    for idx, (k, n) in enumerate(ants):
-        v = 0.0
-        for j in range(1, c.K + 1):
-            for m in range(1, c.M + 1):
-                v += h.coefficient(k, j, n, m) * X[(j, m)]
-        Y[(k, n)] = v + float(noise[idx])
-    return Y
+    rx = _antennas(c.K, c.N)
+    y = np.array([X[a] for a in tx], dtype=np.float64) @ _channel_matrix(h)
+    if noise_seed is not None:
+        y = y + _draw_noise(noise_seed, 1, len(rx))[0]
+    return dict(zip(rx, y.tolist()))
 
 
 def stream_mean_power(
@@ -153,7 +182,7 @@ def stream_mean_power(
     c = plan.config
     tot = 0.0
     for n in range(1, c.N + 1):
-        s2 = sum(mono_eval(d, h) ** 2 for d in plan.streams[(k, m, n)])
+        s2 = sum(v**2 for v in plan.streams[(k, m, n)].evaluate(h).tolist())
         tot += h.coefficient(k, k, n, m) ** 2 * s2
     return amplitude**2 * tot * symbol_variance(c.Q)
 
@@ -166,20 +195,14 @@ def amplitude_scale(plan: TransmitPlan, h: ChannelRealization, rho: float) -> fl
     integer multiple of one scale, which the decoder's candidate lattice
     relies on; the binding stream hits its cap, the rest sit below it.
     """
-    _check_pair(plan, h)
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     c = plan.config
     cap = rho / (c.K * c.M)
-    best = None
-    for k in range(1, c.K + 1):
-        for m in range(1, c.M + 1):
-            p1 = stream_mean_power(plan, h, k, m, 1.0)
-            a = math.sqrt(cap / p1)
-            if best is None or a < best:
-                best = a
-    assert best is not None
-    return best
+    return min(
+        math.sqrt(cap / stream_mean_power(plan, h, k, m, 1.0))
+        for (k, m) in _antennas(c.K, c.M)
+    )
 
 
 @dataclass(frozen=True)
@@ -196,7 +219,6 @@ class AntennaModel:
     n: int
     coords: tuple[tuple[int, int], ...]
     desired_gains: np.ndarray
-    agg_directions: tuple[Direction, ...]
     agg_mults: tuple[int, ...]
     agg_gains: np.ndarray
     profile: ReceiverProfile
@@ -214,23 +236,16 @@ def antenna_model(
                 f"desired direction {overlap[0].text()} aligned with interference "
                 f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
             )
-    coords = []
-    gains = []
-    for m in range(1, plan.config.M + 1):
-        ds = plan.streams[(k, m, n)]
-        h2 = h.coefficient(k, k, n, m) ** 2
-        for l in range(len(ds)):
-            coords.append((m, l))
-            gains.append(h2 * mono_eval(ds[l], h))
-    aggs = tuple(prof.interference)
+    own = {m: plan.streams[(k, m, n)] for m in range(1, plan.config.M + 1)}
     return AntennaModel(
         k=k,
         n=n,
-        coords=tuple(coords),
-        desired_gains=np.array(gains),
-        agg_directions=aggs,
+        coords=tuple((m, l) for m, ds in own.items() for l in range(len(ds))),
+        desired_gains=np.concatenate(
+            [h.coefficient(k, k, n, m) ** 2 * ds.evaluate(h) for m, ds in own.items()]
+        ),
         agg_mults=tuple(prof.multiplicity.values()),
-        agg_gains=np.array([mono_eval(d, h) for d in aggs]),
+        agg_gains=prof.interference.evaluate(h),
         profile=prof,
     )
 
@@ -281,7 +296,7 @@ def _min_distance(
     if Q < 2:
         raise ValueError(f"Q must be >= 2, got {Q}")
     nd = len(model.coords)
-    na = len(model.agg_directions)
+    na = len(model.agg_mults)
     if nd + na > MAX_DISTANCE_DIRECTIONS:
         raise DecodeBudgetError(
             nd + na, MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
@@ -293,11 +308,7 @@ def _min_distance(
     box = int(np.prod(2 * radii + 1))
     if box > budget:
         raise DecodeBudgetError(box, budget, "distance enumeration")
-    gains = (
-        np.concatenate([model.desired_gains, model.agg_gains])
-        if na
-        else model.desired_gains
-    )
+    gains = np.concatenate([model.desired_gains, model.agg_gains])
     return amplitude * min_abs_combination(gains, radii, nd)
 
 
@@ -353,14 +364,17 @@ class SimConfig:
         object.__setattr__(self, "snr_points", tuple(float(r) for r in self.snr_points))
         if not self.snr_points:
             raise ValueError("need at least one snr point")
-        if any(r <= 0 for r in self.snr_points):
-            raise ValueError("snr points must be positive")
+        for r in self.snr_points:
+            if not 0 < r < math.inf:
+                raise ValueError(f"snr points must be positive and finite, got {r}")
+        if len(set(self.snr_points)) < len(self.snr_points):
+            raise ValueError(f"snr points must be distinct, got {list(self.snr_points)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.amplitude is not None and self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if self.amplitude is not None and not 0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -415,30 +429,16 @@ def simulate_plan(
     Messages and noise are drawn once and reused across SNR points (common
     random numbers), so SER curves differ only through the amplitude.
     """
-    _check_pair(plan, h)
+    coords, _, _, W = _forward(plan, h)
     config = plan.config
     Q = config.Q
-    coords = plan_coordinates(plan)
     col_of = {c: i for i, c in enumerate(coords)}
-    ants = [
-        (k, n) for k in range(1, config.K + 1) for n in range(1, config.N + 1)
-    ]
-
-    W = np.zeros((len(coords), len(ants)))
-    for ci, (j, m, np_, l) in enumerate(coords):
-        pre = h.coefficient(j, j, np_, m) * mono_eval(plan.streams[(j, m, np_)][l], h)
-        for ai, (k, n) in enumerate(ants):
-            W[ci, ai] = h.coefficient(k, j, n, m) * pre
-
+    ants = _antennas(config.K, config.N)
     models = [antenna_model(plan, h, k, n) for (k, n) in ants]
 
     trials = sim_config.trials
-    U = np.random.default_rng((config.seed, _MESSAGE_ROLE)).integers(
-        -(Q - 1), Q, size=(trials, len(coords))
-    )
-    Z = np.random.default_rng((config.seed, _NOISE_ROLE)).standard_normal(
-        (trials, len(ants))
-    )
+    U = _draw_symbols(config.seed, Q, trials, len(coords))
+    Z = _draw_noise(config.seed, trials, len(ants))
     y_unit = U.astype(np.float64) @ W
 
     rhos = sim_config.snr_points

@@ -5,6 +5,7 @@ JSON renderings; golden values here were produced by the library and
 cross-checked against the module-level tests.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -233,6 +234,42 @@ def test_simulate_bad_snr(capsys):
     )
     assert code == EXIT_USAGE
     assert "--snr" in err
+
+
+@pytest.mark.parametrize(
+    "snr", ["nan", "inf", "1e400", "1e2,1e2", "1e2,100"]
+)
+def test_simulate_rejects_bad_snr_values(snr, capsys):
+    # a NaN used to crash the decoder, an infinity printed Infinity (not
+    # JSON) and a repeated point was decoded twice but printed once
+    code, out, err = run(
+        ["simulate", "-K", "1", "-M", "1", "-N", "1", "--snr", snr], capsys
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "snr points must be" in err
+
+
+# stdout sha256 of `simulate <config> --json --trials 200 --snr 1e2,1e6`,
+# recorded before the forward model was rebuilt on one coordinate matrix
+MULTI_ANTENNA_SIMULATE = {
+    "-K 2 -M 2 -N 2 --cap 1":
+        "7581ec4f621c4f3cd175f5975f1e9e1aa7dbb8efbc42d194323ddd3f50ba5dcc",
+    "-K 2 -M 1 -N 2 --gamma 2 --cap 2":
+        "684d2af8064e1ff462cacbb2d6c1b26ed3c0ed33ab8f570e2bb885ebbbaa7fe0",
+    "-K 3 -M 2 -N 1 --cap 1":
+        "2a5a167b4b8a6ba7a377ca6ab3caf4620657a2b0a70f9f1ab72fe5b7084ed35b",
+    "-K 2 -M 2 -N 1 --gamma 2 --cap 2 --q 3":
+        "f4012bbd26115cbb47fb82ea534da874f1add1f4f1f061c89721b7522da7ee79",
+}
+
+
+@pytest.mark.parametrize("config", sorted(MULTI_ANTENNA_SIMULATE))
+def test_simulate_multi_antenna_frozen(config, capsys):
+    argv = ["simulate", *config.split(), "--json", "--trials", "200", "--snr", "1e2,1e6"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MULTI_ANTENNA_SIMULATE[config]
 
 
 def test_simulate_budget_exit(capsys):

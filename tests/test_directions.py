@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iadof.alignment import build_transmit_directions, closed_form_counts, expand_received
 from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import (
     MAX_EXPONENT,
@@ -23,6 +24,7 @@ from iadof.directions import (
     mono_eval,
     mono_mul,
 )
+from test_acceptance import lattice_configs
 
 CIDS = [(1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1)]
 
@@ -162,8 +164,10 @@ def test_direction_set_evaluate():
     a = direction({(1, 1, 1, 1): 2})
     s = DirectionSet([a, UNIT])
     vals = s.evaluate(h)
-    assert vals == [1.0, h.gains[(1, 1, 1, 1)] ** 2]
+    assert vals.dtype == np.float64
+    assert vals.tolist() == [1.0, h.gains[(1, 1, 1, 1)] ** 2]
     assert all(math.isfinite(v) for v in vals)
+    assert DirectionSet().evaluate(h).shape == (0,)
 
 
 # ------------------------------------------------------- exponent matrices
@@ -177,9 +181,9 @@ exponents = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 190_000))
 
 
 @st.composite
-def exponent_matrices(draw):
+def exponent_matrices(draw, values=exponents):
     cols = sorted(draw(st.lists(st.sampled_from(MATRIX_CIDS), unique=True)))
-    row = st.lists(exponents, min_size=len(cols), max_size=len(cols))
+    row = st.lists(values, min_size=len(cols), max_size=len(cols))
     rows = draw(st.lists(row, max_size=10))
     return tuple(cols), np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
 
@@ -249,3 +253,36 @@ def test_set_guards():
         DirectionSet.from_matrix([(1, 2, 1, 1), cid], [[1, 1]])
     with pytest.raises(ValueError):
         DirectionSet.from_matrix([cid], [[1, 1]])
+
+
+# ------------------------------------------------------------- evaluation
+
+# at most 5 * 200 factors of a gain in [0.5, 1.5): every power and every
+# product stays finite and non-zero
+small_exponents = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 200))
+
+
+@given(exponent_matrices(small_exponents), st.integers(0, 2**32 - 1))
+def test_evaluate_equals_mono_eval_on_random_matrices(m, seed):
+    h = generate_channel(SystemConfig(K=3, N=2, seed=seed))
+    ds = DirectionSet.from_matrix(*m)
+    assert ds.evaluate(h).tolist() == [mono_eval(d, h) for d in ds]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in lattice_configs() if closed_form_counts(c)[0] <= 1024],
+    ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}",
+)
+def test_evaluate_equals_mono_eval(config):
+    # every stream and interference set of the lattice configs with at
+    # most the (3,1,2,1) stream count L = 1024, bit for bit
+    plan = build_transmit_directions(config)
+    h = generate_channel(config)
+    sets = list(plan.streams.values()) + [
+        expand_received(plan, k, n).interference
+        for k in range(1, config.K + 1)
+        for n in range(1, config.N + 1)
+    ]
+    for ds in sets:
+        assert ds.evaluate(h).tolist() == [mono_eval(d, h) for d in ds]

@@ -158,6 +158,30 @@ def test_propagate_noise_deterministic():
     assert propagate(h, X, noise_seed=7) != propagate(h, X, noise_seed=8)
 
 
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize(
+    "K,M,N,gamma,cap", [(3, 1, 1, 1, 1), (2, 2, 2, 1, 1), (2, 1, 2, 2, 2)]
+)
+def test_forward_model_matches_encode_propagate(K, M, N, gamma, cap, noisy):
+    # trial 0 of the matrix model simulate_plan decodes, A*(U@W)[0] + Z[0],
+    # is what the one-shot draw_messages -> encode -> propagate path receives
+    from iadof import simulate as sim
+
+    config, h, plan = make(K, M, N, gamma, Q=3, seed=7, cap=cap)
+    coords, _, _, W = sim._forward(plan, h)
+    U = sim._draw_symbols(config.seed, config.Q, 5, len(coords)).astype(np.float64)
+    Z = sim._draw_noise(config.seed, 5, K * N)
+    A = 0.6
+    want = A * (U @ W)[0] + (Z[0] if noisy else 0.0)
+    X = encode(plan, h, draw_messages(plan, config.seed), A)
+    Y = propagate(h, X, noise_seed=config.seed if noisy else None)
+    got = [Y[(k, n)] for k in range(1, K + 1) for n in range(1, N + 1)]
+    # the two paths sum in different orders: relative 1e-12, with a floor
+    # scaled by the summed magnitudes for outputs that cancel to near zero
+    floor = 1e-12 * (A * np.abs(U[0]) @ np.abs(W)).max()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
+
+
 # -------------------------------------------------------------------- power
 
 
@@ -328,6 +352,12 @@ def test_sim_config_validation():
         SimConfig(snr_points=(1e2,), epsilon=0.0)
     with pytest.raises(ValueError):
         SimConfig(snr_points=(1e2,), amplitude=-1.0)
+    for bad in ((math.nan,), (math.inf,), (1e2, -math.inf), (1e2, 1e4, 1e2)):
+        with pytest.raises(ValueError, match="snr points"):
+            SimConfig(snr_points=bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            SimConfig(snr_points=(1e2,), amplitude=bad)
 
 
 def test_sim_result_validation():
