@@ -41,7 +41,6 @@ Stream = tuple[int, int, int]
 PairFamily = tuple[int, int, int, int]
 
 DEFAULT_STREAM_BUDGET = 10**6
-DEFAULT_REFERENCE_BUDGET = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -268,23 +267,6 @@ class ReferenceFamily:
         """For each member of ds, whether some receive antenna's superset
         holds it."""
         return self.within_at(ds, range(1, self.config.N + 1)).any(axis=1)
-
-    def contains_at(self, d: Direction, dest: int) -> bool:
-        return bool(self.within_at(DirectionSet([d]), (dest,))[0, 0])
-
-    def contains(self, d: Direction) -> bool:
-        return bool(self.within(DirectionSet([d]))[0])
-
-    def materialize(
-        self, dest: int, budget: int = DEFAULT_REFERENCE_BUDGET
-    ) -> DirectionSet:
-        """Explicit enumeration of the dest superset; small configs only."""
-        c = self.config
-        fams = families(c.K, c.M, c.N, dest)
-        size = (c.gamma + 1) ** len(fams)
-        if size > budget:
-            raise EnumerationBudgetError(size, budget, "reference enumeration")
-        return _box(c, dest, dict.fromkeys(fams, c.gamma))
 
 
 class Multiplicity(Mapping):

@@ -36,16 +36,6 @@ def fraction_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator, "decimal": fraction_dec(x)}
 
 
-def two_user_dof(m1: int, m2: int, n1: int, n2: int) -> int:
-    """Sum DoF of the two-user MIMO interference channel with antenna
-    profile (m1, n1), (m2, n2).  Zero counts are allowed so pooled-user
-    partitions can degenerate to one side."""
-    for v in (m1, m2, n1, n2):
-        if v < 0:
-            raise ValueError("antenna counts must be >= 0")
-    return min(m1 + m2, n1 + n2, max(m1, n2), max(m2, n1))
-
-
 def achievable_dof(M: int, N: int, K: int) -> Fraction:
     """Total DoF achieved by the asymptotic alignment scheme: K*MN/(M+N)."""
     _roles(M, N)

@@ -26,7 +26,7 @@ class SystemConfig:
 
     K users, each with M transmit and N receive antennas; gamma controls the
     depth of the direction construction, Q the integer symbol alphabet
-    (-Q, Q), rho the total transmit power budget.
+    -(Q-1)..Q-1.
     """
 
     K: int
@@ -34,7 +34,6 @@ class SystemConfig:
     N: int = 1
     gamma: int = 1
     Q: int = 2
-    rho: float = 100.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -46,8 +45,6 @@ class SystemConfig:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.Q < 2:
             raise ValueError(f"Q must be >= 2, got {self.Q}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
 
     def coefficient_ids(self) -> Iterator[CoefficientId]:
         """All coefficient ids in canonical (k, j, n, m) lexicographic order."""
@@ -108,13 +105,11 @@ class ChannelRealization:
         data: dict,
         gamma: int = 1,
         Q: int = 2,
-        rho: float = 100.0,
     ) -> "ChannelRealization":
         """Rebuild from the serialized form; parameters not covered by the
-        fixture format (gamma, Q, rho) fall back to the given values."""
+        fixture format (gamma, Q) fall back to the given values."""
         config = SystemConfig(
-            K=data["K"], M=data["M"], N=data["N"],
-            gamma=gamma, Q=Q, rho=rho, seed=data["seed"],
+            K=data["K"], M=data["M"], N=data["N"], gamma=gamma, Q=Q, seed=data["seed"]
         )
         gains = {
             (g["k"], g["j"], g["n"], g["m"]): float(g["v"]) for g in data["gains"]

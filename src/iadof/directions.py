@@ -57,9 +57,6 @@ class Direction:
                 return f[i + 4]
         return 0
 
-    def total_degree(self) -> int:
-        return sum(self._flat[4::5])
-
     def __mul__(self, other: "Direction") -> "Direction":
         if not isinstance(other, Direction):
             return NotImplemented

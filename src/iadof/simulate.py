@@ -11,6 +11,7 @@ so every run replays bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -187,40 +188,43 @@ def stream_mean_power(
     return amplitude**2 * tot * symbol_variance(c.Q)
 
 
-def amplitude_scale(plan: TransmitPlan, h: ChannelRealization, rho: float) -> float:
-    """Largest common amplitude keeping every stream within its share
-    rho/(K*M) of the total power budget.
+def amplitude_scale(
+    plan: TransmitPlan, h: ChannelRealization, rhos: tuple[float, ...]
+) -> dict[float, float]:
+    """Largest common amplitude at each total power rho keeping every
+    stream within its share rho/(K*M) of the budget, as {rho: A}.
 
     A single A across streams keeps every interference aggregate an exact
     integer multiple of one scale, which the decoder's candidate lattice
-    relies on; the binding stream hits its cap, the rest sit below it.
+    relies on; the binding stream hits its cap, the rest sit below it.  The
+    unit-amplitude stream powers do not depend on rho and are computed once.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    for rho in rhos:
+        if rho <= 0:
+            raise ValueError(f"rho must be positive, got {rho}")
     c = plan.config
-    cap = rho / (c.K * c.M)
-    return min(
-        math.sqrt(cap / stream_mean_power(plan, h, k, m, 1.0))
-        for (k, m) in _antennas(c.K, c.M)
-    )
+    powers = [stream_mean_power(plan, h, k, m, 1.0) for (k, m) in _antennas(c.K, c.M)]
+    return {rho: min(math.sqrt(rho / (c.K * c.M) / p) for p in powers) for rho in rhos}
 
 
 @dataclass(frozen=True)
 class AntennaModel:
     """What one receive antenna sees, numerically, at unit amplitude.
 
-    coords lists the desired (m, l) stream coordinates in decode order;
-    desired_gains their arrival gains; the aggregate entries describe each
-    distinct interference direction with its alignment multiplicity.
+    coords lists the desired (m, l) stream coordinates in decode order.
+    gains holds their arrival gains, then one gain per distinct
+    interference direction; mults holds 1 per desired coordinate, then
+    each direction's alignment multiplicity.  An axis of multiplicity mult
+    carries symbol sums within mult*(Q-1) of zero, so the decode lattice
+    has radius mult*(Q-1) on it and the difference box 2*mult*(Q-1).
     profile is the symbolic view the model was built from.
     """
 
     k: int
     n: int
     coords: tuple[tuple[int, int], ...]
-    desired_gains: np.ndarray
-    agg_mults: tuple[int, ...]
-    agg_gains: np.ndarray
+    gains: np.ndarray
+    mults: tuple[int, ...]
     profile: ReceiverProfile
 
 
@@ -237,15 +241,14 @@ def antenna_model(
                 f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
             )
     own = {m: plan.streams[(k, m, n)] for m in range(1, plan.config.M + 1)}
+    coords = tuple((m, l) for m, ds in own.items() for l in range(len(ds)))
+    desired = [h.coefficient(k, k, n, m) ** 2 * ds.evaluate(h) for m, ds in own.items()]
     return AntennaModel(
         k=k,
         n=n,
-        coords=tuple((m, l) for m, ds in own.items() for l in range(len(ds))),
-        desired_gains=np.concatenate(
-            [h.coefficient(k, k, n, m) ** 2 * ds.evaluate(h) for m, ds in own.items()]
-        ),
-        agg_mults=tuple(prof.multiplicity.values()),
-        agg_gains=prof.interference.evaluate(h),
+        coords=coords,
+        gains=np.concatenate(desired + [prof.interference.evaluate(h)]),
+        mults=(1,) * len(coords) + tuple(prof.multiplicity.values()),
         profile=prof,
     )
 
@@ -257,23 +260,17 @@ def _lattice_values(model: AntennaModel, Q: int, budget: int) -> tuple[np.ndarra
     the first index the argmin hits is the lexicographically smallest
     symbol vector; that is the documented tie-break.
     """
-    dims = [2 * Q - 1] * len(model.coords) + [
-        2 * mult * (Q - 1) + 1 for mult in model.agg_mults
-    ]
+    radii = [mult * (Q - 1) for mult in model.mults]
+    dims = tuple(2 * r + 1 for r in radii)
     n_cand = math.prod(dims)
     if n_cand > budget:
         raise DecodeBudgetError(n_cand, budget, "candidate lattice")
-    gains = np.concatenate([model.desired_gains, model.agg_gains])
-    radii = [(dim - 1) // 2 for dim in dims]
-    return _block_sums(gains, radii, 0, len(dims)), tuple(dims)
+    return _block_sums(model.gains, radii, 0, len(dims)), dims
 
 
 def min_distance(
-    plan: TransmitPlan,
-    h: ChannelRealization,
-    k: int,
-    n: int,
-    Q: Optional[int] = None,
+    model: AntennaModel,
+    Q: int,
     amplitude: float = 1.0,
     budget: int = DEFAULT_DECODE_BUDGET,
 ) -> float:
@@ -284,65 +281,34 @@ def min_distance(
     zero) and each aggregate difference over twice its own bound; this
     covers exactly the pairs of distinct-desired constellation points.
     """
-    if Q is None:
-        Q = plan.config.Q
-    return _min_distance(antenna_model(plan, h, k, n), Q, amplitude, budget)
-
-
-def _min_distance(
-    model: AntennaModel, Q: int, amplitude: float, budget: int
-) -> float:
-    """min_distance on an antenna model already built."""
     if Q < 2:
         raise ValueError(f"Q must be >= 2, got {Q}")
-    nd = len(model.coords)
-    na = len(model.agg_mults)
-    if nd + na > MAX_DISTANCE_DIRECTIONS:
+    if len(model.mults) > MAX_DISTANCE_DIRECTIONS:
         raise DecodeBudgetError(
-            nd + na, MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
+            len(model.mults), MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
         )
-    radii = np.array(
-        [2 * (Q - 1)] * nd + [2 * mult * (Q - 1) for mult in model.agg_mults],
-        dtype=np.int64,
-    )
+    radii = 2 * (Q - 1) * np.array(model.mults, dtype=np.int64)
     box = int(np.prod(2 * radii + 1))
     if box > budget:
         raise DecodeBudgetError(box, budget, "distance enumeration")
-    gains = np.concatenate([model.desired_gains, model.agg_gains])
-    return amplitude * min_abs_combination(gains, radii, nd)
+    return amplitude * min_abs_combination(model.gains, radii, len(model.coords))
 
 
-def separation_exponent(
-    plan: TransmitPlan,
-    h: ChannelRealization,
-    k: int,
-    n: int,
-    q_list: tuple[int, ...],
-) -> float:
+def separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
     """Least-squares slope of log d_min against log Q at unit amplitude."""
     if len(q_list) < 4:
         raise ValueError(f"need at least 4 Q values, got {len(q_list)}")
-    return _separation_exponent(antenna_model(plan, h, k, n), q_list)
-
-
-def _separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
-    """separation_exponent on an antenna model already built."""
-    d = [_min_distance(model, q, 1.0, DEFAULT_DECODE_BUDGET) for q in q_list]
+    d = [min_distance(model, q) for q in q_list]
     if any(v <= 0 for v in d):
         return float("nan")
     slope = np.polyfit(np.log(np.array(q_list, dtype=float)), np.log(d), 1)[0]
     return float(slope)
 
 
-def separation_floor(plan: TransmitPlan, k: int, n: int, epsilon: float) -> float:
+def separation_floor(profile: ReceiverProfile, epsilon: float) -> float:
     """Theoretical slope floor -(m + eps), with m the count of distinct
     non-unit directions arriving at the antenna."""
-    return _separation_floor(expand_received(plan, k, n), epsilon)
-
-
-def _separation_floor(prof: ReceiverProfile, epsilon: float) -> float:
-    """separation_floor on a receiver profile already expanded."""
-    seen = reduce(DirectionSet.union, prof.desired.values(), prof.interference)
+    seen = reduce(DirectionSet.union, profile.desired.values(), profile.interference)
     return -(len(seen) - (UNIT in seen) + epsilon)
 
 
@@ -373,8 +339,9 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.amplitude is not None and not 0 < self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+        a = self.amplitude
+        if a is not None and not sys.float_info.min <= a < math.inf:
+            raise ValueError(f"amplitude must be positive, normal and finite, got {a}")
 
 
 @dataclass(frozen=True)
@@ -442,14 +409,10 @@ def simulate_plan(
     y_unit = U.astype(np.float64) @ W
 
     rhos = sim_config.snr_points
-    amplitudes: dict[float, float] = {
-        rho: (
-            sim_config.amplitude
-            if sim_config.amplitude is not None
-            else amplitude_scale(plan, h, rho)
-        )
-        for rho in rhos
-    }
+    if sim_config.amplitude is None:
+        amplitudes = amplitude_scale(plan, h, rhos)
+    else:
+        amplitudes = dict.fromkeys(rhos, sim_config.amplitude)
     # One lattice at a time, each searched once with the queries of every
     # rho stacked: the queries are independent, so the indices are those
     # of one search per rho.
@@ -472,11 +435,11 @@ def simulate_plan(
 
     a0 = amplitudes[rhos[0]]
     try:
-        d_min = min(_min_distance(model, Q, a0, budget) for model in models)
+        d_min = min(min_distance(model, Q, a0, budget) for model in models)
     except DecodeBudgetError:
         d_min = float("nan")
     try:
-        slope = _separation_exponent(models[0], (2, 4, 8, 16))
+        slope = separation_exponent(models[0], (2, 4, 8, 16))
     except DecodeBudgetError:
         slope = float("nan")
 
@@ -494,7 +457,7 @@ def simulate_plan(
         d_min=d_min,
         ser=ser,
         separation_slope=slope,
-        separation_floor=_separation_floor(models[0].profile, sim_config.epsilon),
+        separation_floor=separation_floor(models[0].profile, sim_config.epsilon),
         decoded_rate=rate,
         amplitudes=amplitudes,
     )

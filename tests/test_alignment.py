@@ -20,6 +20,7 @@ import pytest
 from iadof.alignment import (
     EnumerationBudgetError,
     ReferenceFamily,
+    _box,
     achievable_dof_gamma,
     build_transmit_directions,
     closed_form_counts,
@@ -232,20 +233,33 @@ def test_truncate_plan():
 
 # -------------------------------------------------------------- reference
 
+DEFAULT_REFERENCE_BUDGET = 10**6
+
+
+def materialize(config, dest, budget=DEFAULT_REFERENCE_BUDGET):
+    """The reference superset at dest enumerated outright, every product of
+    dest families with exponents in [0, gamma]: the oracle that
+    ReferenceFamily's membership tests are checked against."""
+    fams = families(config.K, config.M, config.N, dest)
+    size = (config.gamma + 1) ** len(fams)
+    if size > budget:
+        raise EnumerationBudgetError(size, budget, "reference enumeration")
+    return _box(config, dest, dict.fromkeys(fams, config.gamma))
+
 
 def test_reference_materialize_matches_contains():
     config = cfg(2, 1, 1, 2)
     ref = ReferenceFamily(config)
-    members = ref.materialize(1, budget=10**4)
+    members = materialize(config, 1, budget=10**4)
     assert len(members) == 9
     for d in members:
-        assert ref.contains_at(d, 1)
-        assert ref.contains(d)
+        assert ref.within_at(DirectionSet([d]), (1,))[0, 0]
+        assert ref.within(DirectionSet([d]))[0]
     # push one exponent past its cap: no longer factorizable
     d = members[-1]
     bumped = direction({cid: e + 3 for cid, e in d.exponents().items()})
     if bumped != UNIT:
-        assert not ref.contains_at(bumped, 1)
+        assert not ref.within_at(DirectionSet([bumped]), (1,))[0, 0]
 
 
 @pytest.mark.parametrize("K,M,N,gamma", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
@@ -260,7 +274,7 @@ def test_reference_within_matches_materialized(K, M, N, gamma):
     dests = range(1, N + 1)
     inside = ref.within_at(ds, dests)
     for i, dest in enumerate(dests):
-        members = ref.materialize(dest)
+        members = materialize(config, dest)
         assert ref.within_at(members, [dest]).all()
         members = frozenset(members)
         assert [d in members for d in ds] == inside[:, i].tolist()
@@ -271,8 +285,9 @@ def test_reference_rejects_foreign_monomial():
     config = cfg(2, 1, 1, 1)
     ref = ReferenceFamily(config)
     # a lone cross gain with no matching direct-link factor cannot arise
-    assert not ref.contains_at(direction({(1, 2, 1, 1): 1}), 1)
-    assert ref.contains_at(UNIT, 1)
+    foreign = DirectionSet([direction({(1, 2, 1, 1): 1})])
+    assert not ref.within_at(foreign, (1,))[0, 0]
+    assert ref.within_at(DirectionSet([UNIT]), (1,))[0, 0]
 
 
 # ------------------------------------------------------------ verification

@@ -16,7 +16,7 @@ from iadof.channel import (
 
 def test_config_defaults():
     c = SystemConfig(K=3)
-    assert (c.M, c.N, c.gamma, c.Q, c.rho, c.seed) == (1, 1, 1, 2, 100.0, 0)
+    assert (c.M, c.N, c.gamma, c.Q, c.seed) == (1, 1, 1, 2, 0)
 
 
 @pytest.mark.parametrize(
@@ -27,8 +27,6 @@ def test_config_defaults():
         {"K": 2, "N": -1},
         {"K": 2, "gamma": 0},
         {"K": 2, "Q": 1},
-        {"K": 2, "rho": 0.0},
-        {"K": 2, "rho": -5.0},
     ],
 )
 def test_config_validation(kwargs):
@@ -104,10 +102,10 @@ def test_realization_rejects_bad_gains():
 
 
 def test_json_round_trip():
-    c = SystemConfig(K=3, M=2, N=1, gamma=2, Q=4, rho=50.0, seed=21)
+    c = SystemConfig(K=3, M=2, N=1, gamma=2, Q=4, seed=21)
     h = generate_channel(c)
     data = json.loads(h.to_json())
-    h2 = ChannelRealization.from_json_dict(data, gamma=2, Q=4, rho=50.0)
+    h2 = ChannelRealization.from_json_dict(data, gamma=2, Q=4)
     assert h2 == h
     assert h2.config == c
 

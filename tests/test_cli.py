@@ -357,3 +357,14 @@ def test_entry_raises_system_exit(capsys):
     # bare invocation inherits sys.argv from pytest; usage error either way
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- package
+
+
+def test_public_names_resolve():
+    # a name dropped from the package cannot linger in its export list
+    import iadof
+
+    assert [name for name in iadof.__all__ if not hasattr(iadof, name)] == []
+    assert iadof.__all__ == sorted(set(iadof.__all__))

@@ -123,10 +123,9 @@ def test_kernels_equal_scan_on_decode_lattice():
     y = np.concatenate([exact, exact + rng.normal(scale=1e-5, size=60)])
     assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
 
-    gains = np.concatenate([model.desired_gains, model.agg_gains])
-    radii = np.array([6] * len(model.coords) + [6 * m for m in model.agg_mults])
-    assert min_abs_combination(gains, radii, len(model.coords)) == scan_min_abs(
-        gains, radii, len(model.coords)
+    radii = np.array([6 * m for m in model.mults])
+    assert min_abs_combination(model.gains, radii, len(model.coords)) == scan_min_abs(
+        model.gains, radii, len(model.coords)
     )
 
 

@@ -217,7 +217,7 @@ def test_stream_mean_power_matches_monte_carlo():
 def test_amplitude_scale_binding():
     config, h, plan = make(3, seed=1, cap=1)
     rho = 100.0
-    A = amplitude_scale(plan, h, rho)
+    A = amplitude_scale(plan, h, (rho,))[rho]
     cap = rho / (config.K * config.M)
     powers = [stream_mean_power(plan, h, k, 1, A) for k in (1, 2, 3)]
     assert max(powers) == pytest.approx(cap, rel=1e-12)
@@ -227,7 +227,7 @@ def test_amplitude_scale_binding():
 def test_amplitude_scale_rejects_bad_rho():
     config, h, plan = make(2, seed=0)
     with pytest.raises(ValueError):
-        amplitude_scale(plan, h, 0.0)
+        amplitude_scale(plan, h, (0.0,))
 
 
 # ----------------------------------------------------------------- distance
@@ -236,10 +236,11 @@ def test_amplitude_scale_rejects_bad_rho():
 def test_min_distance_single_user_is_squared_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
-    d = min_distance(plan, h, 1, 1, Q=2, amplitude=1.0)
+    model = antenna_model(plan, h, 1, 1)
+    d = min_distance(model, 2, amplitude=1.0)
     assert d == H * H
     assert d == pytest.approx(1.7030326309839905, rel=1e-12)
-    assert min_distance(plan, h, 1, 1, Q=2, amplitude=2.5) == pytest.approx(
+    assert min_distance(model, 2, amplitude=2.5) == pytest.approx(
         2.5 * d, rel=1e-12
     )
 
@@ -248,14 +249,14 @@ def test_min_distance_positive_across_seeds():
     for seed in range(30):
         config, h, plan = make(3, seed=seed, cap=1)
         for Q in (2, 4):
-            d = min_distance(plan, h, 1, 1, Q=Q, amplitude=1.0)
+            d = min_distance(antenna_model(plan, h, 1, 1), Q, amplitude=1.0)
             assert d > 1e-9
 
 
 def test_min_distance_rejects_large_direction_count():
     config, h, plan = make(3, seed=0)  # untruncated: 16 + 28 directions
     with pytest.raises(DecodeBudgetError) as exc:
-        min_distance(plan, h, 1, 1)
+        min_distance(antenna_model(plan, h, 1, 1), config.Q)
     assert exc.value.required == 44
     assert exc.value.budget == 12
 
@@ -263,13 +264,13 @@ def test_min_distance_rejects_large_direction_count():
 def test_min_distance_budget():
     config, h, plan = make(3, seed=0, cap=1)
     with pytest.raises(DecodeBudgetError):
-        min_distance(plan, h, 1, 1, Q=2, budget=10)
+        min_distance(antenna_model(plan, h, 1, 1), 2, budget=10)
 
 
 def test_min_distance_rejects_small_q():
     config, h, plan = make(1, seed=0)
     with pytest.raises(ValueError):
-        min_distance(plan, h, 1, 1, Q=1)
+        min_distance(antenna_model(plan, h, 1, 1), 1)
 
 
 # --------------------------------------------------------------- separation
@@ -277,8 +278,8 @@ def test_min_distance_rejects_small_q():
 
 def test_separation_exponent_frozen_and_deterministic():
     config, h, plan = make(3, seed=1, cap=1)
-    s1 = separation_exponent(plan, h, 1, 1, (2, 4, 8, 16))
-    s2 = separation_exponent(plan, h, 1, 1, (2, 4, 8, 16))
+    s1 = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
+    s2 = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
     assert s1 == s2
     assert s1 == pytest.approx(-1.9371274729698718, rel=1e-9)
 
@@ -286,13 +287,13 @@ def test_separation_exponent_frozen_and_deterministic():
 def test_separation_exponent_needs_four_points():
     config, h, plan = make(3, seed=0, cap=1)
     with pytest.raises(ValueError):
-        separation_exponent(plan, h, 1, 1, (2, 4, 8))
+        separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8))
 
 
 def test_separation_floor_counts_directions():
     config, h, plan = make(3, seed=0, cap=1)
     # one squared direct-gain desired direction plus two cross aggregates
-    assert separation_floor(plan, 1, 1, 0.1) == -3.1
+    assert separation_floor(expand_received(plan, 1, 1), 0.1) == -3.1
 
 
 def test_separation_slope_near_floor():
@@ -302,8 +303,8 @@ def test_separation_slope_near_floor():
     hits = 0
     for seed in range(20):
         config, h, plan = make(3, seed=seed, cap=1)
-        slope = separation_exponent(plan, h, 1, 1, (2, 4, 8, 16))
-        floor = separation_floor(plan, 1, 1, 0.1)
+        slope = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
+        floor = separation_floor(expand_received(plan, 1, 1), 0.1)
         assert floor == -3.1
         assert slope >= floor - 1.0
         if slope >= floor:
@@ -355,7 +356,7 @@ def test_sim_config_validation():
     for bad in ((math.nan,), (math.inf,), (1e2, -math.inf), (1e2, 1e4, 1e2)):
         with pytest.raises(ValueError, match="snr points"):
             SimConfig(snr_points=bad)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 1e-310, 5e-324):
         with pytest.raises(ValueError, match="amplitude"):
             SimConfig(snr_points=(1e2,), amplitude=bad)
 
@@ -396,8 +397,8 @@ def test_noisy_run_frozen_values():
 
 def test_simulate_plan_expands_each_antenna_once(monkeypatch):
     # one symbolic expansion per receive antenna feeds the decoder, d_min,
-    # the separation slope and its floor, which equal the public one-shot
-    # functions that expand on their own
+    # the separation slope and its floor, which equal the public functions
+    # run on antenna models built afresh
     import iadof.simulate as sim
 
     config, h, plan = make(3, seed=4, cap=1)
@@ -412,10 +413,28 @@ def test_simulate_plan_expands_each_antenna_once(monkeypatch):
     assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
     monkeypatch.undo()
     a0 = result.amplitudes[1e2]
-    d_min = [min_distance(plan, h, k, 1, amplitude=a0) for k in (1, 2, 3)]
+    models = [antenna_model(plan, h, k, 1) for k in (1, 2, 3)]
+    d_min = [min_distance(model, config.Q, amplitude=a0) for model in models]
     assert result.d_min == min(d_min)
-    assert result.separation_slope == separation_exponent(plan, h, 1, 1, (2, 4, 8, 16))
-    assert result.separation_floor == separation_floor(plan, 1, 1, 0.1)
+    assert result.separation_slope == separation_exponent(models[0], (2, 4, 8, 16))
+    assert result.separation_floor == separation_floor(models[0].profile, 0.1)
+
+
+def test_stream_powers_computed_once(monkeypatch):
+    # the unit-amplitude stream powers do not depend on rho: one per
+    # transmit antenna per run, however many SNR points
+    import iadof.simulate as sim
+
+    config, h, plan = make(3, seed=1, cap=1)
+    calls = []
+
+    def counted(plan, h, k, m, amplitude):
+        calls.append((k, m))
+        return stream_mean_power(plan, h, k, m, amplitude)
+
+    monkeypatch.setattr(sim, "stream_mean_power", counted)
+    simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=50))
+    assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_run_determinism():
