@@ -1,20 +1,8 @@
 """Exact DoF bounds, alignment direction sets, and link simulation for the
 K-user MxN constant Gaussian interference channel."""
 
-from .alignment import (
-    AlignmentReport,
-    EnumerationBudgetError,
-    ReceiverProfile,
-    ReferenceFamily,
-    TransmitPlan,
-    achievable_dof_gamma,
-    build_transmit_directions,
-    closed_form_counts,
-    expand_received,
-    per_antenna_dof_gamma,
-    truncate_plan,
-    verify_alignment,
-)
+import importlib
+
 from .bounds import (
     DofReport,
     PartitionWitness,
@@ -27,31 +15,46 @@ from .bounds import (
     regime_classify,
     solve_partition_balance,
 )
-from .channel import ChannelRealization, SystemConfig, generate_channel
-from .directions import (
-    UNIT,
-    Direction,
-    DirectionSet,
-    direction,
-    mono_eval,
-    mono_mul,
-)
-from .simulate import (
-    DecodeBudgetError,
-    InconsistentPlanError,
-    MessageMatrix,
-    SimConfig,
-    SimResult,
-    amplitude_scale,
-    antenna_model,
-    draw_messages,
-    encode,
-    min_distance,
-    propagate,
-    run_link_sim,
-    separation_exponent,
-    simulate_plan,
-)
+
+# The numpy-backed layers load on first access of one of their names
+# (PEP 562), so `import iadof` and the bound commands never import numpy.
+_LAZY = {
+    "AlignmentReport": "alignment",
+    "EnumerationBudgetError": "alignment",
+    "ReceiverProfile": "alignment",
+    "ReferenceFamily": "alignment",
+    "TransmitPlan": "alignment",
+    "achievable_dof_gamma": "alignment",
+    "build_transmit_directions": "alignment",
+    "closed_form_counts": "alignment",
+    "expand_received": "alignment",
+    "per_antenna_dof_gamma": "alignment",
+    "truncate_plan": "alignment",
+    "verify_alignment": "alignment",
+    "ChannelRealization": "channel",
+    "SystemConfig": "channel",
+    "generate_channel": "channel",
+    "UNIT": "directions",
+    "Direction": "directions",
+    "DirectionSet": "directions",
+    "direction": "directions",
+    "mono_eval": "directions",
+    "mono_mul": "directions",
+    "DecodeBudgetError": "simulate",
+    "InconsistentPlanError": "simulate",
+    "MessageMatrix": "simulate",
+    "SimConfig": "simulate",
+    "SimResult": "simulate",
+    "amplitude_scale": "simulate",
+    "antenna_model": "simulate",
+    "draw_messages": "simulate",
+    "encode": "simulate",
+    "min_distance": "simulate",
+    "propagate": "simulate",
+    "run_link_sim": "simulate",
+    "separation_exponent": "simulate",
+    "simulate_plan": "simulate",
+}
 
 __version__ = "0.1.0"
 
@@ -102,3 +105,16 @@ __all__ = [
     "truncate_plan",
     "verify_alignment",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,21 +14,9 @@ import sys
 from functools import lru_cache
 from typing import Optional
 
-from .alignment import (
-    DEFAULT_STREAM_BUDGET,
-    EnumerationBudgetError,
-    build_transmit_directions,
-    closed_form_counts,
-    verify_alignment,
-)
+# Only the bounds layer loads with the CLI: `bounds` and `sweep` never import
+# numpy, and each numpy command imports its own layers when it runs.
 from .bounds import DofReport, dof_report, fraction_dec, fraction_str
-from .channel import SystemConfig
-from .simulate import (
-    DEFAULT_DECODE_BUDGET,
-    DecodeBudgetError,
-    SimConfig,
-    run_link_sim,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -166,6 +154,15 @@ def _render_alignment(report, L: int, l_prime: int) -> str:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
+    from .alignment import (
+        DEFAULT_STREAM_BUDGET,
+        EnumerationBudgetError,
+        build_transmit_directions,
+        closed_form_counts,
+        verify_alignment,
+    )
+    from .channel import SystemConfig
+
     config = SystemConfig(K=args.K, M=args.M, N=args.N, gamma=args.gamma)
     budget = args.budget if args.budget is not None else DEFAULT_STREAM_BUDGET
     L, l_prime = closed_form_counts(config)
@@ -190,6 +187,15 @@ def cmd_directions(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .alignment import EnumerationBudgetError
+    from .channel import SystemConfig
+    from .simulate import (
+        DEFAULT_DECODE_BUDGET,
+        DecodeBudgetError,
+        SimConfig,
+        run_link_sim,
+    )
+
     config = SystemConfig(
         K=args.K, M=args.M, N=args.N, gamma=args.gamma, Q=args.q, seed=args.seed
     )
@@ -201,7 +207,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         snr_points=snr_points, trials=args.trials, noiseless=args.noiseless
     )
     budget = args.budget if args.budget is not None else DEFAULT_DECODE_BUDGET
-    result = run_link_sim(config, sim_config, args.cap, budget=budget)
+    try:
+        result = run_link_sim(config, sim_config, args.cap, budget=budget)
+    except (EnumerationBudgetError, DecodeBudgetError) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_BUDGET
     if args.json:
         text = _json_text(
             {
@@ -299,9 +309,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (EnumerationBudgetError, DecodeBudgetError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_BUDGET
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -162,7 +162,7 @@ def test_directions_check_failure_exit(capsys, monkeypatch, overcounted_plan):
     # every real config passes, so feed the command a plan with one
     # direction too many; it must report the excess and exit nonzero
     monkeypatch.setattr(
-        "iadof.cli.build_transmit_directions", lambda config, budget: overcounted_plan
+        "iadof.alignment.build_transmit_directions", lambda config, budget: overcounted_plan
     )
     code, out, err = run(["verify", "-K", "3", "-M", "1", "-N", "1"], capsys)
     assert code == EXIT_CHECK_FAILED
@@ -280,6 +280,19 @@ def test_simulate_budget_exit(capsys):
     assert "error:" in err
 
 
+def test_simulate_enumeration_budget_exit(capsys):
+    # the direction build refuses before the decoder is reached
+    code, out, err = run(
+        ["simulate", "-K", "3", "-M", "1", "-N", "2", "--gamma", "3"], capsys
+    )
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == (
+        "error: per-stream enumeration would produce 254803968 directions,"
+        " budget is 1000000\n"
+    )
+
+
 # ----------------------------------------------------------- output routing
 
 
@@ -368,3 +381,66 @@ def test_public_names_resolve():
 
     assert [name for name in iadof.__all__ if not hasattr(iadof, name)] == []
     assert iadof.__all__ == sorted(set(iadof.__all__))
+
+
+def test_exports_are_their_defining_objects():
+    # bounds names load with the package, the rest through its table
+    import importlib
+
+    import iadof
+
+    assert set(iadof._LAZY) <= set(iadof.__all__)
+    for name in iadof.__all__:
+        home = importlib.import_module(f"iadof.{iadof._LAZY.get(name, 'bounds')}")
+        assert getattr(iadof, name) is getattr(home, name), name
+
+
+def test_unknown_export_raises_attribute_error():
+    import iadof
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        iadof.no_such_name
+
+
+# The numpy-backed modules: none may load with the package, the CLI or the
+# bound commands.
+HEAVY_MODULES = (
+    "numpy",
+    "iadof._kernels",
+    "iadof.alignment",
+    "iadof.channel",
+    "iadof.directions",
+    "iadof.simulate",
+)
+
+
+def _modules_after(code):
+    """Names in sys.modules once a fresh interpreter has run `code`."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import iadof",
+        "import iadof; assert set(iadof.__all__) <= set(dir(iadof))",
+        "import iadof.cli",
+        "from iadof.cli import main; assert main('bounds -M 5 -N 2 -K 4'.split()) == 0",
+        "from iadof.cli import main; assert main('sweep -M 3 -N 2 --k-min 1 --k-max 6'.split()) == 0",
+    ],
+)
+def test_numpy_layers_not_loaded(code):
+    assert _modules_after(code).isdisjoint(HEAVY_MODULES)
+
+
+def test_directions_loads_no_simulator():
+    loaded = _modules_after(
+        "from iadof.cli import main\n"
+        "assert main('directions -K 3 -M 1 -N 1 --json'.split()) == 0"
+    )
+    assert "iadof.alignment" in loaded
+    assert loaded.isdisjoint({"iadof.simulate", "iadof._kernels"})

@@ -6,6 +6,7 @@ integer grid and every quantity can be recomputed in a few lines.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from iadof.alignment import (
 from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import DirectionSet, direction
 from iadof.simulate import (
+    MIN_AMPLITUDE,
     DecodeBudgetError,
     InconsistentPlanError,
     MessageMatrix,
@@ -356,9 +358,31 @@ def test_sim_config_validation():
     for bad in ((math.nan,), (math.inf,), (1e2, -math.inf), (1e2, 1e4, 1e2)):
         with pytest.raises(ValueError, match="snr points"):
             SimConfig(snr_points=bad)
-    for bad in (math.nan, math.inf, 1e-310, 5e-324):
+    for bad in (math.nan, math.inf, 1e-310, 5e-324, 0.99e-300):
         with pytest.raises(ValueError, match="amplitude"):
             SimConfig(snr_points=(1e2,), amplitude=bad)
+
+
+def test_amplitude_near_float_min_rejected():
+    # at float_info.min, Z / amplitude overflows once |Z| passes about 4,
+    # which 100,000 trials reach; SimConfig refuses it before any draw
+    with pytest.raises(ValueError, match="amplitude"):
+        run_link_sim(
+            SystemConfig(K=2),
+            SimConfig(snr_points=(1e2,), trials=100000, amplitude=sys.float_info.min),
+            cap=1,
+        )
+
+
+def test_amplitude_floor_runs_clean():
+    # every warning is an error here, so an overflow in the decoder fails
+    result = run_link_sim(
+        SystemConfig(K=2),
+        SimConfig(snr_points=(1e2,), trials=100000, amplitude=MIN_AMPLITUDE),
+        cap=1,
+    )
+    assert 0 < result.ser[1e2] < 1
+    assert result.amplitudes == {1e2: MIN_AMPLITUDE}
 
 
 def test_sim_result_validation():
