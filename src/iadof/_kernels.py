@@ -35,13 +35,12 @@ def nearest_candidate_indices(y: np.ndarray, values: np.ndarray) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape[0] == 0:
         raise ValueError("candidate list is empty")
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ranked = values[order]
-    # one entry per group of equal values; a stable sort puts the group's
-    # lowest index first
+    # one entry per group of equal values, with the group's lowest index
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     distinct = ranked[starts]
-    first = order[starts]
+    first = np.minimum.reduceat(order, starts)
     n = distinct.shape[0]
 
     pos = np.searchsorted(distinct, y)

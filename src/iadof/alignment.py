@@ -17,15 +17,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .channel import CoefficientId, SystemConfig
 from .directions import (
+    UNIT,
     Columns,
     Direction,
     DirectionSet,
@@ -148,12 +149,19 @@ class TransmitPlan:
     """Direction sets for every stream of a config.
 
     truncation_cap is None for the full construction, or the per-stream cap
-    applied by truncate_plan.
+    applied by truncate_plan.  profiles keeps each receive antenna's
+    ReceiverProfile, keyed by (k, n), once the simulator has expanded it;
+    a plan is never changed after it is built, so the profiles stay valid.
+    Every plan starts with an empty memo of its own, including one made by
+    dataclasses.replace.
     """
 
     config: SystemConfig
     streams: dict[Stream, DirectionSet]
     truncation_cap: Optional[int] = None
+    profiles: dict[tuple[int, int], ReceiverProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def stream(self, k: int, m: int, n: int) -> DirectionSet:
         return self.streams[(k, m, n)]
@@ -325,6 +333,24 @@ class ReceiverProfile:
 
     def desired_union(self) -> DirectionSet:
         return reduce(DirectionSet.union, self.desired.values())
+
+    @cached_property
+    def desired_overlap(self) -> Optional[Direction]:
+        """The first desired direction, by transmit antenna and then in
+        member order, that is also an interference direction; None when
+        desired and interference are disjoint."""
+        for dset in self.desired.values():
+            overlap = dset.intersect(self.interference)
+            if overlap:
+                return overlap[0]
+        return None
+
+    @cached_property
+    def distinct_directions(self) -> int:
+        """Number of distinct non-unit directions arriving at the antenna,
+        desired and interference together."""
+        seen = self.interference.union(self.desired_union())
+        return len(seen) - (UNIT in seen)
 
 
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:

@@ -393,10 +393,11 @@ class DirectionSet:
         return DirectionSet._of(cols, _unique_rows(exps)[0])
 
     def head(self, cap: int) -> "DirectionSet":
-        """First cap members in canonical order."""
+        """First cap members in canonical order, in a matrix of their own
+        (a view would keep the whole set's matrix alive)."""
         if cap < 0:
             raise ValueError(f"cap must be non-negative, got {cap}")
-        return DirectionSet._of(self._cols, self._exps[:cap])
+        return DirectionSet._of(self._cols, self._exps[:cap].copy())
 
     def evaluate(self, h: ChannelRealization) -> np.ndarray:
         """Numeric value of every member under a channel draw, in member

@@ -6,13 +6,19 @@ Decoding is exhaustive nearest-point search over the exact finite
 constellation each antenna can see: desired symbols jointly with bounded
 integer interference aggregates.  All randomness is keyed by (seed, role)
 so every run replays bit for bit.
+
+The plan is symbolic: every direction is a monomial in the channel gains,
+so one plan, and each antenna's expansion of it, serves every channel draw
+of a system.  The seed belongs to the draw, not to the plan; run_link_sim
+builds the kept plan once per seedless config and cap, and only the numeric
+half (channel, evaluation, decode, distances) runs per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,7 +32,6 @@ from .alignment import (
     truncate_plan,
 )
 from .channel import ChannelRealization, SystemConfig, generate_channel
-from .directions import UNIT, DirectionSet
 
 MAX_DISTANCE_DIRECTIONS = 12
 DEFAULT_DECODE_BUDGET = 10**7
@@ -55,9 +60,33 @@ class InconsistentPlanError(ValueError):
     """Plan, channel, and messages do not describe the same system."""
 
 
+# What a plan depends on: every config field but the seed of the draw.
+_SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.name != "seed")
+
+
 def _check_pair(plan: TransmitPlan, h: ChannelRealization) -> None:
-    if plan.config != h.config:
+    """A plan fits every channel draw of its system, whatever the seed."""
+    a, b = plan.config, h.config
+    if any(getattr(a, f) != getattr(b, f) for f in _SYSTEM_FIELDS):
         raise InconsistentPlanError("plan and channel were built from different configs")
+
+
+@lru_cache(maxsize=16)
+def _kept_plan(system: SystemConfig, cap: int) -> TransmitPlan:
+    """The construction of a seedless config, cut to cap directions per
+    stream.  Shared by every draw of the system, with the antenna profiles
+    its simulations fill in; an entry holds cap rows per stream and their
+    expansions, so a few systems' worth stays small."""
+    return truncate_plan(build_transmit_directions(system), cap)
+
+
+def _profile(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
+    """Antenna (k, n)'s view of the plan, expanded on the plan's first
+    request for it."""
+    prof = plan.profiles.get((k, n))
+    if prof is None:
+        prof = plan.profiles[(k, n)] = expand_received(plan, k, n)
+    return prof
 
 
 def symbol_variance(Q: int) -> float:
@@ -236,14 +265,12 @@ def antenna_model(
     plan: TransmitPlan, h: ChannelRealization, k: int, n: int
 ) -> AntennaModel:
     _check_pair(plan, h)
-    prof = expand_received(plan, k, n)
-    for dset in prof.desired.values():
-        overlap = dset.intersect(prof.interference)
-        if overlap:
-            raise InconsistentPlanError(
-                f"desired direction {overlap[0].text()} aligned with interference "
-                f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
-            )
+    prof = _profile(plan, k, n)
+    if prof.desired_overlap is not None:
+        raise InconsistentPlanError(
+            f"desired direction {prof.desired_overlap.text()} aligned with interference "
+            f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
+        )
     own = {m: plan.streams[(k, m, n)] for m in range(1, plan.config.M + 1)}
     coords = tuple((m, l) for m, ds in own.items() for l in range(len(ds)))
     desired = [h.coefficient(k, k, n, m) ** 2 * ds.evaluate(h) for m, ds in own.items()]
@@ -272,6 +299,23 @@ def _lattice_values(model: AntennaModel, Q: int, budget: int) -> tuple[np.ndarra
     return _block_sums(model.gains, radii, 0, len(dims)), dims
 
 
+def _distance_radii(model: AntennaModel, Q: int, budget: int) -> list[int]:
+    """Radii of the difference box behind min_distance at Q, refused before
+    any work when the box is over budget."""
+    if Q < 2:
+        raise ValueError(f"Q must be >= 2, got {Q}")
+    if len(model.mults) > MAX_DISTANCE_DIRECTIONS:
+        raise DecodeBudgetError(
+            len(model.mults), MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
+        )
+    radii = [2 * (Q - 1) * mult for mult in model.mults]
+    # exact: a 12-axis box at Q=16 is 61**12, past int64
+    box = math.prod(2 * r + 1 for r in radii)
+    if box > budget:
+        raise DecodeBudgetError(box, budget, "distance enumeration")
+    return radii
+
+
 def min_distance(
     model: AntennaModel,
     Q: int,
@@ -285,23 +329,20 @@ def min_distance(
     zero) and each aggregate difference over twice its own bound; this
     covers exactly the pairs of distinct-desired constellation points.
     """
-    if Q < 2:
-        raise ValueError(f"Q must be >= 2, got {Q}")
-    if len(model.mults) > MAX_DISTANCE_DIRECTIONS:
-        raise DecodeBudgetError(
-            len(model.mults), MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
-        )
-    radii = 2 * (Q - 1) * np.array(model.mults, dtype=np.int64)
-    box = int(np.prod(2 * radii + 1))
-    if box > budget:
-        raise DecodeBudgetError(box, budget, "distance enumeration")
+    radii = _distance_radii(model, Q, budget)
     return amplitude * min_abs_combination(model.gains, radii, len(model.coords))
 
 
 def separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
-    """Least-squares slope of log d_min against log Q at unit amplitude."""
+    """Least-squares slope of log d_min against log Q at unit amplitude.
+
+    Every Q's difference box is checked against the budget before any
+    distance is computed, so a refusal at a large Q costs no work.
+    """
     if len(q_list) < 4:
         raise ValueError(f"need at least 4 Q values, got {len(q_list)}")
+    for q in q_list:
+        _distance_radii(model, q, DEFAULT_DECODE_BUDGET)
     d = [min_distance(model, q) for q in q_list]
     if any(v <= 0 for v in d):
         return float("nan")
@@ -312,8 +353,7 @@ def separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
 def separation_floor(profile: ReceiverProfile, epsilon: float) -> float:
     """Theoretical slope floor -(m + eps), with m the count of distinct
     non-unit directions arriving at the antenna."""
-    seen = reduce(DirectionSet.union, profile.desired.values(), profile.interference)
-    return -(len(seen) - (UNIT in seen) + epsilon)
+    return -(profile.distinct_directions + epsilon)
 
 
 @dataclass(frozen=True)
@@ -399,8 +439,9 @@ def simulate_plan(
 ) -> SimResult:
     """Monte Carlo SER over the SNR points for a prepared plan and channel.
 
-    Messages and noise are drawn once and reused across SNR points (common
-    random numbers), so SER curves differ only through the amplitude.
+    Messages and noise are drawn once from the channel's seed and reused
+    across SNR points (common random numbers), so SER curves differ only
+    through the amplitude.
     """
     coords, _, _, W = _forward(plan, h)
     config = plan.config
@@ -410,8 +451,8 @@ def simulate_plan(
     models = [antenna_model(plan, h, k, n) for (k, n) in ants]
 
     trials = sim_config.trials
-    U = _draw_symbols(config.seed, Q, trials, len(coords))
-    Z = _draw_noise(config.seed, trials, len(ants))
+    U = _draw_symbols(h.config.seed, Q, trials, len(coords))
+    Z = _draw_noise(h.config.seed, trials, len(ants))
     y_unit = U.astype(np.float64) @ W
 
     rhos = sim_config.snr_points
@@ -475,9 +516,9 @@ def run_link_sim(
     cap: int,
     budget: int = DEFAULT_DECODE_BUDGET,
 ) -> SimResult:
-    """Build, truncate, and simulate in one shot from a bare config."""
+    """Simulate a bare config: its channel draw on the system's kept plan,
+    built on the first call for the system and cap."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    h = generate_channel(config)
-    plan = truncate_plan(build_transmit_directions(config), cap)
-    return simulate_plan(plan, h, sim_config, budget)
+    plan = _kept_plan(replace(config, seed=0), cap)
+    return simulate_plan(plan, generate_channel(config), sim_config, budget)

@@ -110,6 +110,17 @@ def test_min_abs_equals_scan(case):
     )
 
 
+def test_nearest_equals_scan_on_large_shuffled_ties():
+    # groups of 500 equal candidates (0.0 and -0.0 form one), shuffled: an
+    # unstable sort scatters each group, and its lowest index must still win
+    rng = np.random.default_rng(11)
+    base = np.array([0.0, -0.0, 0.5, -1.25, 3.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1e300])
+    values = rng.permutation(np.repeat(base, 500))
+    mids = (base[:, None] / 2 + base[None, :] / 2).ravel()
+    y = np.concatenate([base, mids, rng.normal(scale=2.0, size=100), [-1e300, 1e300]])
+    assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
+
+
 def test_kernels_equal_scan_on_decode_lattice():
     # the 117,649-point lattice a K=3, Q=4, cap=2 simulation decodes on
     config = SystemConfig(K=3, Q=4, seed=0)

@@ -6,8 +6,11 @@ through iadof.cli.main with stdout captured, as the benchmark's worker
 does, so a change to any layer that alters an output fails tier-1.  The
 sim_curve rows differ only in their seed and the benchmark runs them in
 fresh interpreters; every ninth of them (8 of 66 seeds) is replayed here.
-The bounds_sweep rows are replayed once more in an interpreter that cannot
-import numpy, since the bound commands must not need it.
+Two row sets are replayed once more in a fresh interpreter of their own:
+the bounds_sweep rows with numpy unimportable, since the bound commands
+must not need it, and the sim_sweep rows in seed order and then reversed,
+since the simulator keeps one plan per system across commands and earlier
+tests in this process may have warmed it.
 """
 
 import contextlib
@@ -50,27 +53,47 @@ def test_reference_outputs_unchanged(workload, count):
     assert not changed, f"{len(changed)} of {count} outputs changed, first: {changed[0]}"
 
 
-# Replays the commands read from stdin with numpy made unimportable, and
-# prints their [exit code, stdout sha256] pairs.
-NUMPY_BLOCKED_REPLAY = f"""
+# Replays the commands read from stdin in a fresh interpreter and prints
+# their [exit code, stdout sha256] pairs; with the argument "no-numpy",
+# numpy is made unimportable first.
+FRESH_REPLAY = f"""
 import json, sys
-sys.modules["numpy"] = None
+if sys.argv[1:] == ["no-numpy"]:
+    sys.modules["numpy"] = None
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 from test_reference_outputs import _replay
 print(json.dumps([_replay(command) for command in json.load(sys.stdin)]))
 """
 
 
-def test_bounds_sweep_replays_without_numpy():
-    rows = _rows("bounds_sweep")
+def _replay_fresh(rows, *args):
+    """Commands of rows whose output differs in a fresh interpreter."""
     res = subprocess.run(
-        [sys.executable, "-c", NUMPY_BLOCKED_REPLAY],
+        [sys.executable, "-c", FRESH_REPLAY, *args],
         input=json.dumps([command for command, _ in rows]),
         capture_output=True,
         text=True,
     )
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
-    changed = [command for (command, want), have in zip(rows, got) if have != want]
-    assert len(got) == len(rows) == 196
+    assert len(got) == len(rows)
+    return [command for (command, want), have in zip(rows, got) if have != want]
+
+
+def test_bounds_sweep_replays_without_numpy():
+    rows = _rows("bounds_sweep")
+    assert len(rows) == 196
+    changed = _replay_fresh(rows, "no-numpy")
     assert not changed, f"{len(changed)} of 196 outputs changed, first: {changed[0]}"
+
+
+def _seed(row):
+    words = row[0].split(" ")
+    return int(words[words.index("--seed") + 1])
+
+
+def test_sim_sweep_replays_fresh_in_both_seed_orders():
+    rows = sorted(_rows("sim_sweep"), key=_seed)
+    assert len(rows) == 206
+    changed = _replay_fresh(rows + rows[::-1])
+    assert not changed, f"{len(changed)} of 412 outputs changed, first: {changed[0]}"

@@ -5,17 +5,20 @@ search on the single-user channel, where the constellation is a scaled
 integer grid and every quantity can be recomputed in a few lines.
 """
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from iadof._kernels import min_abs_combination
 from iadof.alignment import (
     TransmitPlan,
     build_transmit_directions,
     expand_received,
     truncate_plan,
+    verify_alignment,
 )
 from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import DirectionSet, direction
@@ -269,6 +272,20 @@ def test_min_distance_budget():
         min_distance(antenna_model(plan, h, 1, 1), 2, budget=10)
 
 
+def test_min_distance_box_past_int64_refused():
+    # antenna (1,1) of K=4, cap=3 has 12 axes of multiplicity 1, so at
+    # Q=16 the difference box is 61**12, which an int64 product wraps to a
+    # negative number that would pass the budget check
+    config, h, plan = make(4, Q=16, seed=0, cap=3)
+    model = antenna_model(plan, h, 1, 1)
+    assert model.mults == (1,) * 12
+    assert int(np.prod(np.full(12, 61, dtype=np.int64))) < 0
+    with pytest.raises(DecodeBudgetError) as exc:
+        min_distance(model, 16)
+    assert exc.value.required == 61**12
+    assert exc.value.budget == 10**7
+
+
 def test_min_distance_rejects_small_q():
     config, h, plan = make(1, seed=0)
     with pytest.raises(ValueError):
@@ -284,6 +301,26 @@ def test_separation_exponent_frozen_and_deterministic():
     s2 = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
     assert s1 == s2
     assert s1 == pytest.approx(-1.9371274729698718, rel=1e-9)
+
+
+def test_separation_exponent_refuses_before_any_distance(monkeypatch):
+    # at K=3, Q=4, cap=2 the q=8 box is 29**6, over budget: no distance at
+    # q=2 or q=4 is computed first only to be thrown away
+    import iadof.simulate as sim
+
+    config, h, plan = make(3, Q=4, seed=0, cap=2)
+    model = antenna_model(plan, h, 1, 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return min_abs_combination(*args)
+
+    monkeypatch.setattr(sim, "min_abs_combination", counted)
+    with pytest.raises(DecodeBudgetError) as exc:
+        separation_exponent(model, (2, 4, 8, 16))
+    assert exc.value.required == 29**6
+    assert calls == []
 
 
 def test_separation_exponent_needs_four_points():
@@ -318,7 +355,10 @@ def test_separation_slope_near_floor():
 
 
 def test_antenna_model_rejects_overlapping_plan():
+    # the kept plan of the same system is warm; the hand-built plan is
+    # expanded on its own and refused on every request
     config = SystemConfig(K=2, seed=0)
+    run_link_sim(config, SimConfig(snr_points=(1e2,), trials=10), cap=1)
     h = generate_channel(config)
     overlap = direction({(2, 2, 1, 1): 1, (1, 2, 1, 1): 1})
     fake = TransmitPlan(
@@ -329,8 +369,27 @@ def test_antenna_model_rejects_overlapping_plan():
         },
         truncation_cap=None,
     )
+    for _ in range(2):
+        with pytest.raises(InconsistentPlanError, match="aligned with interference"):
+            antenna_model(fake, h, 1, 1)
     with pytest.raises(InconsistentPlanError):
-        antenna_model(fake, h, 1, 1)
+        simulate_plan(fake, h, SimConfig(snr_points=(1e2,), trials=10))
+
+
+def test_replaced_plan_starts_without_profiles(overcounted_plan):
+    # a plan made by dataclasses.replace of a warm plan expands its own
+    # streams: the overcounted one sees 29 interference directions at
+    # antenna (1,1), its source the exact 28
+    config = SystemConfig(K=3)
+    h = generate_channel(config)
+    plan = build_transmit_directions(config)
+    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    assert list(plan.profiles) == [(1, 1)]
+    extra = dataclasses.replace(plan, streams=overcounted_plan.streams)
+    assert extra.profiles == {}
+    assert antenna_model(extra, h, 1, 1).profile.m_star == 29
+    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    assert not verify_alignment(overcounted_plan).passed
 
 
 def test_encode_rejects_mismatched_channel():
@@ -459,6 +518,61 @@ def test_stream_powers_computed_once(monkeypatch):
     monkeypatch.setattr(sim, "stream_mean_power", counted)
     simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=50))
     assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
+
+
+def test_kept_plan_cache_replays_fresh():
+    # the kept plan and its profiles, shared by every seed of the system,
+    # give what a cold cache gives, seed by seed
+    import iadof.simulate as sim
+
+    sim_config = SimConfig(snr_points=(1e2, 1e6), trials=200)
+    warm = [
+        run_link_sim(SystemConfig(K=3, seed=s), sim_config, cap=1).to_json_dict()
+        for s in range(10)
+    ]
+    hits = sim._kept_plan.cache_info().hits
+    run_link_sim(SystemConfig(K=3, seed=0), sim_config, cap=1)
+    assert sim._kept_plan.cache_info().hits == hits + 1
+    for s in range(10):
+        sim._kept_plan.cache_clear()
+        cold = run_link_sim(SystemConfig(K=3, seed=s), sim_config, cap=1)
+        assert cold.to_json_dict() == warm[s]
+
+
+def test_plan_serves_every_draw_of_its_system():
+    # the seed belongs to the channel draw: a plan built at seed 0 decodes
+    # the seed-5 draw with seed 5's symbols and noise
+    _, _, plan = make(3, seed=0, cap=1)
+    config = SystemConfig(K=3, seed=5)
+    sim_config = SimConfig(snr_points=(1e2, 1e4), trials=300)
+    got = simulate_plan(plan, generate_channel(config), sim_config)
+    want = run_link_sim(config, sim_config, cap=1)
+    assert got.to_json_dict() == want.to_json_dict()
+    # any other difference is still a different system
+    other = generate_channel(SystemConfig(K=3, Q=3, seed=5))
+    with pytest.raises(InconsistentPlanError):
+        simulate_plan(plan, other, sim_config)
+
+
+def test_kept_plans_bounded_and_read_only():
+    import iadof.simulate as sim
+
+    maxsize = sim._kept_plan.cache_info().maxsize
+    assert maxsize is not None
+    for Q in range(2, maxsize + 4):
+        sim._kept_plan(SystemConfig(K=1, Q=Q), 1)
+    assert sim._kept_plan.cache_info().currsize == maxsize
+
+    run_link_sim(SystemConfig(K=3, seed=7), SimConfig(snr_points=(1e2,), trials=10), cap=1)
+    plan = sim._kept_plan(SystemConfig(K=3), 1)
+    assert sorted(plan.profiles) == [(1, 1), (2, 1), (3, 1)]
+    sets = list(plan.streams.values())
+    for prof in plan.profiles.values():
+        sets += [*prof.desired.values(), prof.interference]
+    for ds in sets:
+        assert not ds.matrix.flags.writeable
+    # kept rows own their memory, so the cache holds no untruncated build
+    assert all(ds.matrix.base is None for ds in plan.streams.values())
 
 
 def test_run_determinism():
