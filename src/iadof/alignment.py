@@ -20,6 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 import numpy as np
@@ -149,19 +150,22 @@ class TransmitPlan:
     """Direction sets for every stream of a config.
 
     truncation_cap is None for the full construction, or the per-stream cap
-    applied by truncate_plan.  profiles keeps each receive antenna's
-    ReceiverProfile, keyed by (k, n), once the simulator has expanded it;
-    a plan is never changed after it is built, so the profiles stay valid.
-    Every plan starts with an empty memo of its own, including one made by
-    dataclasses.replace.
+    applied by truncate_plan.  streams is a read-only copy of the mapping
+    given, and direction sets are immutable, so a plan never changes after
+    it is built; profiles, keyed by (k, n), keeps each receive antenna's
+    ReceiverProfile once the simulator has expanded it.  Every plan starts
+    with an empty memo of its own, including one made by dataclasses.replace.
     """
 
     config: SystemConfig
-    streams: dict[Stream, DirectionSet]
+    streams: Mapping[Stream, DirectionSet]
     truncation_cap: Optional[int] = None
     profiles: dict[tuple[int, int], ReceiverProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "streams", MappingProxyType(dict(self.streams)))
 
     def stream(self, k: int, m: int, n: int) -> DirectionSet:
         return self.streams[(k, m, n)]
@@ -461,8 +465,7 @@ def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
                 not prof.desired[m1].intersect(prof.desired[m2])
                 for m1, m2 in itertools.combinations(ms, 2)
             )
-            du = prof.desired_union()
-            separated = not du.intersect(prof.interference)
+            separated = prof.desired_overlap is None
             within = bool(prof.reference.within(prof.interference).all())
             counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
                 len(plan.streams[(k, m, n)]) == expected for m in ms

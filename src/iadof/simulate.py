@@ -17,7 +17,7 @@ half (channel, evaluation, decode, distances) runs per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -60,23 +60,25 @@ class InconsistentPlanError(ValueError):
     """Plan, channel, and messages do not describe the same system."""
 
 
-# What a plan depends on: every config field but the seed of the draw.
-_SYSTEM_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.name != "seed")
+def _system(config: SystemConfig) -> SystemConfig:
+    """What a plan depends on: the config without the seed of the draw."""
+    return replace(config, seed=0)
 
 
 def _check_pair(plan: TransmitPlan, h: ChannelRealization) -> None:
     """A plan fits every channel draw of its system, whatever the seed."""
-    a, b = plan.config, h.config
-    if any(getattr(a, f) != getattr(b, f) for f in _SYSTEM_FIELDS):
+    if _system(plan.config) != _system(h.config):
         raise InconsistentPlanError("plan and channel were built from different configs")
 
 
-@lru_cache(maxsize=16)
+# One entry: a seed sweep runs one system over many draws (the sim_sweep
+# workload's 80 commands share one key), and a second entry would only hold
+# a finished system's plan and profiles.
+@lru_cache(maxsize=1)
 def _kept_plan(system: SystemConfig, cap: int) -> TransmitPlan:
     """The construction of a seedless config, cut to cap directions per
     stream.  Shared by every draw of the system, with the antenna profiles
-    its simulations fill in; an entry holds cap rows per stream and their
-    expansions, so a few systems' worth stays small."""
+    its simulations fill in."""
     return truncate_plan(build_transmit_directions(system), cap)
 
 
@@ -341,9 +343,8 @@ def separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
     """
     if len(q_list) < 4:
         raise ValueError(f"need at least 4 Q values, got {len(q_list)}")
-    for q in q_list:
-        _distance_radii(model, q, DEFAULT_DECODE_BUDGET)
-    d = [min_distance(model, q) for q in q_list]
+    radii = [_distance_radii(model, q, DEFAULT_DECODE_BUDGET) for q in q_list]
+    d = [min_abs_combination(model.gains, r, len(model.coords)) for r in radii]
     if any(v <= 0 for v in d):
         return float("nan")
     slope = np.polyfit(np.log(np.array(q_list, dtype=float)), np.log(d), 1)[0]
@@ -520,5 +521,5 @@ def run_link_sim(
     built on the first call for the system and cap."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    plan = _kept_plan(replace(config, seed=0), cap)
+    plan = _kept_plan(_system(config), cap)
     return simulate_plan(plan, generate_channel(config), sim_config, budget)

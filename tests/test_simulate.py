@@ -392,6 +392,21 @@ def test_replaced_plan_starts_without_profiles(overcounted_plan):
     assert not verify_alignment(overcounted_plan).passed
 
 
+def test_plan_streams_cannot_change_under_its_profiles(overcounted_plan):
+    # the profile memo is sound only because a plan never changes: its
+    # streams are a read-only copy of the mapping it was built from
+    config = SystemConfig(K=3)
+    h = generate_channel(config)
+    streams = dict(build_transmit_directions(config).streams)
+    plan = TransmitPlan(config=config, streams=streams)
+    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
+    with pytest.raises(TypeError):
+        plan.streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
+    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    assert expand_received(plan, 1, 1).m_star == 28
+
+
 def test_encode_rejects_mismatched_channel():
     config, h, plan = make(2, seed=0)
     other = generate_channel(SystemConfig(K=3, seed=0))
