@@ -34,12 +34,7 @@ _LAZY = {
     "ChannelRealization": "channel",
     "SystemConfig": "channel",
     "generate_channel": "channel",
-    "UNIT": "directions",
-    "Direction": "directions",
     "DirectionSet": "directions",
-    "direction": "directions",
-    "mono_eval": "directions",
-    "mono_mul": "directions",
     "DecodeBudgetError": "simulate",
     "InconsistentPlanError": "simulate",
     "MessageMatrix": "simulate",
@@ -62,7 +57,6 @@ __all__ = [
     "AlignmentReport",
     "ChannelRealization",
     "DecodeBudgetError",
-    "Direction",
     "DirectionSet",
     "DofReport",
     "EnumerationBudgetError",
@@ -75,7 +69,6 @@ __all__ = [
     "SimResult",
     "SystemConfig",
     "TransmitPlan",
-    "UNIT",
     "achievable_dof",
     "achievable_dof_gamma",
     "amplitude_scale",
@@ -83,7 +76,6 @@ __all__ = [
     "brute_force_upper_bound",
     "build_transmit_directions",
     "closed_form_counts",
-    "direction",
     "dof_report",
     "dof_upper_bound",
     "draw_messages",
@@ -92,8 +84,6 @@ __all__ = [
     "generate_channel",
     "gou_jafar_reference",
     "min_distance",
-    "mono_eval",
-    "mono_mul",
     "partition_bound",
     "per_antenna_dof_gamma",
     "propagate",

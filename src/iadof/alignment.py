@@ -21,20 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .channel import CoefficientId, SystemConfig
-from .directions import (
-    UNIT,
-    Columns,
-    Direction,
-    DirectionSet,
-    direction,
-    merge_columns,
-    tally,
-)
+from .directions import Columns, DirectionSet, merge_columns, tally
 
 # (k, m, n): stream of user k, transmit antenna m, destined receive antenna n
 Stream = tuple[int, int, int]
@@ -281,54 +273,22 @@ class ReferenceFamily:
         return self.within_at(ds, range(1, self.config.N + 1)).any(axis=1)
 
 
-class Multiplicity(Mapping):
-    """Number of stream arrivals aligned onto each interference direction.
-
-    A mapping keyed by Direction, stored as counts in the order of the
-    interference set; values() returns those counts without building any
-    Direction.
-    """
-
-    __slots__ = ("_directions", "_counts", "_index")
-
-    def __init__(self, directions: DirectionSet, counts: np.ndarray):
-        self._directions = directions
-        self._counts = counts
-        self._index: Optional[dict[Direction, int]] = None
-
-    def __getitem__(self, d: Direction) -> int:
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self._directions)}
-        return int(self._counts[self._index[d]])
-
-    def __iter__(self) -> Iterator[Direction]:
-        return iter(self._directions)
-
-    def __len__(self) -> int:
-        return len(self._directions)
-
-    def values(self) -> list[int]:
-        return self._counts.tolist()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReceiverProfile:
     """Everything one receive antenna observes under a plan.
 
     desired maps each own transmit antenna m to its arrived direction set
     (stream set times the squared direct gain); interference is the union of
-    all other arrivals; multiplicity counts, per interference direction, the
-    number of stream arrivals aligned onto it.
+    all other arrivals; multiplicity is a read-only count array aligned with
+    interference's rows: the number of stream arrivals aligned onto each
+    interference direction.
     """
 
     k: int
     n: int
     desired: dict[int, DirectionSet]
     interference: DirectionSet
-    multiplicity: Multiplicity
-    reference: ReferenceFamily
-    l_total: int
-    l_prime: int
+    multiplicity: np.ndarray
 
     @property
     def m_star(self) -> int:
@@ -339,14 +299,16 @@ class ReceiverProfile:
         return reduce(DirectionSet.union, self.desired.values())
 
     @cached_property
-    def desired_overlap(self) -> Optional[Direction]:
+    def desired_overlap(self) -> Optional[dict[CoefficientId, int]]:
         """The first desired direction, by transmit antenna and then in
-        member order, that is also an interference direction; None when
-        desired and interference are disjoint."""
+        member order, that is also an interference direction, as its
+        {coefficient id: exponent} entries; None when desired and
+        interference are disjoint."""
         for dset in self.desired.values():
             overlap = dset.intersect(self.interference)
-            if overlap:
-                return overlap[0]
+            if len(overlap):
+                row = overlap.matrix[0].tolist()
+                return {cid: e for cid, e in zip(overlap.columns, row) if e}
         return None
 
     @cached_property
@@ -354,7 +316,8 @@ class ReceiverProfile:
         """Number of distinct non-unit directions arriving at the antenna,
         desired and interference together."""
         seen = self.interference.union(self.desired_union())
-        return len(seen) - (UNIT in seen)
+        has_unit = bool((seen.matrix == 0).all(axis=1).any())
+        return len(seen) - has_unit
 
 
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
@@ -364,12 +327,11 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
         raise IndexError(f"user {k} out of range (K={config.K})")
     if not 1 <= n <= config.N:
         raise IndexError(f"antenna {n} out of range (N={config.N})")
-    L, l_prime = closed_form_counts(config)
 
-    desired = {}
-    for m in range(1, config.M + 1):
-        tag = direction({(k, k, n, m): 2})
-        desired[m] = plan.streams[(k, m, n)].scale(tag)
+    desired = {
+        m: plan.streams[(k, m, n)].scale({(k, k, n, m): 2})
+        for m in range(1, config.M + 1)
+    }
 
     # every arrival, repeats included: each stream's rows plus its tag row
     stream_cols = (ds.columns for ds in plan.streams.values())
@@ -385,16 +347,9 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
         tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
         arrivals.append(base.matrix_over(cols) + tag)
     interference, counts = tally(cols, np.concatenate(arrivals))
-
+    counts.flags.writeable = False
     return ReceiverProfile(
-        k=k,
-        n=n,
-        desired=desired,
-        interference=interference,
-        multiplicity=Multiplicity(interference, counts),
-        reference=ReferenceFamily(config),
-        l_total=L,
-        l_prime=l_prime,
+        k=k, n=n, desired=desired, interference=interference, multiplicity=counts
     )
 
 
@@ -456,6 +411,7 @@ def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
     config = plan.config
     L, l_prime = closed_form_counts(config)
     expected = L if plan.truncation_cap is None else min(plan.truncation_cap, L)
+    reference = ReferenceFamily(config)
     verdicts = []
     for k in range(1, config.K + 1):
         for n in range(1, config.N + 1):
@@ -466,7 +422,7 @@ def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
                 for m1, m2 in itertools.combinations(ms, 2)
             )
             separated = prof.desired_overlap is None
-            within = bool(prof.reference.within(prof.interference).all())
+            within = bool(reference.within(prof.interference).all())
             counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
                 len(plan.streams[(k, m, n)]) == expected for m in ms
             )

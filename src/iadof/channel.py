@@ -6,7 +6,6 @@ antenna indices are 1-based throughout the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -82,44 +81,6 @@ class ChannelRealization:
     def coefficient(self, k: int, j: int, n: int, m: int) -> float:
         _check_id(self.config, k, j, n, m)
         return self.gains[(k, j, n, m)]
-
-    def to_json_dict(self) -> dict:
-        c = self.config
-        return {
-            "K": c.K,
-            "M": c.M,
-            "N": c.N,
-            "seed": c.seed,
-            "gains": [
-                {"k": k, "j": j, "n": n, "m": m, "v": self.gains[(k, j, n, m)]}
-                for (k, j, n, m) in c.coefficient_ids()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(
-        cls,
-        data: dict,
-        gamma: int = 1,
-        Q: int = 2,
-    ) -> "ChannelRealization":
-        """Rebuild from the serialized form; parameters not covered by the
-        fixture format (gamma, Q) fall back to the given values."""
-        config = SystemConfig(
-            K=data["K"], M=data["M"], N=data["N"], gamma=gamma, Q=Q, seed=data["seed"]
-        )
-        gains = {
-            (g["k"], g["j"], g["n"], g["m"]): float(g["v"]) for g in data["gains"]
-        }
-        return cls(config, gains)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChannelRealization):
-            return NotImplemented
-        return self.config == other.config and self.gains == other.gains
 
 
 def _check_id(config: SystemConfig, k: int, j: int, n: int, m: int) -> None:

@@ -93,10 +93,7 @@ def _sweep_csv(reports: list[DofReport]) -> str:
             "gj_ach": r.gj_achievable,
             "gj_upper": r.gj_upper,
         }
-        row = [str(r.K)]
-        row += [fraction_str(vals[c]) for c in frac_cols[:3]]
-        row += [fraction_str(vals[c]) for c in frac_cols[3:]]
-        row.append(r.regime)
+        row = [str(r.K)] + [fraction_str(vals[c]) for c in frac_cols] + [r.regime]
         row += [fraction_dec(vals[c]) for c in frac_cols]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -243,7 +240,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=int, default=1, help="direction depth (default 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first command of the process, not at import."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
@@ -294,12 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first command of the process, not at import."""
-    return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

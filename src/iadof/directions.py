@@ -1,20 +1,20 @@
 """Formal monomials in channel coefficients and ordered sets of them.
 
 A direction is a product of channel coefficients raised to non-negative
-integer powers.  Equality, containment, and set algebra are all exact
-symbolic operations on exponent vectors; nothing here ever compares
-floating-point products.
+integer powers.  Equality and set algebra are exact symbolic operations on
+exponent vectors; nothing here ever compares floating-point products.
 
 A DirectionSet stores its members as an integer exponent matrix: one row
 per monomial, one column per coefficient id, columns in increasing id
-order.  Set operations work on whole matrices; Direction objects are built
-only where members are iterated, indexed or evaluated.
+order.  The row is the only form a monomial takes: set operations work on
+whole matrices, and a single monomial is given as a {coefficient id:
+exponent} mapping.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -27,156 +27,19 @@ MAX_TOTAL_DEGREE = 1_000_000
 Columns = tuple[CoefficientId, ...]
 
 
-class Direction:
-    """Immutable monomial, stored as a flat tuple.
-
-    Layout: (k1, j1, n1, m1, e1, k2, j2, n2, m2, e2, ...) with coefficient
-    ids strictly increasing lexicographically and every exponent positive.
-    The empty tuple is the unit monomial.  Use direction() to build one from
-    a mapping; the raw constructor trusts its input.
-    """
-
-    __slots__ = ("_flat", "_hash")
-
-    def __init__(self, flat: tuple[int, ...]):
-        self._flat = flat
-        self._hash = hash(flat)
-
-    @property
-    def flat(self) -> tuple[int, ...]:
-        return self._flat
-
-    def exponents(self) -> dict[CoefficientId, int]:
-        f = self._flat
-        return {(f[i], f[i + 1], f[i + 2], f[i + 3]): f[i + 4] for i in range(0, len(f), 5)}
-
-    def exponent(self, cid: CoefficientId) -> int:
-        f = self._flat
-        for i in range(0, len(f), 5):
-            if (f[i], f[i + 1], f[i + 2], f[i + 3]) == cid:
-                return f[i + 4]
-        return 0
-
-    def __mul__(self, other: "Direction") -> "Direction":
-        if not isinstance(other, Direction):
-            return NotImplemented
-        return mono_mul(self, other)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Direction):
-            return NotImplemented
-        return self._flat == other._flat
-
-    def __lt__(self, other: "Direction") -> bool:
-        return self._flat < other._flat
-
-    def __le__(self, other: "Direction") -> bool:
-        return self._flat <= other._flat
-
-    def __gt__(self, other: "Direction") -> bool:
-        return self._flat > other._flat
-
-    def __ge__(self, other: "Direction") -> bool:
-        return self._flat >= other._flat
-
-    def __repr__(self) -> str:
-        return f"Direction({self.text()})"
-
-    def text(self) -> str:
-        """Readable form, e.g. H[1,2](1,1)^3 * H[2,2](2,1)."""
-        f = self._flat
-        if not f:
-            return "1"
-        parts = []
-        for i in range(0, len(f), 5):
-            k, j, n, m, e = f[i : i + 5]
-            base = f"H[{k},{j}]({n},{m})"
-            parts.append(base if e == 1 else f"{base}^{e}")
-        return " * ".join(parts)
-
-
-UNIT = Direction(())
-
-
-def direction(exponents: Mapping[CoefficientId, int]) -> Direction:
-    """Canonicalize a {coefficient id: exponent} mapping into a Direction.
-
-    Zero exponents are dropped; negative ones are rejected.
-    """
-    items = []
-    total = 0
-    for cid, e in exponents.items():
-        if e == 0:
-            continue
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for {cid}")
-        if e > MAX_EXPONENT:
-            raise OverflowError(f"exponent {e} for {cid} exceeds {MAX_EXPONENT}")
-        items.append((cid, e))
-        total += e
-    if total > MAX_TOTAL_DEGREE:
-        raise OverflowError(f"total degree {total} exceeds {MAX_TOTAL_DEGREE}")
-    items.sort()
-    flat = []
-    for (k, j, n, m), e in items:
-        flat.extend((k, j, n, m, e))
-    return Direction(tuple(flat))
-
-
-def mono_mul(a: Direction, b: Direction) -> Direction:
-    """Exact product: merge the two sorted exponent lists, adding exponents."""
-    fa, fb = a.flat, b.flat
-    if not fa:
-        return b
-    if not fb:
-        return a
-    out: list[int] = []
-    ia = ib = 0
-    la, lb = len(fa), len(fb)
-    total = 0
-    while ia < la and ib < lb:
-        ka = fa[ia : ia + 4]
-        kb = fb[ib : ib + 4]
-        if ka == kb:
-            e = fa[ia + 4] + fb[ib + 4]
-            if e > MAX_EXPONENT:
-                raise OverflowError(f"exponent {e} exceeds {MAX_EXPONENT}")
-            out.extend(ka)
-            out.append(e)
-            total += e
-            ia += 5
-            ib += 5
-        elif ka < kb:
-            out.extend(fa[ia : ia + 5])
-            total += fa[ia + 4]
-            ia += 5
-        else:
-            out.extend(fb[ib : ib + 5])
-            total += fb[ib + 4]
-            ib += 5
-    rest = fa[ia:] if ia < la else fb[ib:]
-    out.extend(rest)
-    total += sum(rest[4::5])
-    if total > MAX_TOTAL_DEGREE:
-        raise OverflowError(f"total degree {total} exceeds {MAX_TOTAL_DEGREE}")
-    return Direction(tuple(out))
-
-
-def mono_eval(d: Direction, h: ChannelRealization) -> float:
-    """Numeric value of the monomial under a concrete channel draw."""
-    f = d.flat
-    v = 1.0
-    for i in range(0, len(f), 5):
-        cid = (f[i], f[i + 1], f[i + 2], f[i + 3])
-        v *= h.gains[cid] ** f[i + 4]
-    return v
+def monomial_text(exponents: Mapping[CoefficientId, int]) -> str:
+    """Readable form of a monomial given by its non-zero {coefficient id:
+    exponent} entries, e.g. H[1,2](1,1)^3 * H[2,2](2,1)."""
+    return " * ".join(
+        f"H[{k},{j}]({n},{m})" + (f"^{e}" if e > 1 else "")
+        for (k, j, n, m), e in sorted(exponents.items())
+    )
 
 
 def _check_exponents(exps: np.ndarray) -> None:
-    """Hold every row of an exponent matrix to direction()'s limits."""
+    """Hold every row of an exponent matrix to the exponent limits: no
+    negative exponent, none above MAX_EXPONENT, and no total degree above
+    MAX_TOTAL_DEGREE."""
     if exps.size == 0:
         return
     low = int(exps.min())
@@ -192,11 +55,12 @@ def _check_exponents(exps: np.ndarray) -> None:
 
 def _order_keys(exps: np.ndarray) -> np.ndarray:
     """Packed unsigned words, one row per matrix row, whose lexicographic
-    order is the canonical Direction order and which are equal exactly when
-    the rows are.
+    order is the canonical order and which are equal exactly when the rows
+    are.
 
-    Direction compares its flat tuple of (id, exponent) entries for the
-    non-zero columns.  Column by column that is the order of these keys: a
+    The canonical order compares each row's flat tuple of (id, exponent)
+    entries for its non-zero columns, so the unit (the all-zero row) comes
+    first.  Column by column that is the order of these keys: a
     positive exponent keys as itself; a zero keys as top, above every
     exponent, when a later column is non-zero (that row's next id is larger)
     and as 0 when none is (that row's tuple has ended).  The keys are packed,
@@ -272,35 +136,24 @@ def merge_columns(a: Columns, b: Columns) -> Columns:
 class DirectionSet:
     """Finite ordered set of directions.
 
-    Iteration order is the canonical sort order of the members, which makes
-    every downstream artifact (vectors, JSON, candidate lattices) reproducible.
-    The members are the rows of an exponent matrix, kept in that order.
+    The members are the rows of an exponent matrix, distinct and kept in
+    the canonical order, which makes every downstream artifact (vectors,
+    JSON, candidate lattices) reproducible.  Build one with from_matrix or
+    tally.
     """
 
-    __slots__ = ("_cols", "_exps", "_members")
+    __slots__ = ("_cols", "_exps")
 
-    def __init__(self, members: Iterable[Direction] = ()):
-        flats = [d.flat for d in members]
-        cols = tuple(sorted({f[i : i + 4] for f in flats for i in range(0, len(f), 5)}))
-        index = {cid: c for c, cid in enumerate(cols)}
-        rows = [[0] * len(cols) for _ in flats]
-        for row, f in zip(rows, flats):
-            for i in range(0, len(f), 5):
-                row[index[f[i : i + 4]]] = f[i + 4]
-        exps = np.array(rows, dtype=np.int64).reshape(len(flats), len(cols))
-        self._init(cols, _unique_rows(exps)[0])
-
-    def _init(self, cols: Columns, exps: np.ndarray) -> None:
-        exps.flags.writeable = False
-        self._cols = cols
-        self._exps = exps
-        self._members: Optional[tuple[Direction, ...]] = None
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a DirectionSet with DirectionSet.from_matrix or tally")
 
     @classmethod
     def _of(cls, cols: Columns, exps: np.ndarray) -> "DirectionSet":
         """Wrap a matrix whose rows are already distinct and in order."""
         ds = cls.__new__(cls)
-        ds._init(cols, exps)
+        exps.flags.writeable = False
+        ds._cols = cols
+        ds._exps = exps
         return ds
 
     @classmethod
@@ -331,42 +184,14 @@ class DirectionSet:
         cols = merge_columns(self._cols, other._cols)
         return cols, self.matrix_over(cols), other.matrix_over(cols)
 
-    def _materialized(self) -> tuple[Direction, ...]:
-        if self._members is None:
-            members = []
-            for row in self._exps.tolist():
-                flat: list[int] = []
-                for cid, e in zip(self._cols, row):
-                    if e:
-                        flat.extend(cid)
-                        flat.append(e)
-                members.append(Direction(tuple(flat)))
-            self._members = tuple(members)
-        return self._members
-
     def __len__(self) -> int:
         return self._exps.shape[0]
-
-    def __iter__(self) -> Iterator[Direction]:
-        return iter(self._materialized())
-
-    def __contains__(self, d: Direction) -> bool:
-        if not isinstance(d, Direction):
-            return False
-        _, a, b = self._aligned(DirectionSet([d]))
-        return bool((a == b).all(axis=1).any())
-
-    def __getitem__(self, i: int) -> Direction:
-        return self._materialized()[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectionSet):
             return NotImplemented
         _, a, b = self._aligned(other)
         return bool(np.array_equal(a, b))
-
-    def __hash__(self) -> int:
-        return hash(self._materialized())
 
     def __repr__(self) -> str:
         return f"DirectionSet(<{len(self)} directions>)"
@@ -379,15 +204,13 @@ class DirectionSet:
         cols, a, b = self._aligned(other)
         return DirectionSet._of(cols, a[_rows_in(a, b)])
 
-    def difference(self, other: "DirectionSet") -> "DirectionSet":
-        cols, a, b = self._aligned(other)
-        return DirectionSet._of(cols, a[~_rows_in(a, b)])
-
-    def scale(self, d: Direction) -> "DirectionSet":
-        """Multiply every member by a fixed monomial: one row added to all."""
-        factor = d.exponents()
+    def scale(self, factor: Mapping[CoefficientId, int]) -> "DirectionSet":
+        """Multiply every member by a fixed monomial, given as {coefficient
+        id: exponent}: one row added to all."""
         cols = merge_columns(self._cols, tuple(factor))
-        exps = self.matrix_over(cols) + [factor.get(cid, 0) for cid in cols]
+        row = np.array([[factor.get(cid, 0) for cid in cols]], dtype=np.int64)
+        _check_exponents(row)
+        exps = self.matrix_over(cols) + row
         _check_exponents(exps)
         # a common factor never merges members but can reorder them
         return DirectionSet._of(cols, _unique_rows(exps)[0])
@@ -401,7 +224,8 @@ class DirectionSet:
 
     def evaluate(self, h: ChannelRealization) -> np.ndarray:
         """Numeric value of every member under a channel draw, in member
-        order: mono_eval's arithmetic on each row, no Direction built."""
+        order: the product of each non-zero column's gain to its power,
+        taken in column order."""
         gains = [h.gains[cid] for cid in self._cols]
         out = []
         for row in self._exps.tolist():
@@ -418,7 +242,7 @@ def tally(columns: Iterable[CoefficientId], exps) -> tuple[DirectionSet, np.ndar
     many times each member occurs among the rows.
 
     columns gives the coefficient id of each matrix column, increasing.
-    Every row is held to direction()'s limits.
+    Every row is held to the exponent limits (see _check_exponents).
     """
     cols = tuple(columns)
     if list(cols) != sorted(set(cols)):

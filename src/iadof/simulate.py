@@ -32,6 +32,7 @@ from .alignment import (
     truncate_plan,
 )
 from .channel import ChannelRealization, SystemConfig, generate_channel
+from .directions import monomial_text
 
 MAX_DISTANCE_DIRECTIONS = 12
 DEFAULT_DECODE_BUDGET = 10**7
@@ -270,8 +271,8 @@ def antenna_model(
     prof = _profile(plan, k, n)
     if prof.desired_overlap is not None:
         raise InconsistentPlanError(
-            f"desired direction {prof.desired_overlap.text()} aligned with interference "
-            f"at antenna ({k},{n}); exhaustive decoding is ill-posed"
+            f"desired direction {monomial_text(prof.desired_overlap)} aligned with "
+            f"interference at antenna ({k},{n}); exhaustive decoding is ill-posed"
         )
     own = {m: plan.streams[(k, m, n)] for m in range(1, plan.config.M + 1)}
     coords = tuple((m, l) for m, ds in own.items() for l in range(len(ds)))
@@ -281,7 +282,7 @@ def antenna_model(
         n=n,
         coords=coords,
         gains=np.concatenate(desired + [prof.interference.evaluate(h)]),
-        mults=(1,) * len(coords) + tuple(prof.multiplicity.values()),
+        mults=(1,) * len(coords) + tuple(prof.multiplicity.tolist()),
         profile=prof,
     )
 

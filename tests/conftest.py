@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from iadof.alignment import build_transmit_directions, family_pair
 from iadof.channel import SystemConfig
-from iadof.directions import DirectionSet, direction
+from iadof.directions import DirectionSet
 
 settings.register_profile(
     "default",
@@ -27,7 +27,7 @@ def overcounted_plan():
     sees 29 interference dimensions against the exact count of 28.
     """
     plan = build_transmit_directions(SystemConfig(K=3))
-    extra = direction(dict.fromkeys(family_pair((2, 1, 1, 3), 1), 1))
+    extra = DirectionSet.from_matrix(sorted(family_pair((2, 1, 1, 3), 1)), [[1, 1]])
     streams = dict(plan.streams)
-    streams[(2, 1, 1)] = DirectionSet([*streams[(2, 1, 1)], extra])
+    streams[(2, 1, 1)] = streams[(2, 1, 1)].union(extra)
     return dataclasses.replace(plan, streams=streams)

@@ -15,6 +15,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from iadof.alignment import (
@@ -34,7 +35,7 @@ from iadof.alignment import (
 )
 from iadof.bounds import achievable_dof
 from iadof.channel import SystemConfig
-from iadof.directions import UNIT, DirectionSet, direction
+from iadof.directions import DirectionSet
 from test_acceptance import lattice_configs
 
 CHECKS = (
@@ -200,15 +201,18 @@ def test_build_matches_manual_enumeration(K, M, N, gamma):
             for n in range(1, N + 1):
                 ds = plan.stream(k, m, n)
                 assert len(ds) == L
-                got = {tuple(sorted(d.exponents().items())) for d in ds}
+                got = {
+                    tuple((cid, e) for cid, e in zip(ds.columns, row) if e)
+                    for row in ds.matrix.tolist()
+                }
                 assert got == manual_stream(config, k, m, n)
 
 
 def test_build_contains_unit():
     plan = build_transmit_directions(cfg(3))
     for ds in plan.streams.values():
-        assert UNIT in ds
-        assert ds[0] == UNIT
+        # the unit, the all-zero row, sorts first
+        assert not ds.matrix[0].any()
 
 
 def test_build_budget_error():
@@ -226,7 +230,7 @@ def test_truncate_plan():
         assert len(ds) == 5
         assert ds == plan.streams[key].head(5)
     one = truncate_plan(plan, 1)
-    assert all(list(ds) == [UNIT] for ds in one.streams.values())
+    assert all(len(ds) == 1 and not ds.matrix.any() for ds in one.streams.values())
     with pytest.raises(ValueError):
         truncate_plan(plan, 0)
 
@@ -252,14 +256,14 @@ def test_reference_materialize_matches_contains():
     ref = ReferenceFamily(config)
     members = materialize(config, 1, budget=10**4)
     assert len(members) == 9
-    for d in members:
-        assert ref.within_at(DirectionSet([d]), (1,))[0, 0]
-        assert ref.within(DirectionSet([d]))[0]
-    # push one exponent past its cap: no longer factorizable
-    d = members[-1]
-    bumped = direction({cid: e + 3 for cid, e in d.exponents().items()})
-    if bumped != UNIT:
-        assert not ref.within_at(DirectionSet([bumped]), (1,))[0, 0]
+    assert ref.within_at(members, (1,)).all()
+    assert ref.within(members).all()
+    # push every exponent of the last member past its cap: no longer
+    # factorizable
+    last = members.matrix[-1]
+    bumped = DirectionSet.from_matrix(members.columns, [last + 3 * (last > 0)])
+    assert last.any()
+    assert not ref.within_at(bumped, (1,))[0, 0]
 
 
 @pytest.mark.parametrize("K,M,N,gamma", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
@@ -276,8 +280,8 @@ def test_reference_within_matches_materialized(K, M, N, gamma):
     for i, dest in enumerate(dests):
         members = materialize(config, dest)
         assert ref.within_at(members, [dest]).all()
-        members = frozenset(members)
-        assert [d in members for d in ds] == inside[:, i].tolist()
+        members = {tuple(row) for row in members.matrix_over(cols).tolist()}
+        assert [tuple(row) in members for row in ds.matrix.tolist()] == inside[:, i].tolist()
     assert ref.within(ds).tolist() == inside.any(axis=1).tolist()
 
 
@@ -285,9 +289,10 @@ def test_reference_rejects_foreign_monomial():
     config = cfg(2, 1, 1, 1)
     ref = ReferenceFamily(config)
     # a lone cross gain with no matching direct-link factor cannot arise
-    foreign = DirectionSet([direction({(1, 2, 1, 1): 1})])
+    foreign = DirectionSet.from_matrix([(1, 2, 1, 1)], [[1]])
     assert not ref.within_at(foreign, (1,))[0, 0]
-    assert ref.within_at(DirectionSet([UNIT]), (1,))[0, 0]
+    unit = DirectionSet.from_matrix([(1, 2, 1, 1)], [[0]])
+    assert ref.within_at(unit, (1,))[0, 0]
 
 
 # ------------------------------------------------------------ verification
@@ -299,9 +304,9 @@ def test_expand_received_single_user():
     plan = build_transmit_directions(cfg(1, 2, 2, 2))
     prof = expand_received(plan, 1, 1)
     assert prof.m_star == 4
-    assert prof.l_prime == 4  # the closed form counts the union exactly
+    assert closed_form_counts(plan.config)[1] == 4  # the union, exactly
     assert set(prof.desired) == {1, 2}
-    assert all(prof.multiplicity[d] == 1 for d in prof.interference)
+    assert prof.multiplicity.tolist() == [1] * 4
 
 
 def test_multiplicity_counts_every_arrival():
@@ -312,20 +317,28 @@ def test_multiplicity_counts_every_arrival():
     plan = build_transmit_directions(config)
     L, _ = closed_form_counts(config)
     prof = expand_received(plan, 2, 1)
-    counts = prof.multiplicity.values()
-    assert sum(counts) == (3 * 1 * 2 - 1) * L
-    assert len(counts) == len(prof.interference) == len(prof.multiplicity)
-    assert max(counts) > 1
-    head = list(prof.interference)[:20]
-    assert [prof.multiplicity[d] for d in head] == counts[:20]
+    counts = prof.multiplicity
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert counts.sum() == (3 * 1 * 2 - 1) * L
+    assert len(counts) == len(prof.interference)
+    assert counts.max() > 1
+    # each arrival is its stream's set times the two gains it crossed
+    cols = prof.interference.columns
+    arrived = Counter()
+    for (j, mp, np_), base in plan.streams.items():
+        if (j, np_) != (2, 1):
+            tag = {(j, j, np_, mp): 1, (2, j, 1, mp): 1}
+            arrived.update(map(tuple, base.scale(tag).matrix_over(cols).tolist()))
+    rows = map(tuple, prof.interference.matrix.tolist())
+    assert dict(zip(rows, counts.tolist())) == arrived
 
 
 def test_expand_received_no_cross_terms_when_alone():
     plan = build_transmit_directions(cfg(1, 1, 1))
     prof = expand_received(plan, 1, 1)
     assert len(prof.interference) == 0
-    assert prof.l_total == 1
-    assert list(prof.desired[1]) == [direction({(1, 1, 1, 1): 2})]
+    assert closed_form_counts(plan.config)[0] == 1
+    assert prof.desired[1] == DirectionSet.from_matrix([(1, 1, 1, 1)], [[2]])
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Channel configuration and realization tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -47,7 +45,7 @@ def test_generate_deterministic():
     c = SystemConfig(K=3, M=2, N=2, seed=7)
     h1 = generate_channel(c)
     h2 = generate_channel(c)
-    assert h1 == h2
+    assert h1.config == h2.config
     assert h1.gains == h2.gains
 
 
@@ -99,21 +97,3 @@ def test_realization_rejects_bad_gains():
     bad[(1, 1, 1, 1)] = float("nan")
     with pytest.raises(ValueError):
         ChannelRealization(c, bad)
-
-
-def test_json_round_trip():
-    c = SystemConfig(K=3, M=2, N=1, gamma=2, Q=4, seed=21)
-    h = generate_channel(c)
-    data = json.loads(h.to_json())
-    h2 = ChannelRealization.from_json_dict(data, gamma=2, Q=4)
-    assert h2 == h
-    assert h2.config == c
-
-
-def test_json_dict_shape():
-    h = generate_channel(SystemConfig(K=1, M=1, N=2, seed=2))
-    d = h.to_json_dict()
-    assert d["K"] == 1 and d["M"] == 1 and d["N"] == 2 and d["seed"] == 2
-    assert len(d["gains"]) == 2
-    entry = d["gains"][0]
-    assert set(entry) == {"k", "j", "n", "m", "v"}

@@ -21,7 +21,7 @@ from iadof.alignment import (
     verify_alignment,
 )
 from iadof.channel import SystemConfig, generate_channel
-from iadof.directions import DirectionSet, direction
+from iadof.directions import DirectionSet
 from iadof.simulate import (
     MIN_AMPLITUDE,
     DecodeBudgetError,
@@ -43,6 +43,7 @@ from iadof.simulate import (
     stream_mean_power,
     symbol_variance,
 )
+from test_directions import members, mono_eval
 
 SNR3 = (1e2, 1e4, 1e6)
 
@@ -191,8 +192,6 @@ def test_forward_model_matches_encode_propagate(K, M, N, gamma, cap, noisy):
 
 
 def test_stream_mean_power_exact_identity():
-    from iadof.directions import mono_eval
-
     config, h, plan = make(2, gamma=2, Q=4, seed=3)
     for k in (1, 2):
         got = stream_mean_power(plan, h, k, 1, amplitude=0.7)
@@ -201,7 +200,7 @@ def test_stream_mean_power_exact_identity():
             * symbol_variance(4)
             * sum(
                 h.coefficient(k, k, n, 1) ** 2
-                * sum(mono_eval(d, h) ** 2 for d in plan.streams[(k, 1, n)])
+                * sum(mono_eval(d, h) ** 2 for d in members(plan.streams[(k, 1, n)]))
                 for n in (1,)
             )
         )
@@ -360,12 +359,11 @@ def test_antenna_model_rejects_overlapping_plan():
     config = SystemConfig(K=2, seed=0)
     run_link_sim(config, SimConfig(snr_points=(1e2,), trials=10), cap=1)
     h = generate_channel(config)
-    overlap = direction({(2, 2, 1, 1): 1, (1, 2, 1, 1): 1})
     fake = TransmitPlan(
         config=config,
         streams={
-            (1, 1, 1): DirectionSet([overlap]),
-            (2, 1, 1): DirectionSet([direction({(1, 1, 1, 1): 2})]),
+            (1, 1, 1): DirectionSet.from_matrix([(1, 2, 1, 1), (2, 2, 1, 1)], [[1, 1]]),
+            (2, 1, 1): DirectionSet.from_matrix([(1, 1, 1, 1)], [[2]]),
         },
         truncation_cap=None,
     )
