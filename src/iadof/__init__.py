@@ -7,11 +7,9 @@ from .bounds import (
     DofReport,
     PartitionWitness,
     achievable_dof,
-    brute_force_upper_bound,
     dof_report,
     dof_upper_bound,
     gou_jafar_reference,
-    partition_bound,
     regime_classify,
     solve_partition_balance,
 )
@@ -37,15 +35,11 @@ _LAZY = {
     "DirectionSet": "directions",
     "DecodeBudgetError": "simulate",
     "InconsistentPlanError": "simulate",
-    "MessageMatrix": "simulate",
     "SimConfig": "simulate",
     "SimResult": "simulate",
     "amplitude_scale": "simulate",
     "antenna_model": "simulate",
-    "draw_messages": "simulate",
-    "encode": "simulate",
     "min_distance": "simulate",
-    "propagate": "simulate",
     "run_link_sim": "simulate",
     "separation_exponent": "simulate",
     "simulate_plan": "simulate",
@@ -61,7 +55,6 @@ __all__ = [
     "DofReport",
     "EnumerationBudgetError",
     "InconsistentPlanError",
-    "MessageMatrix",
     "PartitionWitness",
     "ReceiverProfile",
     "ReferenceFamily",
@@ -73,20 +66,15 @@ __all__ = [
     "achievable_dof_gamma",
     "amplitude_scale",
     "antenna_model",
-    "brute_force_upper_bound",
     "build_transmit_directions",
     "closed_form_counts",
     "dof_report",
     "dof_upper_bound",
-    "draw_messages",
-    "encode",
     "expand_received",
     "generate_channel",
     "gou_jafar_reference",
     "min_distance",
-    "partition_bound",
     "per_antenna_dof_gamma",
-    "propagate",
     "regime_classify",
     "run_link_sim",
     "separation_exponent",

@@ -159,9 +159,6 @@ class TransmitPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "streams", MappingProxyType(dict(self.streams)))
 
-    def stream(self, k: int, m: int, n: int) -> DirectionSet:
-        return self.streams[(k, m, n)]
-
 
 @lru_cache(maxsize=64)
 def _columns(config: SystemConfig) -> Columns:
@@ -295,9 +292,6 @@ class ReceiverProfile:
         """Observed interference dimension (honest union size)."""
         return len(self.interference)
 
-    def desired_union(self) -> DirectionSet:
-        return reduce(DirectionSet.union, self.desired.values())
-
     @cached_property
     def desired_overlap(self) -> Optional[dict[CoefficientId, int]]:
         """The first desired direction, by transmit antenna and then in
@@ -315,7 +309,7 @@ class ReceiverProfile:
     def distinct_directions(self) -> int:
         """Number of distinct non-unit directions arriving at the antenna,
         desired and interference together."""
-        seen = self.interference.union(self.desired_union())
+        seen = reduce(DirectionSet.union, self.desired.values(), self.interference)
         has_unit = bool((seen.matrix == 0).all(axis=1).any())
         return len(seen) - has_unit
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-BRUTE_FORCE_MAX_K = 64
-
 
 def _roles(M: int, N: int) -> tuple[int, int, int]:
     """(smaller side, larger side, gcd) with validation."""
@@ -42,25 +40,6 @@ def achievable_dof(M: int, N: int, K: int) -> Fraction:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     return Fraction(M * N * K, M + N)
-
-
-def partition_bound(M: int, N: int, K: int, l1: int, l2: int) -> Fraction:
-    """Upper bound on total DoF from one pooled-user partition.
-
-    l1 users pool their transmit arrays against l2 users; the two-user
-    region of the pooled pair caps the group's sum, and scaling by
-    K/(l1+l2) caps the total.  Order of l1, l2 does not matter.
-    """
-    mn, mx, _ = _roles(M, N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if l1 < 0 or l2 < 0:
-        raise ValueError(f"partition sizes must be >= 0, got ({l1}, {l2})")
-    total = l1 + l2
-    if total == 0 or total > K:
-        raise ValueError(f"need 1 <= l1+l2 <= K, got {total} (K={K})")
-    l_min, l_max = sorted((l1, l2))
-    return Fraction(K * max(mx * l_min, mn * l_max), total)
 
 
 def solve_partition_balance(
@@ -196,21 +175,6 @@ def dof_upper_bound(M: int, N: int, K: int) -> tuple[Fraction, PartitionWitness]
     if best is None:  # pragma: no cover - minus family is never globally empty
         raise RuntimeError(f"no partition candidate for M={M} N={N} K={K}")
     return best
-
-
-def brute_force_upper_bound(M: int, N: int, K: int) -> Fraction:
-    """Minimum of partition_bound over every admissible partition.
-
-    Independent of the balance-family scan; intended as a small-K oracle.
-    """
-    _roles(M, N)
-    if not 1 <= K <= BRUTE_FORCE_MAX_K:
-        raise ValueError(f"K must be in 1..{BRUTE_FORCE_MAX_K}, got {K}")
-    return min(
-        partition_bound(M, N, K, l1, total - l1)
-        for total in range(1, K + 1)
-        for l1 in range(0, total + 1)
-    )
 
 
 def gou_jafar_reference(M: int, N: int, K: int) -> tuple[Fraction, Fraction]:

@@ -1,7 +1,7 @@
 """Link-level simulation: encode over direction sets, propagate, decode.
 
 One forward model (_forward) carries every plan coordinate to every receive
-antenna; encode/propagate and the Monte Carlo loop are products on it.
+antenna; the Monte Carlo loop is a product on it.
 Decoding is exhaustive nearest-point search over the exact finite
 constellation each antenna can see: desired symbols jointly with bounded
 integer interference aggregates.  All randomness is keyed by (seed, role)
@@ -97,20 +97,6 @@ def symbol_variance(Q: int) -> float:
     return Q * (Q - 1) / 3.0
 
 
-@dataclass(frozen=True)
-class MessageMatrix:
-    """Integer symbols u, one per (k, m, n, l) stream coordinate."""
-
-    config: SystemConfig
-    symbols: dict[tuple[int, int, int, int], int]
-
-    def __post_init__(self) -> None:
-        top = self.config.Q - 1
-        for key, u in self.symbols.items():
-            if abs(u) > top:
-                raise ValueError(f"symbol {u} at {key} outside [-{top}, {top}]")
-
-
 def plan_coordinates(plan: TransmitPlan) -> list[tuple[int, int, int, int]]:
     """Every (k, m, n, l) coordinate of the plan in canonical order."""
     return [
@@ -146,7 +132,7 @@ def _channel_matrix(h: ChannelRealization) -> np.ndarray:
 
 def _forward(plan: TransmitPlan, h: ChannelRealization):
     """The linear map from plan coordinates to receive antennas, as
-    (coords, tx, pre, W).
+    (coords, W).
 
     coords are the plan coordinates; coordinate i leaves transmit antenna
     tx[i] (a row of H) with weight pre[i], its direction value times the
@@ -164,51 +150,7 @@ def _forward(plan: TransmitPlan, h: ChannelRealization):
             for (j, m, n) in sorted(plan.streams)
         ]
     )
-    return coords, tx, pre, pre[:, None] * _channel_matrix(h)[tx]
-
-
-def draw_messages(plan: TransmitPlan, seed: int = 0) -> MessageMatrix:
-    """Uniform random symbols for every plan coordinate, seeded: trial 0 of
-    a simulation of the plan with that seed."""
-    coords = plan_coordinates(plan)
-    u = _draw_symbols(seed, plan.config.Q, 1, len(coords))[0]
-    return MessageMatrix(plan.config, dict(zip(coords, u.tolist())))
-
-
-def encode(
-    plan: TransmitPlan,
-    h: ChannelRealization,
-    msgs: MessageMatrix,
-    amplitude: float,
-) -> dict[tuple[int, int], float]:
-    """Transmit value of every antenna: each stream rides its directions,
-    pre-weighted by the direct gain to its destination antenna."""
-    coords, tx, pre, _ = _forward(plan, h)
-    if set(msgs.symbols) != set(coords):
-        raise InconsistentPlanError("message index set does not match the plan")
-    c = plan.config
-    u = np.array([msgs.symbols[coord] for coord in coords], dtype=np.float64)
-    x = amplitude * np.bincount(tx, weights=u * pre, minlength=c.K * c.M)
-    return dict(zip(_antennas(c.K, c.M), x.tolist()))
-
-
-def propagate(
-    h: ChannelRealization,
-    X: dict[tuple[int, int], float],
-    noise_seed: Optional[int] = None,
-) -> dict[tuple[int, int], float]:
-    """Received value at every antenna: linear mixing plus unit-variance
-    Gaussian noise when noise_seed is given (trial 0 of that seed's noise),
-    noiseless otherwise."""
-    c = h.config
-    tx = _antennas(c.K, c.M)
-    if set(X) != set(tx):
-        raise InconsistentPlanError("transmit values do not cover every (k, m)")
-    rx = _antennas(c.K, c.N)
-    y = np.array([X[a] for a in tx], dtype=np.float64) @ _channel_matrix(h)
-    if noise_seed is not None:
-        y = y + _draw_noise(noise_seed, 1, len(rx))[0]
-    return dict(zip(rx, y.tolist()))
+    return coords, pre[:, None] * _channel_matrix(h)[tx]
 
 
 def stream_mean_power(
@@ -445,7 +387,7 @@ def simulate_plan(
     across SNR points (common random numbers), so SER curves differ only
     through the amplitude.
     """
-    coords, _, _, W = _forward(plan, h)
+    coords, W = _forward(plan, h)
     config = plan.config
     Q = config.Q
     col_of = {c: i for i, c in enumerate(coords)}

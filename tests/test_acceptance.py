@@ -21,7 +21,6 @@ from iadof.alignment import (
 )
 from iadof.bounds import (
     achievable_dof,
-    brute_force_upper_bound,
     dof_report,
     dof_upper_bound,
     gou_jafar_reference,
@@ -29,6 +28,7 @@ from iadof.bounds import (
 from iadof.channel import SystemConfig
 from iadof.cli import EXIT_OK, main
 from iadof.simulate import SimConfig, run_link_sim
+from test_bounds import brute_force_upper_bound
 
 
 def report(n, ok, t0):

@@ -199,7 +199,7 @@ def test_build_matches_manual_enumeration(K, M, N, gamma):
     for k in range(1, K + 1):
         for m in range(1, M + 1):
             for n in range(1, N + 1):
-                ds = plan.stream(k, m, n)
+                ds = plan.streams[(k, m, n)]
                 assert len(ds) == L
                 got = {
                     tuple((cid, e) for cid, e in zip(ds.columns, row) if e)

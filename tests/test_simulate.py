@@ -2,7 +2,9 @@
 
 The decoder is checked against a hand-rolled per-trial nearest-point
 search on the single-user channel, where the constellation is a scaled
-integer grid and every quantity can be recomputed in a few lines.
+integer grid and every quantity can be recomputed in a few lines.  The
+forward model is checked entry by entry against an oracle built from the
+gains alone.
 """
 
 import dataclasses
@@ -26,16 +28,15 @@ from iadof.simulate import (
     MIN_AMPLITUDE,
     DecodeBudgetError,
     InconsistentPlanError,
-    MessageMatrix,
     SimConfig,
     SimResult,
+    _draw_noise,
+    _draw_symbols,
+    _forward,
     amplitude_scale,
     antenna_model,
-    draw_messages,
-    encode,
     min_distance,
     plan_coordinates,
-    propagate,
     run_link_sim,
     separation_exponent,
     separation_floor,
@@ -57,6 +58,28 @@ def make(K, M=1, N=1, gamma=1, Q=2, seed=0, cap=None):
     return config, h, plan
 
 
+def transmit_oracle(plan, h):
+    """{(j, m, n', l): h(j,j,n',m) * dir_l}: each plan coordinate's weight
+    on its transmit antenna (j, m), from the gains alone, in stream and
+    then member order."""
+    return {
+        (j, m, n, l): h.coefficient(j, j, n, m) * mono_eval(d, h)
+        for (j, m, n) in sorted(plan.streams)
+        for l, d in enumerate(members(plan.streams[(j, m, n)]))
+    }
+
+
+def forward_oracle(plan, h):
+    """W as {coordinate: row}: coordinate (j, m, n', l) reaches receive
+    antenna (k, n), user-major, with h(j,j,n',m) * dir_l * h(k,j,n,m)."""
+    c = plan.config
+    rx = [(k, n) for k in range(1, c.K + 1) for n in range(1, c.N + 1)]
+    return {
+        (j, m, n2, l): [t * h.coefficient(k, j, n, m) for (k, n) in rx]
+        for (j, m, n2, l), t in transmit_oracle(plan, h).items()
+    }
+
+
 # ------------------------------------------------------------------ symbols
 
 
@@ -68,122 +91,69 @@ def test_symbol_variance_matches_uniform_grid():
 
 def test_draw_messages_deterministic_and_in_range():
     _, _, plan = make(2, Q=4, seed=9)
-    a = draw_messages(plan, seed=3)
-    b = draw_messages(plan, seed=3)
-    c = draw_messages(plan, seed=4)
-    assert a.symbols == b.symbols
-    assert a.symbols != c.symbols
-    assert set(a.symbols) == set(plan_coordinates(plan))
-    assert all(abs(u) <= 3 for u in a.symbols.values())
+    width = len(plan_coordinates(plan))
+    a = _draw_symbols(3, 4, 5, width)
+    assert a.shape == (5, width)
+    assert np.array_equal(a, _draw_symbols(3, 4, 5, width))
+    assert not np.array_equal(a, _draw_symbols(4, 4, 5, width))
+    assert a.min() >= -3 and a.max() <= 3
 
 
-def test_message_matrix_rejects_out_of_range():
-    config = SystemConfig(K=1, Q=2)
-    with pytest.raises(ValueError):
-        MessageMatrix(config, {(1, 1, 1, 0): 2})
-
-
-# ------------------------------------------------------------------- encode
+# ------------------------------------------------------------ forward model
 
 
 def test_encode_single_direction_is_direct_gain():
     config, h, plan = make(1, seed=5)
-    msgs = MessageMatrix(config, {(1, 1, 1, 0): 1})
-    X = encode(plan, h, msgs, amplitude=1.0)
-    assert X[(1, 1)] == pytest.approx(h.coefficient(1, 1, 1, 1), rel=1e-15)
-
-
-def test_encode_linearity():
-    config, h, plan = make(2, gamma=2, Q=4, seed=1)
-    coords = plan_coordinates(plan)
-    a = MessageMatrix(config, {c: (i * 7) % 3 - 1 for i, c in enumerate(coords)})
-    b = MessageMatrix(config, {c: (i * 5) % 3 - 1 for i, c in enumerate(coords)})
-    both = MessageMatrix(config, {c: a.symbols[c] + b.symbols[c] for c in coords})
-    Xa = encode(plan, h, a, 1.0)
-    Xb = encode(plan, h, b, 1.0)
-    Xboth = encode(plan, h, both, 1.0)
-    for key in Xa:
-        assert Xboth[key] == pytest.approx(Xa[key] + Xb[key], rel=1e-10, abs=1e-12)
-    # amplitude scaling is exactly linear too
-    X2 = encode(plan, h, a, 2.0)
-    for key in Xa:
-        assert X2[key] == pytest.approx(2 * Xa[key], rel=1e-12)
-
-
-def test_encode_zero_messages():
-    config, h, plan = make(2, seed=0)
-    zero = MessageMatrix(config, {c: 0 for c in plan_coordinates(plan)})
-    X = encode(plan, h, zero, amplitude=3.0)
-    assert all(v == 0.0 for v in X.values())
-
-
-def test_encode_rejects_wrong_index_set():
-    config, h, plan = make(2, seed=0)
-    msgs = MessageMatrix(config, {(1, 1, 1, 0): 1})
-    with pytest.raises(InconsistentPlanError):
-        encode(plan, h, msgs, 1.0)
-
-
-# ---------------------------------------------------------------- propagate
+    H = h.coefficient(1, 1, 1, 1)
+    assert transmit_oracle(plan, h) == {(1, 1, 1, 0): H}
+    assert stream_mean_power(plan, h, 1, 1, 1.0) == pytest.approx(
+        H * H * symbol_variance(config.Q), rel=1e-15
+    )
 
 
 def test_propagate_noiseless_single_user():
     config, h, plan = make(1, seed=5)
-    msgs = MessageMatrix(config, {(1, 1, 1, 0): 1})
-    X = encode(plan, h, msgs, 1.0)
-    Y = propagate(h, X)
+    coords, W = _forward(plan, h)
     H = h.coefficient(1, 1, 1, 1)
-    assert Y[(1, 1)] == pytest.approx(H * H, rel=1e-15)
-
-
-def test_propagate_zero_in_zero_out():
-    config, h, _ = make(3, seed=2)
-    X = {(k, 1): 0.0 for k in range(1, 4)}
-    Y = propagate(h, X)
-    assert all(v == 0.0 for v in Y.values())
+    assert coords == [(1, 1, 1, 0)]
+    assert W[0, 0] == pytest.approx(H * H, rel=1e-15)
 
 
 def test_propagate_noise_statistics():
-    config = SystemConfig(K=8, N=8, seed=0)
-    h = generate_channel(config)
-    X = {(k, 1): 0.0 for k in range(1, 9)}
-    draws = []
-    for s in range(300):
-        Y = propagate(h, X, noise_seed=s)
-        draws.extend(Y.values())
-    z = np.array(draws)
-    assert z.shape[0] == 300 * 64
+    z = _draw_noise(0, 300, 64)
+    assert z.shape == (300, 64)
     assert abs(z.mean()) < 0.05
     assert abs(z.var() - 1.0) < 0.1
 
 
 def test_propagate_noise_deterministic():
-    config, h, plan = make(2, seed=1)
-    X = {(1, 1): 0.5, (2, 1): -0.25}
-    assert propagate(h, X, noise_seed=7) == propagate(h, X, noise_seed=7)
-    assert propagate(h, X, noise_seed=7) != propagate(h, X, noise_seed=8)
+    assert np.array_equal(_draw_noise(7, 3, 2), _draw_noise(7, 3, 2))
+    assert not np.array_equal(_draw_noise(7, 3, 2), _draw_noise(8, 3, 2))
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
 @pytest.mark.parametrize(
     "K,M,N,gamma,cap", [(3, 1, 1, 1, 1), (2, 2, 2, 1, 1), (2, 1, 2, 2, 2)]
 )
-def test_forward_model_matches_encode_propagate(K, M, N, gamma, cap, noisy):
-    # trial 0 of the matrix model simulate_plan decodes, A*(U@W)[0] + Z[0],
-    # is what the one-shot draw_messages -> encode -> propagate path receives
-    from iadof import simulate as sim
-
+def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
+    # every entry of W, and trial 0 of the matrix model simulate_plan
+    # decodes, A*(U@W)[0] + Z[0], against sums over the gain oracle
     config, h, plan = make(K, M, N, gamma, Q=3, seed=7, cap=cap)
-    coords, _, _, W = sim._forward(plan, h)
-    U = sim._draw_symbols(config.seed, config.Q, 5, len(coords)).astype(np.float64)
-    Z = sim._draw_noise(config.seed, 5, K * N)
+    coords, W = _forward(plan, h)
+    oracle = forward_oracle(plan, h)
+    assert list(oracle) == coords
+    np.testing.assert_allclose(W, list(oracle.values()), rtol=1e-12)
+    U = _draw_symbols(config.seed, config.Q, 5, len(coords)).astype(np.float64)
+    Z = _draw_noise(config.seed, 5, K * N)
     A = 0.6
     want = A * (U @ W)[0] + (Z[0] if noisy else 0.0)
-    X = encode(plan, h, draw_messages(plan, config.seed), A)
-    Y = propagate(h, X, noise_seed=config.seed if noisy else None)
-    got = [Y[(k, n)] for k in range(1, K + 1) for n in range(1, N + 1)]
-    # the two paths sum in different orders: relative 1e-12, with a floor
-    # scaled by the summed magnitudes for outputs that cancel to near zero
+    got = [
+        A * sum(u * row[a] for u, row in zip(U[0].tolist(), oracle.values()))
+        + (Z[0, a] if noisy else 0.0)
+        for a in range(K * N)
+    ]
+    # the two sum in different orders: relative 1e-12, with a floor scaled
+    # by the summed magnitudes for outputs that cancel to near zero
     floor = 1e-12 * (A * np.abs(U[0]) @ np.abs(W)).max()
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
 
@@ -210,12 +180,11 @@ def test_stream_mean_power_exact_identity():
 def test_stream_mean_power_matches_monte_carlo():
     config, h, plan = make(2, seed=4, cap=2, gamma=2)
     target = stream_mean_power(plan, h, 1, 1, amplitude=1.0)
-    acc = 0.0
-    n = 4000
-    for s in range(n):
-        X = encode(plan, h, draw_messages(plan, seed=s), 1.0)
-        acc += X[(1, 1)] ** 2
-    assert acc / n == pytest.approx(target, rel=0.1)
+    weights = transmit_oracle(plan, h)
+    own = [t if coord[:2] == (1, 1) else 0.0 for coord, t in weights.items()]
+    U = _draw_symbols(config.seed, config.Q, 4000, len(weights))
+    X = U @ np.array(own)
+    assert np.mean(X**2) == pytest.approx(target, rel=0.1)
 
 
 def test_amplitude_scale_binding():
@@ -410,14 +379,6 @@ def test_plan_streams_cannot_change_under_its_profiles(overcounted_plan):
     assert expand_received(plan, 1, 1).m_star == 28
 
 
-def test_encode_rejects_mismatched_channel():
-    config, h, plan = make(2, seed=0)
-    other = generate_channel(SystemConfig(K=3, seed=0))
-    msgs = draw_messages(plan)
-    with pytest.raises(ValueError):
-        encode(plan, other, msgs, 1.0)
-
-
 # ------------------------------------------------------------------ end to end
 
 
@@ -566,10 +527,14 @@ def test_plan_serves_every_draw_of_its_system():
     got = simulate_plan(plan, generate_channel(config), sim_config)
     want = run_link_sim(config, sim_config, cap=1)
     assert got.to_json_dict() == want.to_json_dict()
-    # any other difference is still a different system
+    # any other difference is still a different system: another Q, or a
+    # two-user plan on this three-user draw
     other = generate_channel(SystemConfig(K=3, Q=3, seed=5))
     with pytest.raises(InconsistentPlanError):
         simulate_plan(plan, other, sim_config)
+    _, _, two_user = make(2, seed=0, cap=1)
+    with pytest.raises(InconsistentPlanError):
+        simulate_plan(two_user, generate_channel(config), sim_config)
 
 
 def test_kept_plans_bounded_and_read_only():
