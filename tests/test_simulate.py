@@ -131,6 +131,17 @@ def test_propagate_noise_deterministic():
     assert not np.array_equal(_draw_noise(7, 3, 2), _draw_noise(8, 3, 2))
 
 
+def test_encode_rejects_mismatched_channel():
+    # a two-user plan on a three-user draw: the forward model, and so every
+    # path that encodes through it, refuses the pair
+    _, _, plan = make(2, seed=0, cap=1)
+    other = generate_channel(SystemConfig(K=3, seed=0))
+    with pytest.raises(InconsistentPlanError):
+        _forward(plan, other)
+    with pytest.raises(InconsistentPlanError):
+        simulate_plan(plan, other, SimConfig(snr_points=(1e2,), trials=10))
+
+
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
 @pytest.mark.parametrize(
     "K,M,N,gamma,cap", [(3, 1, 1, 1, 1), (2, 2, 2, 1, 1), (2, 1, 2, 2, 2)]
@@ -527,14 +538,10 @@ def test_plan_serves_every_draw_of_its_system():
     got = simulate_plan(plan, generate_channel(config), sim_config)
     want = run_link_sim(config, sim_config, cap=1)
     assert got.to_json_dict() == want.to_json_dict()
-    # any other difference is still a different system: another Q, or a
-    # two-user plan on this three-user draw
+    # any other difference is still a different system
     other = generate_channel(SystemConfig(K=3, Q=3, seed=5))
     with pytest.raises(InconsistentPlanError):
         simulate_plan(plan, other, sim_config)
-    _, _, two_user = make(2, seed=0, cap=1)
-    with pytest.raises(InconsistentPlanError):
-        simulate_plan(two_user, generate_channel(config), sim_config)
 
 
 def test_kept_plans_bounded_and_read_only():
