@@ -1,9 +1,10 @@
-"""Hot numeric kernels: sorted search over candidate lists.
+"""Hot numeric kernels: two searches on a sorted interference block.
 
-Both kernels return exactly what a full scan would, bit for bit, ties
-included.  They rest on one fact: float rounding is monotone, so fl(a - v)
-and fl(a + v) are monotone in v and every best candidate lies next to the
-insertion point of the query in the sorted candidates.
+A candidate is a desired-block sum d plus an interference-block sum i, each
+summed left to right, valued fl(d + i).  The nearest kernel bisects each
+query y, the distance kernel each -d, and both equal a full scan over
+fl(d + i) bit for bit, ties included: rounding is monotone, so every best
+candidate lies next to the insertion point of the query.
 """
 
 from __future__ import annotations
@@ -24,44 +25,53 @@ def _block_sums(gains, radii, lo, hi):
     return v
 
 
-def nearest_candidate_indices(y: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index of the closest candidate value for each entry of y.
-
-    Equal to argmin(abs(y[t] - values)) for every t: ties resolve to the
-    lowest index.  Candidates are sorted once and each query is bisected,
-    so the cost is O((C + T) log C) for C candidates and T queries.
-    """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape[0] == 0:
+def nearest_candidate_indices(y: np.ndarray, d_sum: np.ndarray, i_sum: np.ndarray) -> np.ndarray:
+    """Index of the closest candidate for each entry of y: candidate
+    a * len(i_sum) + b has the value fl(d_sum[a] + i_sum[b]), and ties go to
+    the lowest index, as argmin(abs(y[t] - values)) would.  Each y is bisected
+    in every row d + sorted(i_sum): memory goes with len(i_sum) + T for T
+    queries, work with len(d_sum) * (len(i_sum) + T).  At T >= len(i_sum) the
+    grid is one row, d = 0, exact since fl(0 + v) = v."""
+    y, d_sum, i_sum = (np.ascontiguousarray(v, dtype=np.float64) for v in (y, d_sum, i_sum))
+    if d_sum.shape[0] == 0 or i_sum.shape[0] == 0:
         raise ValueError("candidate list is empty")
-    order = np.argsort(values)
-    ranked = values[order]
+    if y.shape[0] >= i_sum.shape[0]:
+        d_sum, i_sum = np.zeros(1), (d_sum[:, None] + i_sum[None, :]).ravel()
+    order = np.argsort(i_sum)
+    ranked = i_sum[order]
     # one entry per group of equal values, with the group's lowest index
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     distinct = ranked[starts]
     first = np.minimum.reduceat(order, starts)
     n = distinct.shape[0]
 
-    pos = np.searchsorted(distinct, y)
-    below = np.maximum(pos - 1, 0)
-    above = np.minimum(pos, n - 1)
-    best = np.minimum(np.abs(y - distinct[below]), np.abs(y - distinct[above]))
-    # The distance falls up to the insertion point and rises after it, so
-    # the groups at the best distance form one run through below or above.
-    # Walk it both ways and keep the lowest index seen.
-    out = np.full(y.shape[0], values.shape[0], dtype=np.int64)
-    for start, step in ((below, -1), (above, 1)):
-        t = np.arange(y.shape[0])
-        j = start
+    # keep each query's first row at its least distance: the lowest indices
+    for r, d in enumerate(d_sum.tolist()):
+        row = d + distinct
+        p = np.searchsorted(row, y)
+        edges = np.abs(y - row[np.maximum(p - 1, 0)]), np.abs(y - row[np.minimum(p, n - 1)])
+        dist = np.minimum(*edges)
+        if r == 0:
+            best, a, pos, below, above = dist, np.zeros(y.shape[0], dtype=np.int64), p, *edges
+            continue
+        c = dist < best
+        kept = ((dist, best), (r, a), (p, pos), (edges[0], below), (edges[1], above))
+        best, a, pos, below, above = (np.where(c, u, v) for u, v in kept)
+    # In its row the distance falls up to the insertion point and rises after
+    # it: the best entries form one run there.  Walk it both ways for the lowest.
+    d = d_sum[a]
+    out = np.full(y.shape[0], i_sum.shape[0], dtype=np.int64)
+    lo, hi = np.maximum(pos - 1, 0), np.minimum(pos, n - 1)
+    for edge, start, step in ((below, lo, -1), (above, hi, 1)):
+        t = np.flatnonzero(edge == best)
+        j = start[t]
         while t.shape[0]:
-            hit = np.abs(y[t] - distinct[j]) == best[t]
-            t, j = t[hit], j[hit]
             out[t] = np.minimum(out[t], first[j])
-            j = j + step
-            inside = (j >= 0) & (j < n)
-            t, j = t[inside], j[inside]
-    return out
+            keep = j > 0 if step < 0 else j < n - 1
+            t, j = t[keep], j[keep] + step
+            keep = np.abs(y[t] - (d[t] + distinct[j])) == best[t]
+            t, j = t[keep], j[keep]
+    return a * i_sum.shape[0] + out
 
 
 def min_abs_combination(

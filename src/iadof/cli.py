@@ -279,7 +279,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo link simulation")
     _add_config_flags(p)
-    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
+    p.add_argument(
+        "--budget", type=int, default=None,
+        help="decode budget: interference sums, desired sums x queries, d_min box (default 10^7)",
+    )
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     p.add_argument("--q", type=int, default=2, help="symbol alphabet half-width (default 2)")
     p.add_argument("--cap", type=int, default=1, help="directions kept per stream (default 1)")

@@ -2,10 +2,11 @@
 
 One forward model (_forward) carries every plan coordinate to every receive
 antenna; the Monte Carlo loop is a product on it.
-Decoding is exhaustive nearest-point search over the exact finite
-constellation each antenna can see: desired symbols jointly with bounded
-integer interference aggregates.  All randomness is keyed by (seed, role)
-so every run replays bit for bit.
+Decoding is exact nearest-point search over the finite constellation each
+antenna can see: desired symbols jointly with bounded integer interference
+aggregates.  The constellation is never built: the sorted interference sums
+are searched once per desired sum (_kernels).  All randomness is keyed by
+(seed, role) so every run replays bit for bit.
 
 The plan is symbolic: every direction is a monomial in the channel gains,
 so one plan, and each antenna's expansion of it, serves every channel draw
@@ -61,14 +62,10 @@ class InconsistentPlanError(ValueError):
     """Plan, channel, and messages do not describe the same system."""
 
 
-def _system(config: SystemConfig) -> SystemConfig:
-    """What a plan depends on: the config without the seed of the draw."""
-    return replace(config, seed=0)
-
-
 def _check_pair(plan: TransmitPlan, h: ChannelRealization) -> None:
     """A plan fits every channel draw of its system, whatever the seed."""
-    if _system(plan.config) != _system(h.config):
+    a, b = plan.config, h.config
+    if (a.K, a.M, a.N, a.gamma, a.Q) != (b.K, b.M, b.N, b.gamma, b.Q):
         raise InconsistentPlanError("plan and channel were built from different configs")
 
 
@@ -229,19 +226,17 @@ def antenna_model(
     )
 
 
-def _lattice_values(model: AntennaModel, Q: int, budget: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Candidate received values (unit amplitude) in C order, plus axis dims.
-
-    Axis order is desired coordinates then aggregates, values ascending, so
-    the first index the argmin hits is the lexicographically smallest
-    symbol vector; that is the documented tie-break.
-    """
+def _decode_radii(model: AntennaModel, Q: int, queries: int, budget: int) -> list[int]:
+    """Radii of the decode lattice at Q, refused before any work when its
+    interference sums or its desired sums times the queries exceed budget."""
     radii = [mult * (Q - 1) for mult in model.mults]
-    dims = tuple(2 * r + 1 for r in radii)
-    n_cand = math.prod(dims)
-    if n_cand > budget:
-        raise DecodeBudgetError(n_cand, budget, "candidate lattice")
-    return _block_sums(model.gains, radii, 0, len(dims)), dims
+    n_i = math.prod(2 * r + 1 for r in radii[len(model.coords) :])
+    if n_i > budget:
+        raise DecodeBudgetError(n_i, budget, "interference block")
+    work = math.prod(2 * r + 1 for r in radii[: len(model.coords)]) * queries
+    if work > budget:
+        raise DecodeBudgetError(work, budget, "desired sums times queries")
+    return radii
 
 
 def _distance_radii(model: AntennaModel, Q: int, budget: int) -> list[int]:
@@ -395,29 +390,32 @@ def simulate_plan(
     models = [antenna_model(plan, h, k, n) for (k, n) in ants]
 
     trials = sim_config.trials
+    rhos = sim_config.snr_points
+    # every antenna is checked before any is decoded
+    radii = [_decode_radii(m, Q, trials * len(rhos), budget) for m in models]
     U = _draw_symbols(h.config.seed, Q, trials, len(coords))
     Z = _draw_noise(h.config.seed, trials, len(ants))
     y_unit = U.astype(np.float64) @ W
 
-    rhos = sim_config.snr_points
     if sim_config.amplitude is None:
         amplitudes = amplitude_scale(plan, h, rhos)
     else:
         amplitudes = dict.fromkeys(rhos, sim_config.amplitude)
-    # One lattice at a time, each searched once with the queries of every
+    # One antenna at a time, each searched once with the queries of every
     # rho stacked: the queries are independent, so the indices are those
     # of one search per rho.
     wrong = np.zeros(len(rhos), dtype=np.int64)
     total = 0
-    for ai, ((k, n), model) in enumerate(zip(ants, models)):
-        values, dims = _lattice_values(model, Q, budget)
+    for ai, ((k, n), model, r) in enumerate(zip(ants, models, radii)):
         y = y_unit[:, ai]
         if sim_config.noiseless:
             ys = [y] * len(rhos)
         else:
             ys = [y + Z[:, ai] / amplitudes[rho] for rho in rhos]
-        idx = nearest_candidate_indices(np.concatenate(ys), values)
-        pos = np.unravel_index(idx, dims)
+        nd = len(model.coords)
+        blocks = (_block_sums(model.gains, r, 0, nd), _block_sums(model.gains, r, nd, len(r)))
+        idx = nearest_candidate_indices(np.concatenate(ys), *blocks)
+        pos = np.unravel_index(idx, [2 * x + 1 for x in r])
         for d, (m, l) in enumerate(model.coords):
             decoded = (pos[d] - (Q - 1)).reshape(len(rhos), trials)
             wrong += np.sum(decoded != U[:, col_of[(k, m, n, l)]], axis=1)
@@ -464,5 +462,5 @@ def run_link_sim(
     built on the first call for the system and cap."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    plan = _kept_plan(_system(config), cap)
+    plan = _kept_plan(replace(config, seed=0), cap)
     return simulate_plan(plan, generate_channel(config), sim_config, budget)

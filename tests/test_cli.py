@@ -280,6 +280,23 @@ def test_simulate_budget_exit(capsys):
     assert "error:" in err
 
 
+def test_simulate_decodes_past_ten_million_candidates(capsys):
+    # antenna (1,1) of K=3, Q=4, cap=3 has 343 desired sums and 31,213
+    # interference sums, 10,706,059 candidates; antennas (2,1) and (3,1)
+    # have 343 and 117,649.  No candidate list is built, so every block
+    # fits the 10^7 budget; d_min and the slope stay null, their difference
+    # boxes over it.
+    argv = "simulate -K 3 -M 1 -N 1 --q 4 --cap 3 --seed 1 --json".split()
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_OK
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["d_min"] is None and doc["separation_slope"] is None
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "35e00b99f07713ac8a6e2c314b2bd9cac8f0120c644da0027d4e531ecc83dffc"
+    )
+
+
 def test_simulate_enumeration_budget_exit(capsys):
     # the direction build refuses before the decoder is reached
     code, out, err = run(

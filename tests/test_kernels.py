@@ -2,7 +2,9 @@
 
 The sorted-search kernels must equal a full scan bit for bit, ties
 included, so simulation output does not depend on how the search is done.
-The scans below are the references.
+The scans below are the references.  The decoder once built every
+candidate, summed left to right over all axes, and searched that flat
+list; `lattice_values` and `flat_nearest` keep that decoder as an oracle.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from iadof._kernels import _block_sums, min_abs_combination, nearest_candidate_indices
 from iadof.alignment import build_transmit_directions, truncate_plan
 from iadof.channel import SystemConfig, generate_channel
-from iadof.simulate import _lattice_values, antenna_model
+from iadof.simulate import antenna_model
 
 
 def scan_nearest(y, values):
@@ -23,6 +25,46 @@ def scan_nearest(y, values):
     out = np.empty(y.shape[0], dtype=np.int64)
     for t in range(y.shape[0]):
         out[t] = int(np.argmin(np.abs(y[t] - values)))
+    return out
+
+
+def scan_split(y, d_sum, i_sum):
+    """Reference for the split kernel: a scan over every fl(d + i), in index
+    order d_idx * len(i_sum) + i_idx."""
+    return scan_nearest(y, (d_sum[:, None] + i_sum[None, :]).ravel())
+
+
+def lattice_values(model, Q):
+    """Every candidate of the decode lattice at Q, each summed left to right
+    over all axes (desired, then interference), in C order."""
+    radii = [mult * (Q - 1) for mult in model.mults]
+    return _block_sums(model.gains, radii, 0, len(radii))
+
+
+def flat_nearest(y, values):
+    """Sorted search over a flat candidate list: each group of equal values
+    keeps its lowest index, and the run of equal distances next to the
+    insertion point is walked both ways."""
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    distinct = ranked[starts]
+    first = np.minimum.reduceat(order, starts)
+    n = distinct.shape[0]
+    pos = np.searchsorted(distinct, y)
+    below = np.maximum(pos - 1, 0)
+    above = np.minimum(pos, n - 1)
+    best = np.minimum(np.abs(y - distinct[below]), np.abs(y - distinct[above]))
+    out = np.full(y.shape[0], values.shape[0], dtype=np.int64)
+    for start, step in ((below, -1), (above, 1)):
+        t, j = np.arange(y.shape[0]), start
+        while t.shape[0]:
+            hit = np.abs(y[t] - distinct[j]) == best[t]
+            t, j = t[hit], j[hit]
+            out[t] = np.minimum(out[t], first[j])
+            j = j + step
+            inside = (j >= 0) & (j < n)
+            t, j = t[inside], j[inside]
     return out
 
 
@@ -73,21 +115,45 @@ real = st.one_of(grid, wide)
 
 
 @st.composite
-def nearest_cases(draw):
-    values = draw(st.lists(real, min_size=1, max_size=40))
+def nearest_cases(draw, grid_path):
+    """(y, d_sum, i_sum) with fewer queries than interference sums (the
+    split path) or at least as many (the whole-grid path)."""
+    d_sum = draw(st.lists(real, min_size=1, max_size=8))
+    i_sum = draw(st.lists(real, min_size=1, max_size=12))
+    values = [d + i for d in d_sum for i in i_sum]
     member = st.sampled_from(values)
     midpoint = st.tuples(member, member).map(lambda p: p[0] / 2 + p[1] / 2)
-    y = draw(st.lists(st.one_of(real, member, midpoint), max_size=40))
-    return np.array(y, dtype=np.float64), np.array(values)
+    query = st.one_of(real, member, midpoint, st.sampled_from([1e300, -1e300]))
+    if grid_path:
+        y = draw(st.lists(query, min_size=len(i_sum), max_size=len(i_sum) + 12))
+    else:
+        y = draw(st.lists(query, max_size=len(i_sum) - 1))
+    return np.array(y, dtype=np.float64), np.array(d_sum), np.array(i_sum)
 
 
-@settings(max_examples=300, deadline=None)
-@given(nearest_cases())
-@example((np.array([0.5, 1e300, -1e300]), np.array([0.0, 1.0, 1.0, 0.0, -0.3, 0.3])))
-@example((np.array([2.0, -7.5]), np.array([3.0])))
+def check_nearest(case, grid_path):
+    y, d_sum, i_sum = case
+    assert (y.shape[0] >= i_sum.shape[0]) == grid_path
+    assert np.array_equal(nearest_candidate_indices(y, d_sum, i_sum), scan_split(y, d_sum, i_sum))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nearest_cases(grid_path=False))
+@example((np.array([0.5, 1e300, -1e300]), np.array([0.0, 1.0]), np.array([0.0, 1.0, -0.3, 0.3])))
+@example((np.array([2.0, -1e300]), np.array([0.1, 0.2, 0.1 + 0.2, 0.3]), np.array([0.0, 0.0, -0.0])))
+@example((np.array([], dtype=np.float64), np.array([3.0]), np.array([1.0])))
+@example((np.array([1e300]), np.array([1e300, -1e300]), np.array([-1e300, 0.0, 1e300])))
 def test_nearest_equals_scan(case):
-    y, values = case
-    assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
+    check_nearest(case, grid_path=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nearest_cases(grid_path=True))
+@example((np.array([2.0, -7.5]), np.array([3.0]), np.array([0.0])))
+@example((np.array([0.5, 1e300, -1e300]), np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+@example((np.array([0.3, 0.3, 1e300]), np.array([0.1, 0.2, 0.0, -0.0]), np.array([0.2, 0.1, 0.3])))
+def test_nearest_grid_path_equals_scan(case):
+    check_nearest(case, grid_path=True)
 
 
 @st.composite
@@ -111,28 +177,46 @@ def test_min_abs_equals_scan(case):
 
 
 def test_nearest_equals_scan_on_large_shuffled_ties():
-    # groups of 500 equal candidates (0.0 and -0.0 form one), shuffled: an
-    # unstable sort scatters each group, and its lowest index must still win
+    # groups of 500 equal interference sums (0.0 and -0.0 form one),
+    # shuffled: an unstable sort scatters each group, and its lowest index
+    # must still win, in the lowest row that reaches the least distance
     rng = np.random.default_rng(11)
     base = np.array([0.0, -0.0, 0.5, -1.25, 3.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1e300])
-    values = rng.permutation(np.repeat(base, 500))
+    i_sum = rng.permutation(np.repeat(base, 500))
+    d_sum = np.array([0.1, 0.0, -0.0, 0.1, 0.2, -1e300])
     mids = (base[:, None] / 2 + base[None, :] / 2).ravel()
     y = np.concatenate([base, mids, rng.normal(scale=2.0, size=100), [-1e300, 1e300]])
-    assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
+    assert y.shape[0] < i_sum.shape[0]
+    assert np.array_equal(
+        nearest_candidate_indices(y, d_sum, i_sum), scan_split(y, d_sum, i_sum)
+    )
 
 
 def test_kernels_equal_scan_on_decode_lattice():
-    # the 117,649-point lattice a K=3, Q=4, cap=2 simulation decodes on
+    # the 117,649-point lattice a K=3, Q=4, cap=2 simulation decodes on:
+    # 49 desired sums times 2,401 interference sums
     config = SystemConfig(K=3, Q=4, seed=0)
     h = generate_channel(config)
     plan = truncate_plan(build_transmit_directions(config), 2)
     model = antenna_model(plan, h, 1, 1)
-    values, _ = _lattice_values(model, 4, 10**7)
+    radii = [3 * m for m in model.mults]
+    d_sum = _block_sums(model.gains, radii, 0, 2)
+    i_sum = _block_sums(model.gains, radii, 2, len(radii))
+    assert (d_sum.shape, i_sum.shape) == ((49,), (2401,))
+    values = lattice_values(model, 4)
     assert values.shape == (117649,)
     rng = np.random.default_rng(5)
     exact = values[rng.integers(0, values.shape[0], size=60)]
     y = np.concatenate([exact, exact + rng.normal(scale=1e-5, size=60)])
-    assert np.array_equal(nearest_candidate_indices(y, values), scan_nearest(y, values))
+    # the split values fl(d + i) may differ from the flat ones in the last
+    # bit, and both decoders still pick the same candidate
+    want = flat_nearest(y, values)
+    assert np.array_equal(want, scan_nearest(y, values))
+    assert np.array_equal(nearest_candidate_indices(y, d_sum, i_sum), want)
+    # the same queries, 21 times over, take the whole-grid path
+    many = np.tile(y, 21)
+    assert many.shape[0] >= i_sum.shape[0]
+    assert np.array_equal(nearest_candidate_indices(many, d_sum, i_sum), np.tile(want, 21))
 
     radii = np.array([6 * m for m in model.mults])
     assert min_abs_combination(model.gains, radii, len(model.coords)) == scan_min_abs(
@@ -175,13 +259,15 @@ def test_min_abs_validation():
 
 
 def test_nearest_numpy_basic_and_ties():
-    values = np.array([0.0, 1.0, 1.0, 2.0])
+    # both layouts list the values 0, 1, 1, 2 in index order; 1.5 ties
+    # between the two 1.0 (idx 1, 2) and 2.0 (idx 3): lowest index wins
     y = np.array([0.9, 1.5, -3.0])
-    out = nearest_candidate_indices(y, values)
-    # 1.5 ties between 1.0 (idx 1, 2) and 2.0 (idx 3); lowest index wins
-    assert out.tolist() == [1, 1, 0]
+    split = nearest_candidate_indices(y, np.array([0.0]), np.array([0.0, 1.0, 1.0, 2.0]))
+    grid = nearest_candidate_indices(y, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    assert split.tolist() == grid.tolist() == [1, 1, 0]
 
 
 def test_nearest_dispatcher_validation():
-    with pytest.raises(ValueError):
-        nearest_candidate_indices(np.array([1.0]), np.array([]))
+    for d_sum, i_sum in ((np.array([]), np.array([1.0])), (np.array([1.0]), np.array([]))):
+        with pytest.raises(ValueError):
+            nearest_candidate_indices(np.array([1.0]), d_sum, i_sum)

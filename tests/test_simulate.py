@@ -10,11 +10,12 @@ gains alone.
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from iadof._kernels import min_abs_combination
+from iadof._kernels import min_abs_combination, nearest_candidate_indices
 from iadof.alignment import (
     TransmitPlan,
     build_transmit_directions,
@@ -606,6 +607,48 @@ def test_simulate_budget_error_bubbles_up():
     config = SystemConfig(K=3, seed=0)
     with pytest.raises(DecodeBudgetError):
         run_link_sim(config, SimConfig(snr_points=(1e2,)), cap=16)
+
+
+def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
+    # user 1 keeps one direction and user 2 three: antenna (1,1) decodes 3
+    # desired sums against 9 interference sums, antenna (2,1) 9 against 3.
+    # With 10 queries and a budget of 50, antenna (1,1) fits (30 <= 50) and
+    # antenna (2,1) does not (90 > 50), so no antenna may be decoded first.
+    import iadof.simulate as sim
+
+    config, h, full = make(2, seed=0)
+    streams = {s: ds.head(1 if s[0] == 1 else 3) for s, ds in full.streams.items()}
+    plan = TransmitPlan(config=config, streams=streams)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nearest_candidate_indices(*args)
+
+    monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
+    sim_config = SimConfig(snr_points=(1e2,), trials=10)
+    with pytest.raises(DecodeBudgetError) as exc:
+        simulate_plan(plan, h, sim_config, budget=50)
+    assert exc.value.required == 90
+    assert calls == []
+    simulate_plan(plan, h, sim_config, budget=90)
+    assert [a[1].shape + a[2].shape for a in calls] == [(3, 9), (9, 3)]
+
+
+def test_sim_curve_decode_stays_small():
+    # tracemalloc peak of one simulate_plan on the sim_curve system, whose
+    # lattice has 117,649 points per antenna: the decoder holds the 2,401
+    # interference sums and the 400 queries, never the lattice (0.5 MiB;
+    # 5.5 MiB when the lattice was built)
+    config, h, plan = make(3, Q=4, seed=1, cap=2)
+    sim_config = SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=100)
+    tracemalloc.start()
+    try:
+        simulate_plan(plan, h, sim_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_run_link_sim_rejects_bad_cap():
