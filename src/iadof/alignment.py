@@ -347,15 +347,6 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
     )
 
 
-CHECK_NAMES = (
-    "desired_pairwise_disjoint",
-    "desired_disjoint_from_interference",
-    "interference_within_reference",
-    "l_prime_within_bound",
-    "stream_counts_match",
-)
-
-
 @dataclass(frozen=True)
 class AntennaVerdict:
     k: int

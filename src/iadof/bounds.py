@@ -12,10 +12,12 @@ from fractions import Fraction
 from typing import Optional
 
 
-def _roles(M: int, N: int) -> tuple[int, int, int]:
-    """(smaller side, larger side, gcd) with validation."""
+def _roles(M: int, N: int, K: int) -> tuple[int, int, int]:
+    """(smaller side, larger side, gcd) with validation, antennas first."""
     if M < 1 or N < 1:
         raise ValueError(f"antenna counts must be >= 1, got M={M} N={N}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     mn, mx = sorted((M, N))
     return mn, mx, math.gcd(M, N)
 
@@ -36,9 +38,7 @@ def fraction_json(x: Fraction) -> dict:
 
 def achievable_dof(M: int, N: int, K: int) -> Fraction:
     """Total DoF achieved by the asymptotic alignment scheme: K*MN/(M+N)."""
-    _roles(M, N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    _roles(M, N, K)
     return Fraction(M * N * K, M + N)
 
 
@@ -52,9 +52,7 @@ def solve_partition_balance(
     the feasible l_max values.  The extremal is the maximum, or 0 for an
     empty set (the degenerate convention used by the bound).
     """
-    mn, mx, g = _roles(M, N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    mn, mx, g = _roles(M, N, K)
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
     if sign not in ("minus", "plus"):
@@ -74,10 +72,9 @@ def solve_partition_balance(
 
 
 def _balance_pair(
-    M: int, N: int, mu: int, sign: str, extremal: int
+    mn: int, mx: int, g: int, mu: int, sign: str, extremal: int
 ) -> tuple[int, int]:
     """Recover the (l_min, l_max) pair behind an extremal balance value."""
-    mn, mx, g = _roles(M, N)
     if sign == "minus":
         l_min = extremal
         l_max, rem = divmod(mx * l_min + g * mu, mn)
@@ -145,9 +142,7 @@ def dof_upper_bound(M: int, N: int, K: int) -> tuple[Fraction, PartitionWitness]
     minimum over both off-balance families with mu capped where each
     family provably empties out.
     """
-    mn, mx, g = _roles(M, N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    mn, mx, g = _roles(M, N, K)
     threshold = (M + N) // g
     if K >= threshold:
         bound = Fraction(M * N * K, M + N)
@@ -170,7 +165,7 @@ def dof_upper_bound(M: int, N: int, K: int) -> tuple[Fraction, PartitionWitness]
                 K * (M * N * ext + mu * side * g), (M + N) * ext + mu * g
             )
             if best is None or term < best[0]:
-                l_min, l_max = _balance_pair(M, N, mu, sign, ext)
+                l_min, l_max = _balance_pair(mn, mx, g, mu, sign, ext)
                 best = (term, _witness(M, N, l_min, l_max, mu, sign, term))
     if best is None:  # pragma: no cover - minus family is never globally empty
         raise RuntimeError(f"no partition candidate for M={M} N={N} K={K}")
@@ -180,9 +175,7 @@ def dof_upper_bound(M: int, N: int, K: int) -> tuple[Fraction, PartitionWitness]
 def gou_jafar_reference(M: int, N: int, K: int) -> tuple[Fraction, Fraction]:
     """(achievable, upper) totals from the decomposition-based reference
     analysis that keeps only the integer part of the array-size ratio."""
-    mn, mx, _ = _roles(M, N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    mn, mx, _ = _roles(M, N, K)
     R = mx // mn
     if K <= R:
         exact = Fraction(K * mn)
@@ -197,9 +190,7 @@ def regime_classify(M: int, N: int, K: int) -> str:
     Large K: the balanced partition pins the bound to the achievable value.
     The regimes cannot overlap because floor(mx/mn) < (M+N)/gcd always.
     """
-    mn, mx, g = _roles(M, N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    mn, mx, g = _roles(M, N, K)
     if K <= mx // mn:
         return "exact_small_K"
     if K >= (M + N) // g:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -37,11 +36,11 @@ from .directions import monomial_text
 
 MAX_DISTANCE_DIRECTIONS = 12
 DEFAULT_DECODE_BUDGET = 10**7
-# Smallest explicit amplitude.  The decoder divides the unit-variance noise
-# by the amplitude, and at this floor Z / A stays finite for every |Z| up
-# to 1e-300 * float max = 1.8e8.  The largest |Z| in 10^7 standard-normal
-# draws was 5.35, so the floor leaves a factor of over 3e7 before overflow.
-MIN_AMPLITUDE = 1e-300
+# The fixed epsilon of the separation floor -(m + eps): real interference
+# alignment's Khintchine-Groshev bound holds for any fixed eps > 0.
+EPSILON = 0.1
+# The alphabet half-widths over which the separation slope is fitted.
+SLOPE_Q = (2, 4, 8, 16)
 
 # sub-seed roles so message and noise draws never share a stream
 _MESSAGE_ROLE = 0xA1
@@ -150,17 +149,22 @@ def _forward(plan: TransmitPlan, h: ChannelRealization):
     return coords, pre[:, None] * _channel_matrix(h)[tx]
 
 
-def stream_mean_power(
-    plan: TransmitPlan, h: ChannelRealization, k: int, m: int, amplitude: float
-) -> float:
-    """Exact E[X_km^2] under independent uniform symbols."""
+def stream_mean_power(plan: TransmitPlan, h: ChannelRealization, k: int, m: int) -> float:
+    """Exact E[X_km^2] under independent uniform symbols at unit amplitude."""
     _check_pair(plan, h)
     c = plan.config
     tot = 0.0
     for n in range(1, c.N + 1):
         s2 = sum(v**2 for v in plan.streams[(k, m, n)].evaluate(h).tolist())
         tot += h.coefficient(k, k, n, m) ** 2 * s2
-    return amplitude**2 * tot * symbol_variance(c.Q)
+    return tot * symbol_variance(c.Q)
+
+
+# Smallest amplitude.  The decoder divides the unit-variance noise by the
+# amplitude, and at this floor Z / A stays finite for every |Z| up to
+# 1e-300 * float max = 1.8e8.  The largest |Z| in 10^7 standard-normal draws
+# was 5.35, so the floor leaves a factor of over 3e7 before overflow.
+MIN_AMPLITUDE = 1e-300
 
 
 def amplitude_scale(
@@ -173,13 +177,18 @@ def amplitude_scale(
     integer multiple of one scale, which the decoder's candidate lattice
     relies on; the binding stream hits its cap, the rest sit below it.  The
     unit-amplitude stream powers do not depend on rho and are computed once.
+    An A below MIN_AMPLITUDE is refused.
     """
+    c = plan.config
+    powers = [stream_mean_power(plan, h, k, m) for (k, m) in _antennas(c.K, c.M)]
+    amplitudes = {}
     for rho in rhos:
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
-    c = plan.config
-    powers = [stream_mean_power(plan, h, k, m, 1.0) for (k, m) in _antennas(c.K, c.M)]
-    return {rho: min(math.sqrt(rho / (c.K * c.M) / p) for p in powers) for rho in rhos}
+        a = amplitudes[rho] = min(math.sqrt(rho / (c.K * c.M) / p) for p in powers)
+        if a < MIN_AMPLITUDE:
+            raise ValueError(f"amplitude {a} at rho={rho} is below {MIN_AMPLITUDE:g}")
+    return amplitudes
 
 
 @dataclass(frozen=True)
@@ -273,26 +282,25 @@ def min_distance(
     return amplitude * min_abs_combination(model.gains, radii, len(model.coords))
 
 
-def separation_exponent(model: AntennaModel, q_list: tuple[int, ...]) -> float:
-    """Least-squares slope of log d_min against log Q at unit amplitude.
+def separation_exponent(model: AntennaModel) -> float:
+    """Least-squares slope of log d_min against log Q over SLOPE_Q at unit
+    amplitude.
 
     Every Q's difference box is checked against the budget before any
     distance is computed, so a refusal at a large Q costs no work.
     """
-    if len(q_list) < 4:
-        raise ValueError(f"need at least 4 Q values, got {len(q_list)}")
-    radii = [_distance_radii(model, q, DEFAULT_DECODE_BUDGET) for q in q_list]
+    radii = [_distance_radii(model, q, DEFAULT_DECODE_BUDGET) for q in SLOPE_Q]
     d = [min_abs_combination(model.gains, r, len(model.coords)) for r in radii]
     if any(v <= 0 for v in d):
         return float("nan")
-    slope = np.polyfit(np.log(np.array(q_list, dtype=float)), np.log(d), 1)[0]
+    slope = np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0]
     return float(slope)
 
 
-def separation_floor(profile: ReceiverProfile, epsilon: float) -> float:
-    """Theoretical slope floor -(m + eps), with m the count of distinct
+def separation_floor(profile: ReceiverProfile) -> float:
+    """Theoretical slope floor -(m + EPSILON), with m the count of distinct
     non-unit directions arriving at the antenna."""
-    return -(profile.distinct_directions + epsilon)
+    return -(profile.distinct_directions + EPSILON)
 
 
 @dataclass(frozen=True)
@@ -300,15 +308,11 @@ class SimConfig:
     """Monte Carlo operating points.
 
     Total power rho splits equally across users (and antennas within a
-    user); amplitude, when set, overrides the derived power rule.  It must
-    be finite and at least MIN_AMPLITUDE (1e-300), so that the noise it
-    scales cannot overflow.
+    user); amplitude_scale derives each point's amplitude.
     """
 
     snr_points: tuple[float, ...]
     trials: int = 1000
-    epsilon: float = 0.1
-    amplitude: Optional[float] = None
     noiseless: bool = False
 
     def __post_init__(self) -> None:
@@ -322,11 +326,6 @@ class SimConfig:
             raise ValueError(f"snr points must be distinct, got {list(self.snr_points)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        a = self.amplitude
-        if a is not None and not MIN_AMPLITUDE <= a < math.inf:
-            raise ValueError(f"amplitude must be finite and >= {MIN_AMPLITUDE:g}, got {a}")
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,9 @@ def simulate_plan(
 
     Messages and noise are drawn once from the channel's seed and reused
     across SNR points (common random numbers), so SER curves differ only
-    through the amplitude.
+    through the amplitude.  A noiseless run receives the same values at
+    every SNR point, so it decodes them once and counts the same errors at
+    each.
     """
     coords, W = _forward(plan, h)
     config = plan.config
@@ -391,25 +392,23 @@ def simulate_plan(
 
     trials = sim_config.trials
     rhos = sim_config.snr_points
+    passes = 1 if sim_config.noiseless else len(rhos)
     # every antenna is checked before any is decoded
-    radii = [_decode_radii(m, Q, trials * len(rhos), budget) for m in models]
+    radii = [_decode_radii(m, Q, trials * passes, budget) for m in models]
+    amplitudes = amplitude_scale(plan, h, rhos)
     U = _draw_symbols(h.config.seed, Q, trials, len(coords))
     Z = _draw_noise(h.config.seed, trials, len(ants))
     y_unit = U.astype(np.float64) @ W
 
-    if sim_config.amplitude is None:
-        amplitudes = amplitude_scale(plan, h, rhos)
-    else:
-        amplitudes = dict.fromkeys(rhos, sim_config.amplitude)
     # One antenna at a time, each searched once with the queries of every
-    # rho stacked: the queries are independent, so the indices are those
-    # of one search per rho.
+    # pass stacked: the queries are independent, so the indices are those
+    # of one search per pass.
     wrong = np.zeros(len(rhos), dtype=np.int64)
     total = 0
     for ai, ((k, n), model, r) in enumerate(zip(ants, models, radii)):
         y = y_unit[:, ai]
         if sim_config.noiseless:
-            ys = [y] * len(rhos)
+            ys = [y]
         else:
             ys = [y + Z[:, ai] / amplitudes[rho] for rho in rhos]
         nd = len(model.coords)
@@ -417,7 +416,8 @@ def simulate_plan(
         idx = nearest_candidate_indices(np.concatenate(ys), *blocks)
         pos = np.unravel_index(idx, [2 * x + 1 for x in r])
         for d, (m, l) in enumerate(model.coords):
-            decoded = (pos[d] - (Q - 1)).reshape(len(rhos), trials)
+            decoded = (pos[d] - (Q - 1)).reshape(passes, trials)
+            # a noiseless pass counts at every rho
             wrong += np.sum(decoded != U[:, col_of[(k, m, n, l)]], axis=1)
             total += trials
     ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
@@ -428,7 +428,7 @@ def simulate_plan(
     except DecodeBudgetError:
         d_min = float("nan")
     try:
-        slope = separation_exponent(models[0], (2, 4, 8, 16))
+        slope = separation_exponent(models[0])
     except DecodeBudgetError:
         slope = float("nan")
 
@@ -446,7 +446,7 @@ def simulate_plan(
         d_min=d_min,
         ser=ser,
         separation_slope=slope,
-        separation_floor=separation_floor(models[0].profile, sim_config.epsilon),
+        separation_floor=separation_floor(models[0].profile),
         decoded_rate=rate,
         amplitudes=amplitudes,
     )

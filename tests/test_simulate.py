@@ -7,9 +7,10 @@ forward model is checked entry by entry against an oracle built from the
 gains alone.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from iadof.alignment import (
     verify_alignment,
 )
 from iadof.channel import SystemConfig, generate_channel
+from iadof.cli import main
 from iadof.directions import DirectionSet
 from iadof.simulate import (
     MIN_AMPLITUDE,
@@ -107,7 +109,7 @@ def test_encode_single_direction_is_direct_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
     assert transmit_oracle(plan, h) == {(1, 1, 1, 0): H}
-    assert stream_mean_power(plan, h, 1, 1, 1.0) == pytest.approx(
+    assert stream_mean_power(plan, h, 1, 1) == pytest.approx(
         H * H * symbol_variance(config.Q), rel=1e-15
     )
 
@@ -176,10 +178,9 @@ def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
 def test_stream_mean_power_exact_identity():
     config, h, plan = make(2, gamma=2, Q=4, seed=3)
     for k in (1, 2):
-        got = stream_mean_power(plan, h, k, 1, amplitude=0.7)
+        got = stream_mean_power(plan, h, k, 1)
         want = (
-            0.7**2
-            * symbol_variance(4)
+            symbol_variance(4)
             * sum(
                 h.coefficient(k, k, n, 1) ** 2
                 * sum(mono_eval(d, h) ** 2 for d in members(plan.streams[(k, 1, n)]))
@@ -191,7 +192,7 @@ def test_stream_mean_power_exact_identity():
 
 def test_stream_mean_power_matches_monte_carlo():
     config, h, plan = make(2, seed=4, cap=2, gamma=2)
-    target = stream_mean_power(plan, h, 1, 1, amplitude=1.0)
+    target = stream_mean_power(plan, h, 1, 1)
     weights = transmit_oracle(plan, h)
     own = [t if coord[:2] == (1, 1) else 0.0 for coord, t in weights.items()]
     U = _draw_symbols(config.seed, config.Q, 4000, len(weights))
@@ -204,7 +205,7 @@ def test_amplitude_scale_binding():
     rho = 100.0
     A = amplitude_scale(plan, h, (rho,))[rho]
     cap = rho / (config.K * config.M)
-    powers = [stream_mean_power(plan, h, k, 1, A) for k in (1, 2, 3)]
+    powers = [A**2 * stream_mean_power(plan, h, k, 1) for k in (1, 2, 3)]
     assert max(powers) == pytest.approx(cap, rel=1e-12)
     assert all(p <= cap * (1 + 1e-9) for p in powers)
 
@@ -277,8 +278,8 @@ def test_min_distance_rejects_small_q():
 
 def test_separation_exponent_frozen_and_deterministic():
     config, h, plan = make(3, seed=1, cap=1)
-    s1 = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
-    s2 = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
+    s1 = separation_exponent(antenna_model(plan, h, 1, 1))
+    s2 = separation_exponent(antenna_model(plan, h, 1, 1))
     assert s1 == s2
     assert s1 == pytest.approx(-1.9371274729698718, rel=1e-9)
 
@@ -298,21 +299,15 @@ def test_separation_exponent_refuses_before_any_distance(monkeypatch):
 
     monkeypatch.setattr(sim, "min_abs_combination", counted)
     with pytest.raises(DecodeBudgetError) as exc:
-        separation_exponent(model, (2, 4, 8, 16))
+        separation_exponent(model)
     assert exc.value.required == 29**6
     assert calls == []
-
-
-def test_separation_exponent_needs_four_points():
-    config, h, plan = make(3, seed=0, cap=1)
-    with pytest.raises(ValueError):
-        separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8))
 
 
 def test_separation_floor_counts_directions():
     config, h, plan = make(3, seed=0, cap=1)
     # one squared direct-gain desired direction plus two cross aggregates
-    assert separation_floor(expand_received(plan, 1, 1), 0.1) == -3.1
+    assert separation_floor(expand_received(plan, 1, 1)) == -3.1
 
 
 def test_separation_slope_near_floor():
@@ -322,8 +317,8 @@ def test_separation_slope_near_floor():
     hits = 0
     for seed in range(20):
         config, h, plan = make(3, seed=seed, cap=1)
-        slope = separation_exponent(antenna_model(plan, h, 1, 1), (2, 4, 8, 16))
-        floor = separation_floor(expand_received(plan, 1, 1), 0.1)
+        slope = separation_exponent(antenna_model(plan, h, 1, 1))
+        floor = separation_floor(expand_received(plan, 1, 1))
         assert floor == -3.1
         assert slope >= floor - 1.0
         if slope >= floor:
@@ -401,38 +396,32 @@ def test_sim_config_validation():
         SimConfig(snr_points=(0.0,))
     with pytest.raises(ValueError):
         SimConfig(snr_points=(1e2,), trials=0)
-    with pytest.raises(ValueError):
-        SimConfig(snr_points=(1e2,), epsilon=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(snr_points=(1e2,), amplitude=-1.0)
     for bad in ((math.nan,), (math.inf,), (1e2, -math.inf), (1e2, 1e4, 1e2)):
         with pytest.raises(ValueError, match="snr points"):
             SimConfig(snr_points=bad)
-    for bad in (math.nan, math.inf, 1e-310, 5e-324, 0.99e-300):
-        with pytest.raises(ValueError, match="amplitude"):
-            SimConfig(snr_points=(1e2,), amplitude=bad)
 
 
 def test_amplitude_near_float_min_rejected():
-    # at float_info.min, Z / amplitude overflows once |Z| passes about 4,
-    # which 100,000 trials reach; SimConfig refuses it before any draw
-    with pytest.raises(ValueError, match="amplitude"):
-        run_link_sim(
-            SystemConfig(K=2),
-            SimConfig(snr_points=(1e2,), trials=100000, amplitude=sys.float_info.min),
-            cap=1,
-        )
+    # at rho = 5e-324 the derived amplitude underflows to 0, and Z / A
+    # would divide by zero; amplitude_scale refuses it before any draw,
+    # and the CLI exits 2 with nothing on stdout
+    with pytest.raises(ValueError, match="amplitude 0.0 at rho=5e-324"):
+        run_link_sim(SystemConfig(K=2), SimConfig(snr_points=(5e-324,), trials=20), cap=1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main("simulate -K 2 -M 1 -N 1 --snr 5e-324 --trials 20 --json".split())
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: amplitude 0.0 at rho=5e-324")
 
 
 def test_amplitude_floor_runs_clean():
     # every warning is an error here, so an overflow in the decoder fails
     result = run_link_sim(
-        SystemConfig(K=2),
-        SimConfig(snr_points=(1e2,), trials=100000, amplitude=MIN_AMPLITUDE),
-        cap=1,
+        SystemConfig(K=2), SimConfig(snr_points=(1e-320,), trials=100000), cap=1
     )
-    assert 0 < result.ser[1e2] < 1
-    assert result.amplitudes == {1e2: MIN_AMPLITUDE}
+    assert MIN_AMPLITUDE < result.amplitudes[1e-320] < 1e-160
+    assert 0 < result.ser[1e-320] < 1
 
 
 def test_sim_result_validation():
@@ -469,6 +458,29 @@ def test_noisy_run_frozen_values():
     assert result.decoded_rate > 0
 
 
+def test_noiseless_run_decodes_each_query_once(monkeypatch):
+    # a noiseless run receives the same values at every rho: the kernel
+    # sees the 1,000 trials once per antenna, and the |D|*T budget is
+    # charged 3 * 1,000, not 3 * 3,000, so a budget of 5,000 runs
+    import iadof.simulate as sim
+
+    config = SystemConfig(K=3, seed=1)
+    sim_config = SimConfig(snr_points=SNR3, noiseless=True)
+    want = run_link_sim(config, sim_config, cap=1).to_json_dict()
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return nearest_candidate_indices(*args)
+
+    monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
+    assert run_link_sim(config, sim_config, cap=1, budget=5000).to_json_dict() == want
+    assert calls == [1000, 1000, 1000]
+    with pytest.raises(DecodeBudgetError) as exc:
+        run_link_sim(config, SimConfig(snr_points=SNR3), cap=1, budget=5000)
+    assert exc.value.required == 9000
+
+
 def test_simulate_plan_expands_each_antenna_once(monkeypatch):
     # one symbolic expansion per receive antenna feeds the decoder, d_min,
     # the separation slope and its floor, which equal the public functions
@@ -490,8 +502,8 @@ def test_simulate_plan_expands_each_antenna_once(monkeypatch):
     models = [antenna_model(plan, h, k, 1) for k in (1, 2, 3)]
     d_min = [min_distance(model, config.Q, amplitude=a0) for model in models]
     assert result.d_min == min(d_min)
-    assert result.separation_slope == separation_exponent(models[0], (2, 4, 8, 16))
-    assert result.separation_floor == separation_floor(models[0].profile, 0.1)
+    assert result.separation_slope == separation_exponent(models[0])
+    assert result.separation_floor == separation_floor(models[0].profile)
 
 
 def test_stream_powers_computed_once(monkeypatch):
@@ -502,9 +514,9 @@ def test_stream_powers_computed_once(monkeypatch):
     config, h, plan = make(3, seed=1, cap=1)
     calls = []
 
-    def counted(plan, h, k, m, amplitude):
+    def counted(plan, h, k, m):
         calls.append((k, m))
-        return stream_mean_power(plan, h, k, m, amplitude)
+        return stream_mean_power(plan, h, k, m)
 
     monkeypatch.setattr(sim, "stream_mean_power", counted)
     simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=50))
@@ -586,14 +598,12 @@ def test_ser_decays_with_snr():
 
 
 def test_larger_amplitude_never_hurts():
+    # four times the power is exactly twice the amplitude; the two points
+    # share messages and noise, so only the signal scale differs
     config = SystemConfig(K=3, seed=3)
-    base = run_link_sim(config, SimConfig(snr_points=(1e3,), trials=800), cap=1)
-    a0 = base.amplitudes[1e3]
-    boosted = run_link_sim(
-        config, SimConfig(snr_points=(1e3,), trials=800, amplitude=2 * a0), cap=1
-    )
-    # same messages and noise, twice the signal scale
-    assert boosted.ser[1e3] <= base.ser[1e3]
+    r = run_link_sim(config, SimConfig(snr_points=(1e3, 4e3), trials=800), cap=1)
+    assert r.amplitudes[4e3] == 2 * r.amplitudes[1e3]
+    assert r.ser[4e3] <= r.ser[1e3]
 
 
 def test_decoded_rate_zero_when_noisy_everywhere():
@@ -662,19 +672,20 @@ def test_decoder_matches_manual_search_single_user():
     config = SystemConfig(K=1, Q=4, seed=6)
     h = generate_channel(config)
     plan = build_transmit_directions(config)
-    A = 0.8
     trials = 400
-    result = simulate_plan(
-        plan, h, SimConfig(snr_points=(123.0,), trials=trials, amplitude=A)
-    )
+    # at rho 2.5 over half of the symbols are wrong, at 123 two in 400
+    result = simulate_plan(plan, h, SimConfig(snr_points=(2.5, 123.0), trials=trials))
     H2 = h.coefficient(1, 1, 1, 1) ** 2
     U = np.random.default_rng((config.seed, 0xA1)).integers(-3, 4, size=(trials, 1))
     Z = np.random.default_rng((config.seed, 0xB2)).standard_normal((trials, 1))
-    wrong = 0
     grid = np.arange(-3, 4)
-    for t in range(trials):
-        y = U[t, 0] * H2 + Z[t, 0] / A
-        guess = grid[int(np.argmin(np.abs(y - grid * H2)))]
-        if guess != U[t, 0]:
-            wrong += 1
-    assert result.ser[123.0] == pytest.approx(wrong / trials, abs=1e-15)
+    for rho in (2.5, 123.0):
+        A = result.amplitudes[rho]
+        wrong = 0
+        for t in range(trials):
+            y = U[t, 0] * H2 + Z[t, 0] / A
+            guess = grid[int(np.argmin(np.abs(y - grid * H2)))]
+            if guess != U[t, 0]:
+                wrong += 1
+        assert wrong > 0
+        assert result.ser[rho] == pytest.approx(wrong / trials, abs=1e-15)
