@@ -10,23 +10,36 @@ Every direction set here is an integer exponent matrix over the config's
 coefficient ids (see directions.py): a stream set is a box of pair-family
 exponents times the family incidence matrix, an arrival is a row add, and
 membership in the reference family is a set of column sums.
+
+Each receive antenna is read off one sort: every arrival and every desired
+set are stacked into one matrix and sorted once, and each run of equal rows
+says which sources reach that direction.  The two integer products (box
+points, membership sums) run as float64 products, which BLAS computes
+exactly here: every operand and partial sum is an integer of magnitude at
+most MAX_TOTAL_DEGREE, far below 2**53.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .channel import CoefficientId, SystemConfig
-from .directions import Columns, DirectionSet, merge_columns, tally
+from .directions import (
+    MAX_TOTAL_DEGREE,
+    Columns,
+    DirectionSet,
+    _check_exponents,
+    _runs,
+    merge_columns,
+)
 
 # (k, m, n): stream of user k, transmit antenna m, destined receive antenna n
 Stream = tuple[int, int, int]
@@ -168,16 +181,33 @@ def _columns(config: SystemConfig) -> Columns:
 def _box(config: SystemConfig, dest: int, caps: dict[PairFamily, int]) -> DirectionSet:
     """Every product of the given pair families at dest, family f raised to
     each power 0..caps[f]: the box of family exponents times the incidence
-    matrix of families and coefficient ids."""
+    matrix of families and coefficient ids, sorted into canonical order.
+
+    A box point's total degree is 2 * sum(x), so the corner 2 * sum(caps)
+    is held to MAX_TOTAL_DEGREE before the product; that keeps every
+    partial sum of the float64 product an exact integer.  A family's second
+    coefficient belongs to no other family at dest (families excludes the
+    one family whose two coefficients coincide), so each point's exponents
+    read back from its row: box points are distinct monomials, and the rows
+    are sorted without being deduplicated.
+    """
+    total = 2 * sum(caps.values())
+    if total > MAX_TOTAL_DEGREE:
+        raise OverflowError(f"total degree {total} exceeds {MAX_TOTAL_DEGREE}")
     cols = _columns(config)
     index = {cid: c for c, cid in enumerate(cols)}
-    incidence = np.zeros((len(caps), len(cols)), dtype=np.int64)
+    incidence = np.zeros((len(caps), len(cols)))
     for f, fam in enumerate(caps):
         for cid in family_pair(fam, dest):
             incidence[f, index[cid]] += 1
+    private = np.count_nonzero(incidence, axis=0) == 1
+    if not incidence[:, private].any(axis=1).all():
+        raise RuntimeError(f"a pair family at dest {dest} has no column of its own")
     shape = [cap + 1 for cap in caps.values()]
-    choices = np.indices(shape).reshape(len(shape), math.prod(shape)).T
-    return DirectionSet.from_matrix(cols, choices @ incidence)
+    choices = np.indices(shape, dtype=np.float64).reshape(len(shape), math.prod(shape))
+    exps = (choices.T @ incidence).astype(np.int64)
+    order, _ = _runs(exps)
+    return DirectionSet._of(cols, exps[order])
 
 
 def _build_stream(config: SystemConfig, k: int, m: int, n: int) -> DirectionSet:
@@ -220,6 +250,31 @@ def truncate_plan(plan: TransmitPlan, cap: int) -> TransmitPlan:
     )
 
 
+@lru_cache(maxsize=64)
+def _membership_maps(
+    cols: Columns, dests: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two float64 maps behind ReferenceFamily.within_at for matrices
+    over cols: balance, (len(cols), len(dests), blocks), holds +1 on a
+    transmit antenna block's direct coefficient at each dest and -1 on its
+    other coefficients; capped, (len(cols), len(dests)), marks the
+    coefficients held to gamma at each dest."""
+    blocks = sorted({(t, m) for _, t, _, m in cols})
+    block = {b: i for i, b in enumerate(blocks)}
+    balance = np.zeros((len(cols), len(dests), len(blocks)))
+    capped = np.ones((len(cols), len(dests)))
+    for c, (r, t, a, m) in enumerate(cols):
+        b = block[(t, m)]
+        balance[c, :, b] = -1
+        for i, dest in enumerate(dests):
+            if r == t and a == dest:
+                balance[c, i, b] = 1
+                capped[c, i] = 0
+    balance.flags.writeable = False
+    capped.flags.writeable = False
+    return balance, capped
+
+
 class ReferenceFamily:
     """Membership tests for the per-antenna interference superset.
 
@@ -242,26 +297,21 @@ class ReferenceFamily:
         Columns fall into blocks by transmit antenna (t, m).  At dest, a
         block's direct coefficient (t, t, dest, m) must carry the sum of the
         block's other exponents, and each of those stays within gamma; both
-        are column sums over the whole matrix, for every dest at once.
+        are column sums over the whole matrix, for every dest at once, as
+        float64 products with maps built once per (columns, dests).  They
+        are exact: every row of a DirectionSet is held to the exponent
+        limits (by _check_exponents, or by _box's corner check), so each sum
+        is an integer of magnitude at most MAX_TOTAL_DEGREE and each count
+        at most the number of columns, far below 2**53.
         """
-        cols = ds.columns
         dests = tuple(dests)
-        blocks = sorted({(t, m) for _, t, _, m in cols})
-        block = {b: i for i, b in enumerate(blocks)}
-        # +1 on a block's direct coefficient at a dest, -1 on its others
-        balance = np.zeros((len(cols), len(dests), len(blocks)), dtype=np.int64)
-        capped = np.ones((len(cols), len(dests)), dtype=np.int64)
-        for c, (r, t, a, m) in enumerate(cols):
-            b = block[(t, m)]
-            balance[c, :, b] = -1
-            for i, dest in enumerate(dests):
-                if r == t and a == dest:
-                    balance[c, i, b] = 1
-                    capped[c, i] = 0
+        balance, capped = _membership_maps(ds.columns, dests)
+        rows, blocks = len(ds), balance.shape[2]
         exps = ds.matrix
-        sums = exps @ balance.reshape(len(cols), len(dests) * len(blocks))
-        balanced = ~np.any(sums.reshape(len(exps), len(dests), len(blocks)), axis=2)
-        over = (exps > self.config.gamma).astype(np.int64) @ capped
+        flat = balance.reshape(len(ds.columns), len(dests) * blocks)
+        sums = exps.astype(np.float64) @ flat
+        balanced = ~np.any(sums.reshape(rows, len(dests), blocks), axis=2)
+        over = (exps > self.config.gamma).astype(np.float64) @ capped
         return balanced & (over == 0)
 
     def within(self, ds: DirectionSet) -> np.ndarray:
@@ -279,6 +329,13 @@ class ReceiverProfile:
     all other arrivals; multiplicity is a read-only count array aligned with
     interference's rows: the number of stream arrivals aligned onto each
     interference direction.
+
+    desired_overlap is the first desired direction, by transmit antenna and
+    then in member order, that is also an interference direction, as its
+    {coefficient id: exponent} entries, or None when desired and
+    interference are disjoint; siblings_overlap says whether two desired
+    sets share a direction; distinct_directions counts the distinct
+    non-unit directions arriving, desired and interference together.
     """
 
     k: int
@@ -286,52 +343,48 @@ class ReceiverProfile:
     desired: dict[int, DirectionSet]
     interference: DirectionSet
     multiplicity: np.ndarray
+    desired_overlap: Optional[dict[CoefficientId, int]]
+    siblings_overlap: bool
+    distinct_directions: int
 
     @property
     def m_star(self) -> int:
         """Observed interference dimension (honest union size)."""
         return len(self.interference)
 
-    @cached_property
-    def desired_overlap(self) -> Optional[dict[CoefficientId, int]]:
-        """The first desired direction, by transmit antenna and then in
-        member order, that is also an interference direction, as its
-        {coefficient id: exponent} entries; None when desired and
-        interference are disjoint."""
-        for dset in self.desired.values():
-            overlap = dset.intersect(self.interference)
-            if len(overlap):
-                row = overlap.matrix[0].tolist()
-                return {cid: e for cid, e in zip(overlap.columns, row) if e}
-        return None
-
-    @cached_property
-    def distinct_directions(self) -> int:
-        """Number of distinct non-unit directions arriving at the antenna,
-        desired and interference together."""
-        seen = reduce(DirectionSet.union, self.desired.values(), self.interference)
-        has_unit = bool((seen.matrix == 0).all(axis=1).any())
-        return len(seen) - has_unit
-
 
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
-    """Propagate every stream to receive antenna (k, n) symbolically."""
+    """Propagate every stream to receive antenna (k, n) symbolically, in
+    one sorted pass.
+
+    Every arrival, repeats included (a stream's rows times the direct gain
+    to its antenna and the gain into (k, n)), and each desired set (an own
+    stream's rows times the squared direct gain) are stacked into one
+    matrix, held once to the exponent limits and sorted once into canonical
+    order.  Each run of equal rows is one distinct direction, and the
+    sources in the run give everything the profile holds: the interference
+    set and its multiplicities, each desired set in canonical order, the
+    first desired row that is also interference, whether sibling desired
+    sets meet, and the number of distinct directions.  A stream set has no
+    repeated row and the squared gain keeps its rows apart, so a run holds
+    at most one row of each desired set.
+    """
     config = plan.config
     if not 1 <= k <= config.K:
         raise IndexError(f"user {k} out of range (K={config.K})")
     if not 1 <= n <= config.N:
         raise IndexError(f"antenna {n} out of range (N={config.N})")
 
-    desired = {
-        m: plan.streams[(k, m, n)].scale({(k, k, n, m): 2})
-        for m in range(1, config.M + 1)
-    }
-
-    # every arrival, repeats included: each stream's rows plus its tag row
     stream_cols = (ds.columns for ds in plan.streams.values())
     cols = reduce(merge_columns, stream_cols, _columns(config))
     index = {cid: c for c, cid in enumerate(cols)}
-    arrivals = [np.zeros((0, len(cols)), dtype=np.int64)]
+    own = [(m, plan.streams[(k, m, n)]) for m in range(1, config.M + 1)]
+    # each source's tag row and label: 0 for an arrival, m for desired set m
+    sources = []
+    for m, base in own:
+        tag = np.zeros(len(cols), dtype=np.int64)
+        tag[index[(k, k, n, m)]] = 2
+        sources.append((base, tag, m))
     for (j, mp, np_), base in plan.streams.items():
         if j == k and np_ == n:
             continue
@@ -339,11 +392,47 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
         # j == k that second factor is user k's own direct gain
         tag = np.zeros(len(cols), dtype=np.int64)
         tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
-        arrivals.append(base.matrix_over(cols) + tag)
-    interference, counts = tally(cols, np.concatenate(arrivals))
+        sources.append((base, tag, 0))
+    # filled in place: a fresh matrix per source, each allocated and
+    # faulted in, cost more than the sum and the sort together
+    rows = sum(len(base) for base, _, _ in sources)
+    exps = np.empty((rows, len(cols)), dtype=np.int64)
+    label = np.empty(rows, dtype=np.int64)
+    at = 0
+    for base, tag, m in sources:
+        np.add(base.matrix_over(cols), tag, out=exps[at : at + len(base)])
+        label[at : at + len(base)] = m
+        at += len(base)
+    _check_exponents(exps)
+
+    order, start = _runs(exps)
+    label = label[order]
+    run = np.cumsum(start) - 1
+    runs = int(start.sum())
+    arrivals = np.bincount(run[label == 0], minlength=runs)
+    hit = arrivals > 0
+    counts = arrivals[hit]
     counts.flags.writeable = False
+    firsts = order[start]
+
+    desired = {m: DirectionSet._of(cols, exps[order[label == m]]) for m, _ in own}
+    overlap = None
+    for m, _ in own:
+        shared = np.flatnonzero((label == m) & hit[run])
+        if shared.size:
+            row = exps[order[shared[0]]].tolist()
+            overlap = {cid: e for cid, e in zip(cols, row) if e}
+            break
+    has_unit = runs > 0 and not exps[firsts[0]].any()
     return ReceiverProfile(
-        k=k, n=n, desired=desired, interference=interference, multiplicity=counts
+        k=k,
+        n=n,
+        desired=desired,
+        interference=DirectionSet._of(cols, exps[firsts[hit]]),
+        multiplicity=counts,
+        desired_overlap=overlap,
+        siblings_overlap=bool((np.bincount(run[label > 0], minlength=runs) > 1).any()),
+        distinct_directions=runs - has_unit,
     )
 
 
@@ -402,18 +491,13 @@ def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
         for n in range(1, config.N + 1):
             prof = expand_received(plan, k, n)
             ms = list(prof.desired)
-            pairwise = all(
-                not prof.desired[m1].intersect(prof.desired[m2])
-                for m1, m2 in itertools.combinations(ms, 2)
-            )
-            separated = prof.desired_overlap is None
             within = bool(reference.within(prof.interference).all())
             counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
                 len(plan.streams[(k, m, n)]) == expected for m in ms
             )
             checks = {
-                "desired_pairwise_disjoint": pairwise,
-                "desired_disjoint_from_interference": separated,
+                "desired_pairwise_disjoint": not prof.siblings_overlap,
+                "desired_disjoint_from_interference": prof.desired_overlap is None,
                 "interference_within_reference": within,
                 "l_prime_within_bound": prof.m_star <= l_prime,
                 "stream_counts_match": counts_ok,

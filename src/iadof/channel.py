@@ -44,6 +44,8 @@ class SystemConfig:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.Q < 2:
             raise ValueError(f"Q must be >= 2, got {self.Q}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def coefficient_ids(self) -> Iterator[CoefficientId]:
         """All coefficient ids in canonical (k, j, n, m) lexicographic order."""

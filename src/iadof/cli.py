@@ -133,6 +133,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _budget(args: argparse.Namespace, default: int) -> int:
+    """--budget, or the command's default when it is not given.  0 refuses
+    every enumeration (directions then prints only the closed-form counts);
+    no budget is below that."""
+    if args.budget is None:
+        return default
+    if args.budget < 0:
+        raise ValueError(f"budget must be >= 0, got {args.budget}")
+    return args.budget
+
+
 def _render_alignment(report, L: int, l_prime: int) -> str:
     c = report.config
     lines = [
@@ -161,7 +172,7 @@ def cmd_directions(args: argparse.Namespace) -> int:
     from .channel import SystemConfig
 
     config = SystemConfig(K=args.K, M=args.M, N=args.N, gamma=args.gamma)
-    budget = args.budget if args.budget is not None else DEFAULT_STREAM_BUDGET
+    budget = _budget(args, DEFAULT_STREAM_BUDGET)
     L, l_prime = closed_form_counts(config)
     try:
         plan = build_transmit_directions(config, budget=budget)
@@ -203,7 +214,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim_config = SimConfig(
         snr_points=snr_points, trials=args.trials, noiseless=args.noiseless
     )
-    budget = args.budget if args.budget is not None else DEFAULT_DECODE_BUDGET
+    budget = _budget(args, DEFAULT_DECODE_BUDGET)
     try:
         result = run_link_sim(config, sim_config, args.cap, budget=budget)
     except (EnumerationBudgetError, DecodeBudgetError) as e:

@@ -1,14 +1,15 @@
 """Formal monomials in channel coefficients and ordered sets of them.
 
 A direction is a product of channel coefficients raised to non-negative
-integer powers.  Equality and set algebra are exact symbolic operations on
-exponent vectors; nothing here ever compares floating-point products.
+integer powers.  Equality, order and the counting of repeated rows are
+exact operations on exponent vectors; nothing here ever compares
+floating-point products.
 
 A DirectionSet stores its members as an integer exponent matrix: one row
 per monomial, one column per coefficient id, columns in increasing id
-order.  The row is the only form a monomial takes: set operations work on
-whole matrices, and a single monomial is given as a {coefficient id:
-exponent} mapping.
+order.  The row is the only form a monomial takes: sorting and counting
+work on whole matrices, and a single monomial is given as a {coefficient
+id: exponent} mapping.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ def _order_keys(exps: np.ndarray) -> np.ndarray:
     and as 0 when none is (that row's tuple has ended).  The keys are packed,
     first column highest, into as few 64-bit words as hold them all, by a
     product with the column weights: the exponents, plus top times the
-    weights of the zero columns before the row's last non-zero one.
+    weights of the zero columns before the row's last non-zero one.  The
+    exponents are never negative, so their int64 words are read in place
+    as unsigned ones.
     """
     n, C = exps.shape
     if C == 0:
@@ -79,7 +82,7 @@ def _order_keys(exps: np.ndarray) -> np.ndarray:
     span = C - np.argmax(flipped, axis=1)
     zeros = prefix[span] - pos.astype(np.uint64) @ weights
     # the fields of one word never overlap, so these sums never carry
-    return exps.astype(np.uint64) @ weights + np.uint64(top) * zeros
+    return exps.view(np.uint64) @ weights + np.uint64(top) * zeros
 
 
 @lru_cache(maxsize=None)
@@ -116,16 +119,6 @@ def _unique_rows(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return exps.copy(), np.ones(exps.shape[0], dtype=np.int64)
     order, start = _runs(exps)
     return exps[order[start]], np.bincount(np.cumsum(start) - 1)
-
-
-def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row of a, whether it is also a row of b.  Both matrices
-    share their columns and neither repeats a row."""
-    order, start = _runs(np.concatenate([a, b]))
-    run = np.cumsum(start) - 1
-    hit = np.empty(order.shape[0], dtype=bool)
-    hit[order] = np.bincount(run)[run] > 1
-    return hit[: a.shape[0]]
 
 
 def merge_columns(a: Columns, b: Columns) -> Columns:
@@ -195,25 +188,6 @@ class DirectionSet:
 
     def __repr__(self) -> str:
         return f"DirectionSet(<{len(self)} directions>)"
-
-    def union(self, other: "DirectionSet") -> "DirectionSet":
-        cols, a, b = self._aligned(other)
-        return DirectionSet._of(cols, _unique_rows(np.concatenate([a, b]))[0])
-
-    def intersect(self, other: "DirectionSet") -> "DirectionSet":
-        cols, a, b = self._aligned(other)
-        return DirectionSet._of(cols, a[_rows_in(a, b)])
-
-    def scale(self, factor: Mapping[CoefficientId, int]) -> "DirectionSet":
-        """Multiply every member by a fixed monomial, given as {coefficient
-        id: exponent}: one row added to all."""
-        cols = merge_columns(self._cols, tuple(factor))
-        row = np.array([[factor.get(cid, 0) for cid in cols]], dtype=np.int64)
-        _check_exponents(row)
-        exps = self.matrix_over(cols) + row
-        _check_exponents(exps)
-        # a common factor never merges members but can reorder them
-        return DirectionSet._of(cols, _unique_rows(exps)[0])
 
     def head(self, cap: int) -> "DirectionSet":
         """First cap members in canonical order, in a matrix of their own

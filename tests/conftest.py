@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -27,7 +28,11 @@ def overcounted_plan():
     sees 29 interference dimensions against the exact count of 28.
     """
     plan = build_transmit_directions(SystemConfig(K=3))
-    extra = DirectionSet.from_matrix(sorted(family_pair((2, 1, 1, 3), 1)), [[1, 1]])
+    base = plan.streams[(2, 1, 1)]
+    extra = np.zeros((1, len(base.columns)), dtype=np.int64)
+    extra[0, [base.columns.index(cid) for cid in family_pair((2, 1, 1, 3), 1)]] = 1
     streams = dict(plan.streams)
-    streams[(2, 1, 1)] = streams[(2, 1, 1)].union(extra)
+    streams[(2, 1, 1)] = DirectionSet.from_matrix(
+        base.columns, np.concatenate([base.matrix, extra])
+    )
     return dataclasses.replace(plan, streams=streams)

@@ -9,18 +9,30 @@ flags any excess.  For M > 1 the construction's finite-gamma DoF falls
 short of the paper's K*MN/(M+N), and a test pins that gap.  The exponent
 matrix engine makes every acceptance-lattice config cheap, so the exact
 counts are checked at all of them.
+
+expand_received reads an antenna's whole profile off one sort; expand_oracle
+rebuilds it from pairwise set operations (scale, tally, intersect, union)
+and the two are pinned field by field.  The float64 products of _box and
+within_at are pinned against int64 products at the exponent limits.
 """
 
+import dataclasses
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import iadof.alignment
+import iadof.directions
+from iadof import cli
 from iadof.alignment import (
     EnumerationBudgetError,
     ReferenceFamily,
+    TransmitPlan,
     _box,
     achievable_dof_gamma,
     build_transmit_directions,
@@ -35,8 +47,9 @@ from iadof.alignment import (
 )
 from iadof.bounds import achievable_dof
 from iadof.channel import SystemConfig
-from iadof.directions import DirectionSet
+from iadof.directions import MAX_TOTAL_DEGREE, DirectionSet, merge_columns, tally
 from test_acceptance import lattice_configs
+from test_directions import intersect, scale, union
 
 CHECKS = (
     "desired_pairwise_disjoint",
@@ -328,7 +341,7 @@ def test_multiplicity_counts_every_arrival():
     for (j, mp, np_), base in plan.streams.items():
         if (j, np_) != (2, 1):
             tag = {(j, j, np_, mp): 1, (2, j, 1, mp): 1}
-            arrived.update(map(tuple, base.scale(tag).matrix_over(cols).tolist()))
+            arrived.update(map(tuple, scale(base, tag).matrix_over(cols).tolist()))
     rows = map(tuple, prof.interference.matrix.tolist())
     assert dict(zip(rows, counts.tolist())) == arrived
 
@@ -426,3 +439,269 @@ def test_interference_count_exact_at_known_config(overcounted_plan):
     assert closed_form_counts(overcounted_plan.config)[1] == 28
     failed = {name for name, ok in v.checks.items() if not ok}
     assert failed == {"l_prime_within_bound"}
+
+
+# ------------------------------------------------------ single-pass profile
+
+
+def expand_oracle(plan, k, n):
+    """Antenna (k, n)'s profile from pairwise set operations, as
+    expand_received built it before its single sorted pass: each desired
+    set scaled by the squared direct gain, the arrivals tallied, then one
+    intersection per desired set and a union of everything.  The fields
+    come back as a dict keyed by ReceiverProfile's field names."""
+    config = plan.config
+    desired = {
+        m: scale(plan.streams[(k, m, n)], {(k, k, n, m): 2})
+        for m in range(1, config.M + 1)
+    }
+    stream_cols = (ds.columns for ds in plan.streams.values())
+    cols = reduce(merge_columns, stream_cols, tuple(config.coefficient_ids()))
+    index = {cid: c for c, cid in enumerate(cols)}
+    arrivals = [np.zeros((0, len(cols)), dtype=np.int64)]
+    for (j, mp, np_), base in plan.streams.items():
+        if j == k and np_ == n:
+            continue
+        tag = np.zeros(len(cols), dtype=np.int64)
+        tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
+        arrivals.append(base.matrix_over(cols) + tag)
+    interference, counts = tally(cols, np.concatenate(arrivals))
+    overlap = None
+    for dset in desired.values():
+        shared = intersect(dset, interference)
+        if len(shared):
+            row = shared.matrix[0].tolist()
+            overlap = {cid: e for cid, e in zip(shared.columns, row) if e}
+            break
+    siblings = any(
+        len(intersect(desired[a], desired[b]))
+        for a, b in itertools.combinations(desired, 2)
+    )
+    seen = reduce(union, desired.values(), interference)
+    has_unit = bool((seen.matrix == 0).all(axis=1).any())
+    return {
+        "desired": desired,
+        "interference": interference,
+        "multiplicity": counts,
+        "desired_overlap": overlap,
+        "siblings_overlap": siblings,
+        "distinct_directions": len(seen) - has_unit,
+    }
+
+
+def assert_profiles_match_oracle(plan):
+    config = plan.config
+    for k in range(1, config.K + 1):
+        for n in range(1, config.N + 1):
+            prof = expand_received(plan, k, n)
+            want = expand_oracle(plan, k, n)
+            assert prof.interference.columns == want["interference"].columns
+            assert np.array_equal(prof.interference.matrix, want["interference"].matrix)
+            assert prof.multiplicity.dtype == np.int64
+            assert not prof.multiplicity.flags.writeable
+            assert prof.multiplicity.tolist() == want["multiplicity"].tolist()
+            assert list(prof.desired) == list(want["desired"])
+            for m, dset in want["desired"].items():
+                # equality aligns the columns and compares rows in order
+                assert prof.desired[m] == dset
+                assert len(prof.desired[m]) == len(dset)
+            assert prof.desired_overlap == want["desired_overlap"]
+            assert prof.siblings_overlap == want["siblings_overlap"]
+            assert prof.distinct_directions == want["distinct_directions"]
+
+
+def with_rows(plan, added):
+    """The plan with extra rows, given as {coefficient id: exponent}
+    mappings, on the named streams."""
+    streams = dict(plan.streams)
+    for stream, rows in added.items():
+        base = streams[stream]
+        cols = merge_columns(base.columns, tuple(sorted({c for r in rows for c in r})))
+        extra = np.array([[r.get(c, 0) for c in cols] for r in rows], dtype=np.int64)
+        streams[stream] = DirectionSet.from_matrix(
+            cols, np.concatenate([base.matrix_over(cols), extra])
+        )
+    return dataclasses.replace(plan, streams=streams)
+
+
+@pytest.mark.parametrize(
+    "config", lattice_configs(), ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}"
+)
+def test_profile_equals_oracle_at_every_lattice_config(config):
+    assert_profiles_match_oracle(build_transmit_directions(config))
+
+
+def test_profile_equals_oracle_on_overcounted_plan(overcounted_plan):
+    assert_profiles_match_oracle(overcounted_plan)
+    assert expand_received(overcounted_plan, 1, 1).m_star == 29
+
+
+def test_profile_equals_oracle_when_desired_is_interference():
+    # the simulator's refusal path: stream (2,1,1) arrives at antenna (1,1)
+    # on two of the desired directions, and the lower one is reported
+    H11, H12, H22 = (1, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1)
+    plan = TransmitPlan(
+        config=cfg(2),
+        streams={
+            (1, 1, 1): DirectionSet.from_matrix(
+                [H11, H12, H22], [[0, 0, 0], [1, 1, 1], [0, 1, 1]]
+            ),
+            (2, 1, 1): DirectionSet.from_matrix([H11], [[3], [2]]),
+        },
+    )
+    assert_profiles_match_oracle(plan)
+    prof = expand_received(plan, 1, 1)
+    assert prof.desired_overlap == {H11: 2, H12: 1, H22: 1}
+    assert not prof.siblings_overlap
+    checks = verify_alignment(plan).antennas[0].checks
+    assert not checks["desired_disjoint_from_interference"]
+    assert checks["desired_pairwise_disjoint"]
+
+
+def test_profile_equals_oracle_when_siblings_overlap():
+    # M = 2: sibling desired sets share x * H[1,1](1,1)^2 * H[1,1](1,2)^2
+    # at antenna (1,1), and both meet interference from stream (2,1,1).
+    # Antenna 2's overlap sorts first, but antenna 1's is the one reported.
+    H111, H112 = (1, 1, 1, 1), (1, 1, 1, 2)
+    H12, H22 = (1, 2, 1, 1), (2, 2, 1, 1)
+    plan = with_rows(
+        build_transmit_directions(cfg(2, 2, 1, 1)),
+        {
+            (1, 1, 1): [{H112: 2}, {H112: 5, H12: 1, H22: 1}],
+            (1, 2, 1): [{H111: 2}, {H111: 1, H12: 1, H22: 1}],
+            (2, 1, 1): [{H111: 2, H112: 5}, {H111: 1, H112: 2}],
+        },
+    )
+    assert_profiles_match_oracle(plan)
+    prof = expand_received(plan, 1, 1)
+    assert prof.siblings_overlap
+    assert prof.desired_overlap == {H111: 2, H112: 5, H12: 1, H22: 1}
+    checks = verify_alignment(plan).antennas[0].checks
+    assert not checks["desired_pairwise_disjoint"]
+    assert not checks["desired_disjoint_from_interference"]
+
+
+# ------------------------------------------------- exact float64 products
+
+
+def within_oracle(config, ds, dests):
+    """ReferenceFamily.within_at as int64 products: the reference its
+    float64 products are pinned against."""
+    cols = ds.columns
+    dests = tuple(dests)
+    blocks = sorted({(t, m) for _, t, _, m in cols})
+    block = {b: i for i, b in enumerate(blocks)}
+    balance = np.zeros((len(cols), len(dests), len(blocks)), dtype=np.int64)
+    capped = np.ones((len(cols), len(dests)), dtype=np.int64)
+    for c, (r, t, a, m) in enumerate(cols):
+        b = block[(t, m)]
+        balance[c, :, b] = -1
+        for i, dest in enumerate(dests):
+            if r == t and a == dest:
+                balance[c, i, b] = 1
+                capped[c, i] = 0
+    exps = ds.matrix
+    sums = exps @ balance.reshape(len(cols), len(dests) * len(blocks))
+    balanced = ~np.any(sums.reshape(len(exps), len(dests), len(blocks)), axis=2)
+    over = (exps > config.gamma).astype(np.int64) @ capped
+    return balanced & (over == 0)
+
+
+def test_within_at_exact_at_degree_limit():
+    # rows of total degree MAX_TOTAL_DEGREE at gamma = 500,000: all of it on
+    # one coefficient, a block balanced at the limit (inside at dest 1), the
+    # same off by one unit (outside), and random splits
+    half = MAX_TOTAL_DEGREE // 2
+    config = cfg(2, 1, 2, half)
+    cols = tuple(config.coefficient_ids())
+    direct, cross = cols.index((1, 1, 1, 1)), cols.index((2, 1, 1, 1))
+    balanced = np.zeros(len(cols), dtype=np.int64)
+    balanced[[direct, cross]] = half
+    off = balanced.copy()
+    off[direct] -= 1
+    off[cross] += 1
+    rng = np.random.default_rng(11)
+    rows = np.concatenate(
+        [
+            np.eye(len(cols), dtype=np.int64) * MAX_TOTAL_DEGREE,
+            [balanced, off],
+            rng.multinomial(MAX_TOTAL_DEGREE, [1 / len(cols)] * len(cols), size=40),
+        ]
+    )
+    ds = DirectionSet.from_matrix(cols, rows)
+    assert int(ds.matrix.sum(axis=1).max()) == MAX_TOTAL_DEGREE
+    ref = ReferenceFamily(config)
+    for dests in [(1,), (2,), (1, 2)]:
+        got = ref.within_at(ds, dests)
+        assert got.tolist() == within_oracle(config, ds, dests).tolist()
+    for row, inside in [(balanced, True), (off, False)]:
+        assert ref.within_at(DirectionSet.from_matrix(cols, [row]), (1,))[0, 0] == inside
+
+
+def test_box_degree_limit_matches_int64_product(monkeypatch):
+    # one family at cap 500,000 puts the box corner at total degree
+    # MAX_TOTAL_DEGREE: accepted, and equal to the int64 product, sorted
+    # and deduplicated; one step more is refused as _check_exponents
+    # refuses the corner row, and a box of 250,002^2 points is refused
+    # before any product is formed
+    config = cfg(2)
+    fam = families(2, 1, 1, 1)
+    cols = tuple(config.coefficient_ids())
+    incidence = np.zeros((len(fam), len(cols)), dtype=np.int64)
+    for f, pair in enumerate(fam):
+        for cid in family_pair(pair, 1):
+            incidence[f, cols.index(cid)] += 1
+    cap = MAX_TOTAL_DEGREE // 2
+    box = _box(config, 1, {fam[0]: cap})
+    choices = np.arange(cap + 1, dtype=np.int64)[:, None]
+    assert box == DirectionSet.from_matrix(cols, choices @ incidence[:1])
+    assert len(box) == cap + 1
+
+    message = f"total degree {MAX_TOTAL_DEGREE + 2} exceeds {MAX_TOTAL_DEGREE}"
+    with pytest.raises(OverflowError, match=message):
+        _box(config, 1, {fam[0]: cap + 1})
+    with pytest.raises(OverflowError, match=message):
+        DirectionSet.from_matrix(cols, [(cap + 1) * incidence[0]])
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("box enumerated past the degree limit")
+
+    monkeypatch.setattr(np, "indices", no_product)
+    with pytest.raises(OverflowError, match="total degree 1000004 exceeds"):
+        _box(config, 1, dict.fromkeys(fam, cap // 2 + 1))
+
+
+# ------------------------------------------------------ work and memory
+
+
+def test_directions_sorts_once_per_stream_and_antenna(monkeypatch, capsys):
+    # (3,1,2,1): 6 stream boxes and 6 receive antennas, one sort each
+    # (24 when each antenna sorted its desired set, its arrivals and their
+    # intersection apart)
+    calls = []
+    runs = iadof.directions._runs
+
+    def counted(exps):
+        calls.append(len(exps))
+        return runs(exps)
+
+    monkeypatch.setattr(iadof.directions, "_runs", counted)
+    monkeypatch.setattr(iadof.alignment, "_runs", counted)
+    assert cli.main(["directions", "-K", "3", "-M", "1", "-N", "2", "--json"]) == 0
+    assert calls == [1024] * 6 + [6 * 1024] * 6
+    capsys.readouterr()
+
+
+def test_directions_memory_stays_small(capsys):
+    # tracemalloc peak of the align_lattice workload's largest command,
+    # warm: 3.8 MiB with one stacked matrix per antenna
+    argv = ["directions", "-K", "3", "-M", "1", "-N", "2", "--json"]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 5 * 2**20

@@ -25,6 +25,7 @@ def test_config_defaults():
         {"K": 2, "N": -1},
         {"K": 2, "gamma": 0},
         {"K": 2, "Q": 1},
+        {"K": 2, "seed": -1},
     ],
 )
 def test_config_validation(kwargs):

@@ -191,6 +191,30 @@ def test_directions_budget_override(capsys):
     assert "budget 4" in err
 
 
+@pytest.mark.parametrize("command", ["directions", "simulate"])
+def test_negative_budget_is_usage_error(command, capsys):
+    # -5 used to be refused as an exceeded budget (exit 4); 0 still is,
+    # which is how directions prints only the closed-form counts
+    argv = [command, "-K", "2", "-M", "1", "-N", "1", "--budget"]
+    code, out, err = run(argv + ["-5"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: budget must be >= 0, got -5\n"
+    code, out, err = run(argv + ["0"], capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+
+
+def test_simulate_negative_seed_is_usage_error(capsys):
+    # numpy's own refusal named no flag
+    code, out, err = run(
+        ["simulate", "-K", "2", "-M", "1", "-N", "1", "--seed", "-1"], capsys
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 # ----------------------------------------------------------------- simulate
 
 
