@@ -11,12 +11,16 @@ coefficient ids (see directions.py): a stream set is a box of pair-family
 exponents times the family incidence matrix, an arrival is a row add, and
 membership in the reference family is a set of column sums.
 
-Each receive antenna is read off one sort: every arrival and every desired
-set are stacked into one matrix and sorted once, and each run of equal rows
-says which sources reach that direction.  The two integer products (box
-points, membership sums) run as float64 products, which BLAS computes
-exactly here: every operand and partial sum is an integer of magnitude at
-most MAX_TOTAL_DEGREE, far below 2**53.
+Each receive antenna is read off one grouping step (_group), shared by
+verify_alignment and expand_received.  Every stream's rows get exact
+mixed-radix integer codes once per plan (stream_codes); at an antenna each
+source, an arrival or a desired set, adds its tag's code to its stream's
+codes, and one sort of those code words puts equal rows next to each other.
+The verifier reads every count and check off the runs; expand_received puts
+into canonical order only the sets it returns.  The integer products (row
+codes, box points, membership sums) run as float64 products, which BLAS
+computes exactly here: every operand and partial sum is an integer of
+magnitude below 2**53.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,7 +41,6 @@ from .directions import (
     MAX_TOTAL_DEGREE,
     Columns,
     DirectionSet,
-    _check_exponents,
     _runs,
     merge_columns,
 )
@@ -158,8 +162,10 @@ class TransmitPlan:
     applied by truncate_plan.  streams is a read-only copy of the mapping
     given, and direction sets are immutable, so a plan never changes after
     it is built; profiles, keyed by (k, n), keeps each receive antenna's
-    ReceiverProfile once the simulator has expanded it.  Every plan starts
-    with an empty memo of its own, including one made by dataclasses.replace.
+    ReceiverProfile once the simulator has expanded it, and codes keeps the
+    streams' row codes (see stream_codes) once they are formed.  Every plan
+    starts with empty memos of its own, including one made by
+    dataclasses.replace.
     """
 
     config: SystemConfig
@@ -167,6 +173,9 @@ class TransmitPlan:
     truncation_cap: Optional[int] = None
     profiles: dict[tuple[int, int], ReceiverProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    codes: Optional[StreamCodes] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -253,12 +262,14 @@ def truncate_plan(plan: TransmitPlan, cap: int) -> TransmitPlan:
 @lru_cache(maxsize=64)
 def _membership_maps(
     cols: Columns, dests: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two float64 maps behind ReferenceFamily.within_at for matrices
-    over cols: balance, (len(cols), len(dests), blocks), holds +1 on a
-    transmit antenna block's direct coefficient at each dest and -1 on its
-    other coefficients; capped, (len(cols), len(dests)), marks the
-    coefficients held to gamma at each dest."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three float64 maps behind ReferenceFamily.within_at for matrices
+    over cols, with blocks the transmit antennas (t, m): balance,
+    (len(cols), len(dests) * blocks), holds +1 on a block's direct
+    coefficient at each dest and -1 on its other coefficients; fold,
+    (len(dests) * blocks, len(dests)), adds up one dest's blocks; capped,
+    (len(cols), len(dests)), marks the coefficients held to gamma at each
+    dest."""
     blocks = sorted({(t, m) for _, t, _, m in cols})
     block = {b: i for i, b in enumerate(blocks)}
     balance = np.zeros((len(cols), len(dests), len(blocks)))
@@ -270,9 +281,11 @@ def _membership_maps(
             if r == t and a == dest:
                 balance[c, i, b] = 1
                 capped[c, i] = 0
-    balance.flags.writeable = False
-    capped.flags.writeable = False
-    return balance, capped
+    balance = balance.reshape(len(cols), len(dests) * len(blocks))
+    fold = np.repeat(np.eye(len(dests)), len(blocks), axis=0)
+    for a in (balance, fold, capped):
+        a.flags.writeable = False
+    return balance, fold, capped
 
 
 class ReferenceFamily:
@@ -290,34 +303,193 @@ class ReferenceFamily:
     def __init__(self, config: SystemConfig):
         self.config = config
 
-    def within_at(self, ds: DirectionSet, dests) -> np.ndarray:
-        """Membership of every member of ds in the superset of each dest, as
-        a (len(ds), len(dests)) boolean matrix.
+    def within_at(self, cols: Columns, exps: np.ndarray, dests) -> np.ndarray:
+        """Membership of every row of an exponent matrix over cols, in any
+        order, in the superset of each dest, as a (rows, len(dests)) boolean
+        matrix.
 
         Columns fall into blocks by transmit antenna (t, m).  At dest, a
         block's direct coefficient (t, t, dest, m) must carry the sum of the
-        block's other exponents, and each of those stays within gamma; both
-        are column sums over the whole matrix, for every dest at once, as
-        float64 products with maps built once per (columns, dests).  They
-        are exact: every row of a DirectionSet is held to the exponent
-        limits (by _check_exponents, or by _box's corner check), so each sum
-        is an integer of magnitude at most MAX_TOTAL_DEGREE and each count
-        at most the number of columns, far below 2**53.
+        block's other exponents, and each of those stays within gamma.  A
+        row misses dest by its blocks' absolute imbalances plus its
+        exponents' excesses over gamma, and is inside iff it misses by 0.
+        Both are column sums over the whole matrix, for every dest at once,
+        as float64 products with maps built once per (columns, dests).  They
+        are exact for rows held to the exponent limits (a DirectionSet's,
+        or a tagged stream row once stream_codes has checked the plan):
+        each imbalance is at most its block's degree and each miss at most
+        twice the row's total degree, integers far below 2**53.
         """
-        dests = tuple(dests)
-        balance, capped = _membership_maps(ds.columns, dests)
-        rows, blocks = len(ds), balance.shape[2]
-        exps = ds.matrix
-        flat = balance.reshape(len(ds.columns), len(dests) * blocks)
-        sums = exps.astype(np.float64) @ flat
-        balanced = ~np.any(sums.reshape(rows, len(dests), blocks), axis=2)
-        over = (exps > self.config.gamma).astype(np.float64) @ capped
-        return balanced & (over == 0)
+        balance, fold, capped = _membership_maps(cols, tuple(dests))
+        exps = exps.astype(np.float64)
+        misses = np.abs(exps @ balance) @ fold
+        np.subtract(exps, self.config.gamma, out=exps)
+        np.maximum(exps, 0, out=exps)
+        misses += exps @ capped
+        return misses == 0
 
-    def within(self, ds: DirectionSet) -> np.ndarray:
-        """For each member of ds, whether some receive antenna's superset
-        holds it."""
-        return self.within_at(ds, range(1, self.config.N + 1)).any(axis=1)
+
+class StreamCodes(NamedTuple):
+    """Exact integer codes of every stream's rows, formed once per plan.
+
+    index gives each coefficient id's column in cols and places each
+    column's (word, place value); rows holds each stream's exponent matrix
+    over cols, and codes its rows' code words as a (words, rows) float64
+    matrix.
+    """
+
+    cols: Columns
+    index: dict[CoefficientId, int]
+    places: list[tuple[int, int]]
+    rows: dict[Stream, np.ndarray]
+    codes: dict[Stream, np.ndarray]
+
+
+# A source's tag: the (column, exponent) entries it adds to each row of its
+# stream.
+Tag = tuple[tuple[int, int], ...]
+
+
+def _tagged(exps: np.ndarray, tag: Tag) -> np.ndarray:
+    """Add a tag to every row of an exponent matrix, in place."""
+    for c, e in tag:
+        exps[:, c] += e
+    return exps
+
+
+def stream_codes(plan: TransmitPlan) -> StreamCodes:
+    """Each stream's rows as mixed-radix integers, split into float64 words.
+
+    A column's radix is its largest exponent over all streams plus 3, so a
+    digit stays below its radix after a tag adds at most 2 to it: tagged
+    rows have equal codes exactly when they are equal.  Columns are cut,
+    in order, into words whose radix product stays below 2**53, and each
+    word is one float64 product of the rows with the column places.  Every
+    term is a non-negative integer and every partial sum is at most the
+    word, so the products are exact.
+
+    At every receive antenna each stream arrives or is desired, and either
+    tag adds exactly 2 to a row's total degree, so the plan is held here,
+    once, to the limit every tagged row must keep: no stream row of total
+    degree above MAX_TOTAL_DEGREE - 2.  The same product gives each row's
+    total degree, exactly, since every stream row is held to the exponent
+    limits already.
+    """
+    stream_cols = (ds.columns for ds in plan.streams.values())
+    cols = reduce(merge_columns, stream_cols, _columns(plan.config))
+    rows = {s: ds.matrix_over(cols) for s, ds in plan.streams.items()}
+    top = np.zeros(len(cols), dtype=np.int64)
+    for exps in rows.values():
+        np.maximum(top, exps.max(axis=0, initial=0), out=top)
+    places = []
+    word, place = 0, 1
+    for radix in (top + 3).tolist():
+        if place * radix >= 2**53:
+            word, place = word + 1, 1
+        places.append((word, place))
+        place *= radix
+    # one row per code word, and a last row of ones for the total degree
+    maps = np.zeros((word + 2, len(cols)))
+    maps[-1] = 1
+    for c, (w, p) in enumerate(places):
+        maps[w, c] = p
+    codes = {}
+    total = 0
+    for s, exps in rows.items():
+        words = maps @ exps.T
+        total = max(total, int(words[-1].max(initial=0)))
+        codes[s] = words[:-1]
+    if total + 2 > MAX_TOTAL_DEGREE:
+        raise OverflowError(f"total degree {total + 2} exceeds {MAX_TOTAL_DEGREE}")
+    index = {cid: c for c, cid in enumerate(cols)}
+    return StreamCodes(cols, index, places, rows, codes)
+
+
+class _Runs(NamedTuple):
+    """The rows arriving at one receive antenna, grouped into runs of equal
+    rows.
+
+    sources lists (stream, tag) in stack order: first the own streams,
+    whose rows are desired sets 1..M, then the arrivals; offsets says where
+    each source's rows start in the stack, and where the last one ends.
+    run gives each stacked row's run, first one stacked row of each run,
+    and arrivals and desired each run's number of arrival and desired rows.
+    """
+
+    codes: StreamCodes
+    sources: list[tuple[Stream, Tag]]
+    offsets: list[int]
+    run: np.ndarray
+    first: np.ndarray
+    arrivals: np.ndarray
+    desired: np.ndarray
+
+    def rows(self, at: np.ndarray) -> np.ndarray:
+        """The exponent rows at the given increasing stack positions."""
+        out = np.empty((len(at), len(self.codes.cols)), dtype=np.int64)
+        bounds = np.searchsorted(at, self.offsets).tolist()
+        for (stream, tag), start, lo, hi in zip(self.sources, self.offsets, bounds, bounds[1:]):
+            if lo < hi:
+                out[lo:hi] = self.codes.rows[stream][at[lo:hi] - start]
+                _tagged(out[lo:hi], tag)
+        return out
+
+
+def _group(plan: TransmitPlan, k: int, n: int) -> _Runs:
+    """Group every row arriving at receive antenna (k, n) on its code.
+
+    Each arrival is a stream's rows times the direct gain to its antenna
+    and the gain into (k, n); each desired set is an own stream's rows times
+    the squared direct gain.  A source's row codes are its stream's codes
+    plus its tag's code, and one sort of the code words puts equal rows
+    next to each other: an argsort of the one word most plans need, or a
+    lexsort of several.
+    """
+    config = plan.config
+    if not 1 <= k <= config.K:
+        raise IndexError(f"user {k} out of range (K={config.K})")
+    if not 1 <= n <= config.N:
+        raise IndexError(f"antenna {n} out of range (N={config.N})")
+    if plan.codes is None:
+        object.__setattr__(plan, "codes", stream_codes(plan))
+    codes = plan.codes
+    index = codes.index
+    sources = [((k, m, n), ((index[(k, k, n, m)], 2),)) for m in range(1, config.M + 1)]
+    for j, mp, np_ in plan.streams:
+        if j == k and np_ == n:
+            continue
+        # the direct gain to antenna np_ times the gain into (k, n); for
+        # j == k that second factor is user k's own direct gain
+        sources.append(((j, mp, np_), ((index[(j, j, np_, mp)], 1), (index[(k, j, n, mp)], 1))))
+    offsets = [0, *accumulate(codes.codes[stream].shape[1] for stream, _ in sources)]
+    words = codes.places[-1][0] + 1
+    shifts = np.zeros((len(sources), words, 1))
+    for shift, (_, tag) in zip(shifts, sources):
+        for c, e in tag:
+            w, place = codes.places[c]
+            shift[w] += e * place
+    stack = np.empty((words, offsets[-1]))
+    for (stream, _), shift, lo, hi in zip(sources, shifts, offsets, offsets[1:]):
+        np.add(codes.codes[stream], shift, out=stack[:, lo:hi])
+    order = np.argsort(stack[0]) if len(stack) == 1 else np.lexsort(stack)
+    ranked = stack[:, order]
+    start = np.zeros(len(order), dtype=bool)
+    start[:1] = True
+    for word in ranked:
+        start[1:] |= word[1:] != word[:-1]
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(start) - 1
+    runs = int(np.count_nonzero(start))
+    own = offsets[config.M]
+    return _Runs(
+        codes=codes,
+        sources=sources,
+        offsets=offsets,
+        run=run,
+        first=order[start],
+        arrivals=np.bincount(run[own:], minlength=runs),
+        desired=np.bincount(run[:own], minlength=runs),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,85 +526,47 @@ class ReceiverProfile:
 
 
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
-    """Propagate every stream to receive antenna (k, n) symbolically, in
-    one sorted pass.
+    """Propagate every stream to receive antenna (k, n) symbolically.
 
-    Every arrival, repeats included (a stream's rows times the direct gain
-    to its antenna and the gain into (k, n)), and each desired set (an own
-    stream's rows times the squared direct gain) are stacked into one
-    matrix, held once to the exponent limits and sorted once into canonical
-    order.  Each run of equal rows is one distinct direction, and the
-    sources in the run give everything the profile holds: the interference
-    set and its multiplicities, each desired set in canonical order, the
+    The arrivals, repeats included, and the desired sets are grouped once
+    on their codes (see _group), and each run of equal rows is one distinct
+    direction.  The runs that hold an arrival are the interference set, in
+    one row each, with their counts as multiplicities; the runs give the
     first desired row that is also interference, whether sibling desired
-    sets meet, and the number of distinct directions.  A stream set has no
-    repeated row and the squared gain keeps its rows apart, so a run holds
-    at most one row of each desired set.
+    sets meet, and the number of distinct directions.  Only the sets
+    returned are put into canonical order: the interference rows and each
+    desired set.  A stream set has no repeated row and the squared gain
+    keeps its rows apart, so a run holds at most one row of each desired
+    set; every arriving row carries a tag, so none is the unit.
     """
-    config = plan.config
-    if not 1 <= k <= config.K:
-        raise IndexError(f"user {k} out of range (K={config.K})")
-    if not 1 <= n <= config.N:
-        raise IndexError(f"antenna {n} out of range (N={config.N})")
-
-    stream_cols = (ds.columns for ds in plan.streams.values())
-    cols = reduce(merge_columns, stream_cols, _columns(config))
-    index = {cid: c for c, cid in enumerate(cols)}
-    own = [(m, plan.streams[(k, m, n)]) for m in range(1, config.M + 1)]
-    # each source's tag row and label: 0 for an arrival, m for desired set m
-    sources = []
-    for m, base in own:
-        tag = np.zeros(len(cols), dtype=np.int64)
-        tag[index[(k, k, n, m)]] = 2
-        sources.append((base, tag, m))
-    for (j, mp, np_), base in plan.streams.items():
-        if j == k and np_ == n:
-            continue
-        # the direct gain to antenna np_ times the gain into (k, n); for
-        # j == k that second factor is user k's own direct gain
-        tag = np.zeros(len(cols), dtype=np.int64)
-        tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
-        sources.append((base, tag, 0))
-    # filled in place: a fresh matrix per source, each allocated and
-    # faulted in, cost more than the sum and the sort together
-    rows = sum(len(base) for base, _, _ in sources)
-    exps = np.empty((rows, len(cols)), dtype=np.int64)
-    label = np.empty(rows, dtype=np.int64)
-    at = 0
-    for base, tag, m in sources:
-        np.add(base.matrix_over(cols), tag, out=exps[at : at + len(base)])
-        label[at : at + len(base)] = m
-        at += len(base)
-    _check_exponents(exps)
-
-    order, start = _runs(exps)
-    label = label[order]
-    run = np.cumsum(start) - 1
-    runs = int(start.sum())
-    arrivals = np.bincount(run[label == 0], minlength=runs)
-    hit = arrivals > 0
-    counts = arrivals[hit]
+    runs = _group(plan, k, n)
+    cols = runs.codes.cols
+    hit = runs.arrivals > 0
+    at = runs.first[hit]
+    by_place = np.argsort(at)
+    rows = runs.rows(at[by_place])
+    order, _ = _runs(rows)
+    counts = runs.arrivals[hit][by_place][order]
     counts.flags.writeable = False
-    firsts = order[start]
-
-    desired = {m: DirectionSet._of(cols, exps[order[label == m]]) for m, _ in own}
+    desired = {}
     overlap = None
-    for m, _ in own:
-        shared = np.flatnonzero((label == m) & hit[run])
-        if shared.size:
-            row = exps[order[shared[0]]].tolist()
+    for m, (stream, tag), at in zip(range(1, plan.config.M + 1), runs.sources, runs.offsets):
+        exps = _tagged(runs.codes.rows[stream].copy(), tag)
+        canon, _ = _runs(exps)
+        desired[m] = DirectionSet._of(cols, exps[canon])
+        shared = np.flatnonzero(hit[runs.run[at : at + len(exps)]][canon])
+        if overlap is None and shared.size:
+            row = exps[canon[shared[0]]].tolist()
             overlap = {cid: e for cid, e in zip(cols, row) if e}
-            break
-    has_unit = runs > 0 and not exps[firsts[0]].any()
     return ReceiverProfile(
         k=k,
         n=n,
         desired=desired,
-        interference=DirectionSet._of(cols, exps[firsts[hit]]),
+        interference=DirectionSet._of(cols, rows[order]),
         multiplicity=counts,
         desired_overlap=overlap,
-        siblings_overlap=bool((np.bincount(run[label > 0], minlength=runs) > 1).any()),
-        distinct_directions=runs - has_unit,
+        siblings_overlap=bool((runs.desired > 1).any()),
+        distinct_directions=len(runs.first),
     )
 
 
@@ -479,35 +613,43 @@ class AlignmentReport:
 def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
     """Run every symbolic check at every receive antenna.
 
-    All checks are exact.  A failed check is reported, not raised; callers
-    that need a hard failure (the CLI verify path) inspect .passed.
+    All checks are exact.  Each antenna's counts and checks are read off
+    its runs of equal rows (see _group) and the stream lengths, with no
+    set put into canonical order: the interference dimension is the number
+    of runs that hold an arrival, desired sets meet interference or each
+    other where a run holds both, and reference membership is tested on one
+    row of each interference run.  A failed check is reported, not raised;
+    callers that need a hard failure (the CLI verify path) inspect .passed.
     """
     config = plan.config
     L, l_prime = closed_form_counts(config)
     expected = L if plan.truncation_cap is None else min(plan.truncation_cap, L)
     reference = ReferenceFamily(config)
+    dests = tuple(range(1, config.N + 1))
     verdicts = []
     for k in range(1, config.K + 1):
         for n in range(1, config.N + 1):
-            prof = expand_received(plan, k, n)
-            ms = list(prof.desired)
-            within = bool(reference.within(prof.interference).all())
-            counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
-                len(plan.streams[(k, m, n)]) == expected for m in ms
-            )
+            runs = _group(plan, k, n)
+            cols = runs.codes.cols
+            hit = runs.arrivals > 0
+            # one row of each interference run
+            rows = runs.rows(np.sort(runs.first[hit]))
+            inside = reduce(np.logical_or, reference.within_at(cols, rows, dests).T)
+            lengths = [len(plan.streams[(k, m, n)]) for m in range(1, config.M + 1)]
+            l_prime_observed = int(np.count_nonzero(hit))
             checks = {
-                "desired_pairwise_disjoint": not prof.siblings_overlap,
-                "desired_disjoint_from_interference": prof.desired_overlap is None,
-                "interference_within_reference": within,
-                "l_prime_within_bound": prof.m_star <= l_prime,
-                "stream_counts_match": counts_ok,
+                "desired_pairwise_disjoint": not (runs.desired > 1).any(),
+                "desired_disjoint_from_interference": not (hit & (runs.desired > 0)).any(),
+                "interference_within_reference": bool(inside.all()),
+                "l_prime_within_bound": l_prime_observed <= l_prime,
+                "stream_counts_match": all(size == expected for size in lengths),
             }
             verdicts.append(
                 AntennaVerdict(
                     k=k,
                     n=n,
-                    l_observed=sum(len(ds) for ds in prof.desired.values()),
-                    l_prime_observed=prof.m_star,
+                    l_observed=sum(lengths),
+                    l_prime_observed=l_prime_observed,
                     checks=checks,
                 )
             )

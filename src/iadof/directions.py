@@ -23,6 +23,8 @@ from .channel import ChannelRealization, CoefficientId
 
 MAX_EXPONENT = 2**31 - 1
 MAX_TOTAL_DEGREE = 1_000_000
+# width of the sort-key halves formed by float64 products; two make a word
+HALF_BITS = 32
 
 # Coefficient ids of the columns of an exponent matrix, increasing.
 Columns = tuple[CoefficientId, ...]
@@ -65,11 +67,13 @@ def _order_keys(exps: np.ndarray) -> np.ndarray:
     positive exponent keys as itself; a zero keys as top, above every
     exponent, when a later column is non-zero (that row's next id is larger)
     and as 0 when none is (that row's tuple has ended).  The keys are packed,
-    first column highest, into as few 64-bit words as hold them all, by a
-    product with the column weights: the exponents, plus top times the
-    weights of the zero columns before the row's last non-zero one.  The
-    exponents are never negative, so their int64 words are read in place
-    as unsigned ones.
+    first column highest, into 32-bit halves by float64 products with the
+    column weights: the exponents, plus top times the weights of the zero
+    columns before the row's last non-zero one.  Both products are exact:
+    every operand, partial sum and half is a non-negative integer below
+    2**32, far below 2**53.  Each pair of halves is stored low half first
+    as little-endian 32-bit integers and read as one little-endian 64-bit
+    word, so a sort sees as few words as 64-bit packing gives.
     """
     n, C = exps.shape
     if C == 0:
@@ -80,21 +84,26 @@ def _order_keys(exps: np.ndarray) -> np.ndarray:
     # columns up to and including the last non-zero one; 0 for the unit
     flipped = np.concatenate([pos[:, ::-1], np.ones((n, 1), dtype=bool)], axis=1)
     span = C - np.argmax(flipped, axis=1)
-    zeros = prefix[span] - pos.astype(np.uint64) @ weights
-    # the fields of one word never overlap, so these sums never carry
-    return exps.view(np.uint64) @ weights + np.uint64(top) * zeros
+    # both products run in float64 (numpy casts pos and exps to it)
+    zeros = prefix[span] - pos @ weights
+    # the fields of one half never overlap, so these sums never carry
+    halves = exps @ weights + top * zeros
+    return halves.astype("<u4").view("<u8")
 
 
 @lru_cache(maxsize=None)
 def _key_weights(C: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Place of each of C keys of the given width in the packed words (as
-    many keys per 64-bit word as fit, first column highest), and the sums of
-    the first j rows of those weights for j = 0..C."""
-    per_word = 64 // bits
-    weights = np.zeros((C, -(-C // per_word)), dtype=np.uint64)
+    """Place of each of C keys of the given width in the packed halves (as
+    many keys per 32-bit half as fit, first column highest, two halves to a
+    word with the high one second), and the sums of the first j rows of
+    those weights for j = 0..C."""
+    per_half = HALF_BITS // bits
+    halves = -(-C // per_half)
+    weights = np.zeros((C, halves + halves % 2))
     for c in range(C):
-        weights[c, c // per_word] = 1 << (bits * (per_word - 1 - c % per_word))
-    prefix = np.zeros((C + 1, weights.shape[1]), dtype=np.uint64)
+        half = c // per_half
+        weights[c, half ^ 1] = 1 << (bits * (per_half - 1 - c % per_half))
+    prefix = np.zeros((C + 1, weights.shape[1]))
     np.cumsum(weights, axis=0, out=prefix[1:])
     weights.flags.writeable = False
     prefix.flags.writeable = False

@@ -1,6 +1,8 @@
 """Shared test configuration."""
 
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+# pytest puts src/ on sys.path (pyproject's pythonpath); the fresh
+# interpreters some tests start import iadof from the same checkout
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

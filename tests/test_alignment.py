@@ -10,10 +10,13 @@ short of the paper's K*MN/(M+N), and a test pins that gap.  The exponent
 matrix engine makes every acceptance-lattice config cheap, so the exact
 counts are checked at all of them.
 
-expand_received reads an antenna's whole profile off one sort; expand_oracle
-rebuilds it from pairwise set operations (scale, tally, intersect, union)
-and the two are pinned field by field.  The float64 products of _box and
-within_at are pinned against int64 products at the exponent limits.
+verify_alignment and expand_received group each antenna's rows on integer
+codes.  expand_oracle rebuilds a profile from pairwise set operations
+(scale, tally, intersect, union) and is pinned against expand_received field
+by field; verify_oracle reads the report off those profiles, as the verifier
+did before it grouped on codes, and is pinned against verify_alignment.  The
+float64 products of _box and within_at are pinned against int64 products at
+the exponent limits.
 """
 
 import dataclasses
@@ -30,6 +33,8 @@ import iadof.alignment
 import iadof.directions
 from iadof import cli
 from iadof.alignment import (
+    AlignmentReport,
+    AntennaVerdict,
     EnumerationBudgetError,
     ReferenceFamily,
     TransmitPlan,
@@ -41,6 +46,7 @@ from iadof.alignment import (
     families,
     family_pair,
     per_antenna_dof_gamma,
+    stream_codes,
     stream_family_cap,
     truncate_plan,
     verify_alignment,
@@ -264,19 +270,25 @@ def materialize(config, dest, budget=DEFAULT_REFERENCE_BUDGET):
     return _box(config, dest, dict.fromkeys(fams, config.gamma))
 
 
+def within(ref, ds):
+    """For each member of ds, whether some receive antenna's superset
+    holds it."""
+    return ref.within_at(ds.columns, ds.matrix, range(1, ref.config.N + 1)).any(axis=1)
+
+
 def test_reference_materialize_matches_contains():
     config = cfg(2, 1, 1, 2)
     ref = ReferenceFamily(config)
     members = materialize(config, 1, budget=10**4)
     assert len(members) == 9
-    assert ref.within_at(members, (1,)).all()
-    assert ref.within(members).all()
+    assert ref.within_at(members.columns, members.matrix, (1,)).all()
+    assert within(ref, members).all()
     # push every exponent of the last member past its cap: no longer
     # factorizable
     last = members.matrix[-1]
     bumped = DirectionSet.from_matrix(members.columns, [last + 3 * (last > 0)])
     assert last.any()
-    assert not ref.within_at(bumped, (1,))[0, 0]
+    assert not ref.within_at(bumped.columns, bumped.matrix, (1,))[0, 0]
 
 
 @pytest.mark.parametrize("K,M,N,gamma", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
@@ -289,13 +301,13 @@ def test_reference_within_matches_materialized(K, M, N, gamma):
     ds = DirectionSet.from_matrix(cols, grid)
     ref = ReferenceFamily(config)
     dests = range(1, N + 1)
-    inside = ref.within_at(ds, dests)
+    inside = ref.within_at(ds.columns, ds.matrix, dests)
     for i, dest in enumerate(dests):
         members = materialize(config, dest)
-        assert ref.within_at(members, [dest]).all()
+        assert ref.within_at(members.columns, members.matrix, [dest]).all()
         members = {tuple(row) for row in members.matrix_over(cols).tolist()}
         assert [tuple(row) in members for row in ds.matrix.tolist()] == inside[:, i].tolist()
-    assert ref.within(ds).tolist() == inside.any(axis=1).tolist()
+    assert within(ref, ds).tolist() == inside.any(axis=1).tolist()
 
 
 def test_reference_rejects_foreign_monomial():
@@ -303,9 +315,9 @@ def test_reference_rejects_foreign_monomial():
     ref = ReferenceFamily(config)
     # a lone cross gain with no matching direct-link factor cannot arise
     foreign = DirectionSet.from_matrix([(1, 2, 1, 1)], [[1]])
-    assert not ref.within_at(foreign, (1,))[0, 0]
+    assert not ref.within_at(foreign.columns, foreign.matrix, (1,))[0, 0]
     unit = DirectionSet.from_matrix([(1, 2, 1, 1)], [[0]])
-    assert ref.within_at(unit, (1,))[0, 0]
+    assert ref.within_at(unit.columns, unit.matrix, (1,))[0, 0]
 
 
 # ------------------------------------------------------------ verification
@@ -410,6 +422,10 @@ def test_verify_truncated_plan():
     assert report.passed
     for v in report.antennas:
         assert v.l_observed == 4
+    assert report.to_json_dict() == verify_oracle(plan)
+    # a cap that cuts (3,1,2,1) streams of 1024 directions to 100
+    plan = truncate_plan(build_transmit_directions(cfg(3, 1, 2)), 100)
+    assert verify_alignment(plan).to_json_dict() == verify_oracle(plan)
 
 
 def test_interference_count_exact_at_known_config(overcounted_plan):
@@ -439,6 +455,7 @@ def test_interference_count_exact_at_known_config(overcounted_plan):
     assert closed_form_counts(overcounted_plan.config)[1] == 28
     failed = {name for name, ok in v.checks.items() if not ok}
     assert failed == {"l_prime_within_bound"}
+    assert report.to_json_dict() == verify_oracle(overcounted_plan)
 
 
 # ------------------------------------------------------ single-pass profile
@@ -553,9 +570,11 @@ def test_profile_equals_oracle_when_desired_is_interference():
     prof = expand_received(plan, 1, 1)
     assert prof.desired_overlap == {H11: 2, H12: 1, H22: 1}
     assert not prof.siblings_overlap
-    checks = verify_alignment(plan).antennas[0].checks
+    report = verify_alignment(plan)
+    checks = report.antennas[0].checks
     assert not checks["desired_disjoint_from_interference"]
     assert checks["desired_pairwise_disjoint"]
+    assert report.to_json_dict() == verify_oracle(plan)
 
 
 def test_profile_equals_oracle_when_siblings_overlap():
@@ -576,9 +595,126 @@ def test_profile_equals_oracle_when_siblings_overlap():
     prof = expand_received(plan, 1, 1)
     assert prof.siblings_overlap
     assert prof.desired_overlap == {H111: 2, H112: 5, H12: 1, H22: 1}
-    checks = verify_alignment(plan).antennas[0].checks
+    report = verify_alignment(plan)
+    checks = report.antennas[0].checks
     assert not checks["desired_pairwise_disjoint"]
     assert not checks["desired_disjoint_from_interference"]
+    assert report.to_json_dict() == verify_oracle(plan)
+
+
+# ---------------------------------------------------- grouping on codes
+
+
+def verify_oracle(plan):
+    """verify_alignment's report as a JSON dict, read off each antenna's
+    profile as the verifier did before it grouped on codes: expand_received
+    (pinned against expand_oracle), then reference membership of the whole
+    interference set."""
+    config = plan.config
+    L, l_prime = closed_form_counts(config)
+    expected = L if plan.truncation_cap is None else min(plan.truncation_cap, L)
+    reference = ReferenceFamily(config)
+    verdicts = []
+    for k in range(1, config.K + 1):
+        for n in range(1, config.N + 1):
+            prof = expand_received(plan, k, n)
+            ms = list(prof.desired)
+            inside = bool(within(reference, prof.interference).all())
+            counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
+                len(plan.streams[(k, m, n)]) == expected for m in ms
+            )
+            checks = {
+                "desired_pairwise_disjoint": not prof.siblings_overlap,
+                "desired_disjoint_from_interference": prof.desired_overlap is None,
+                "interference_within_reference": inside,
+                "l_prime_within_bound": prof.m_star <= l_prime,
+                "stream_counts_match": counts_ok,
+            }
+            verdicts.append(
+                AntennaVerdict(
+                    k=k,
+                    n=n,
+                    l_observed=sum(len(ds) for ds in prof.desired.values()),
+                    l_prime_observed=prof.m_star,
+                    checks=checks,
+                )
+            )
+    return AlignmentReport(config=config, antennas=tuple(verdicts)).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "config", lattice_configs(), ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}"
+)
+def test_verify_equals_oracle_at_every_lattice_config(config):
+    plan = build_transmit_directions(config)
+    assert verify_alignment(plan).to_json_dict() == verify_oracle(plan)
+
+
+def test_codes_span_several_words():
+    # rows at the degree limit widen three radices to 10^6 + 1, whose
+    # product passes 2**53: the codes need two words and the runs a
+    # lexsort of both, and every report and profile still equals its oracle
+    H11, H12, H21 = (1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1)
+    top = MAX_TOTAL_DEGREE - 2
+    plan = with_rows(
+        build_transmit_directions(cfg(2, 1, 1, 2)),
+        {
+            (1, 1, 1): [{H11: top}, {H12: top}, {H21: top}],
+            (2, 1, 1): [{H12: top - 1, H21: 1}, {H21: top}],
+        },
+    )
+    codes = stream_codes(plan)
+    assert codes.places[-1][0] >= 1
+    assert_profiles_match_oracle(plan)
+    assert verify_alignment(plan).to_json_dict() == verify_oracle(plan)
+
+
+@pytest.mark.parametrize("last", [2**15, 2**15 - 1])
+def test_code_words_split_below_2_53(last):
+    # radices 2**19, 2**19 and `last` on the first three columns: at 2**15
+    # their product reaches 2**53 and the third column opens the second
+    # word; one less and it fits, and the fourth column opens it
+    cols = tuple(cfg(2).coefficient_ids())
+    tops = [2**19 - 3, 2**19 - 3, last - 3]
+    plan = with_rows(
+        build_transmit_directions(cfg(2)),
+        {(2, 1, 1): [{cid: top} for cid, top in zip(cols, tops)]},
+    )
+    codes = stream_codes(plan)
+    assert codes.cols == cols
+    split = 2 if last == 2**15 else 3
+    assert [w for w, _ in codes.places] == [0] * split + [1] * (len(cols) - split)
+    assert [p for _, p in codes.places][:2] == [1, 2**19]
+    weights = np.zeros((len(cols), 2), dtype=np.int64)
+    for c, (w, p) in enumerate(codes.places):
+        weights[c, w] = p
+    for stream, exps in codes.rows.items():
+        assert np.array_equal(codes.codes[stream], (exps @ weights).T)
+    assert_profiles_match_oracle(plan)
+    assert verify_alignment(plan).to_json_dict() == verify_oracle(plan)
+
+
+def test_plan_degree_limit_matches_stack_check():
+    # every stream is a source at every antenna and every tag adds 2 to a
+    # row's degree: a stream row of degree MAX_TOTAL_DEGREE - 2 is accepted
+    # and one unit more is refused, with the message the stacked rows gave
+    H12, H21 = (1, 2, 1, 1), (2, 1, 1, 1)
+    base = build_transmit_directions(cfg(2))
+    at_limit = with_rows(base, {(2, 1, 1): [{H12: MAX_TOTAL_DEGREE - 3, H21: 1}]})
+    over = with_rows(base, {(2, 1, 1): [{H12: MAX_TOTAL_DEGREE - 2, H21: 1}]})
+    assert verify_alignment(at_limit).to_json_dict() == verify_oracle(at_limit)
+    assert_profiles_match_oracle(at_limit)
+    message = f"total degree {MAX_TOTAL_DEGREE + 1} exceeds {MAX_TOTAL_DEGREE}"
+    with pytest.raises(OverflowError, match=message):
+        verify_alignment(over)
+    for k in (1, 2):
+        with pytest.raises(OverflowError, match=message):
+            expand_received(over, k, 1)
+        # the row is an arrival at antenna (1,1) and desired at (2,1): the
+        # oracle's arrival tally and desired scale both refuse it
+        with pytest.raises(OverflowError, match=message):
+            expand_oracle(over, k, 1)
+        expand_oracle(at_limit, k, 1)
 
 
 # ------------------------------------------------- exact float64 products
@@ -632,10 +768,10 @@ def test_within_at_exact_at_degree_limit():
     assert int(ds.matrix.sum(axis=1).max()) == MAX_TOTAL_DEGREE
     ref = ReferenceFamily(config)
     for dests in [(1,), (2,), (1, 2)]:
-        got = ref.within_at(ds, dests)
+        got = ref.within_at(ds.columns, ds.matrix, dests)
         assert got.tolist() == within_oracle(config, ds, dests).tolist()
     for row, inside in [(balanced, True), (off, False)]:
-        assert ref.within_at(DirectionSet.from_matrix(cols, [row]), (1,))[0, 0] == inside
+        assert ref.within_at(cols, np.array([row]), (1,))[0, 0] == inside
 
 
 def test_box_degree_limit_matches_int64_product(monkeypatch):
@@ -675,26 +811,36 @@ def test_box_degree_limit_matches_int64_product(monkeypatch):
 
 
 def test_directions_sorts_once_per_stream_and_antenna(monkeypatch, capsys):
-    # (3,1,2,1): 6 stream boxes and 6 receive antennas, one sort each
-    # (24 when each antenna sorted its desired set, its arrivals and their
-    # intersection apart)
+    # (3,1,2,1): 6 stream boxes, one canonical sort each, and one set of
+    # stream codes for the plan; the 6 antennas sort only codes (6 canonical
+    # sorts of 6,144 stacked rows before, 24 when each antenna sorted its
+    # desired set, its arrivals and their intersection apart)
     calls = []
+    formed = []
     runs = iadof.directions._runs
+    codes = iadof.alignment.stream_codes
 
     def counted(exps):
         calls.append(len(exps))
         return runs(exps)
 
+    def counted_codes(plan):
+        formed.append(plan.config)
+        return codes(plan)
+
     monkeypatch.setattr(iadof.directions, "_runs", counted)
     monkeypatch.setattr(iadof.alignment, "_runs", counted)
+    monkeypatch.setattr(iadof.alignment, "stream_codes", counted_codes)
     assert cli.main(["directions", "-K", "3", "-M", "1", "-N", "2", "--json"]) == 0
-    assert calls == [1024] * 6 + [6 * 1024] * 6
+    assert calls == [1024] * 6
+    assert formed == [cfg(3, 1, 2)]
     capsys.readouterr()
 
 
 def test_directions_memory_stays_small(capsys):
     # tracemalloc peak of the align_lattice workload's largest command,
-    # warm: 3.8 MiB with one stacked matrix per antenna
+    # warm: 2.97 MiB grouping on codes, 3.8 MiB with one stacked exponent
+    # matrix per antenna
     argv = ["directions", "-K", "3", "-M", "1", "-N", "2", "--json"]
     assert cli.main(argv) == 0
     tracemalloc.start()
@@ -704,4 +850,4 @@ def test_directions_memory_stays_small(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 5 * 2**20
+    assert peak < 3.5 * 2**20

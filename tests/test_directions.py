@@ -26,6 +26,7 @@ from iadof.directions import (
     MAX_TOTAL_DEGREE,
     DirectionSet,
     _check_exponents,
+    _order_keys,
     _runs,
     _unique_rows,
     merge_columns,
@@ -255,7 +256,7 @@ def test_scale_matches_mono_mul(m, factor):
 
 
 def test_keys_span_several_words():
-    # 40 columns with 20-bit keys: three keys per word, 14 words
+    # 40 columns with 20-bit keys: one key per 32-bit half, 20 words
     cols = [(1, j, n, 1) for j in range(1, 5) for n in range(1, 11)]
     rng = np.random.default_rng(5)
     exps = rng.integers(0, 3, size=(300, 40)) * (rng.random((300, 40)) < 0.3)
@@ -264,6 +265,84 @@ def test_keys_span_several_words():
     exps = np.concatenate([exps, exps[:50]])
     ds = DirectionSet.from_matrix(cols, exps)
     assert members(ds) == sorted(set(row_directions(cols, exps)))
+
+
+def order_keys_oracle(exps):
+    """_order_keys packed straight into uint64 words, as many keys as fit
+    in 64 bits per word, by numpy's integer products.  The float64 products
+    and joined halves are pinned against it."""
+    n, C = exps.shape
+    if C == 0:
+        return np.zeros((n, 1), dtype=np.uint64)
+    pos = exps > 0
+    top = int(exps.max(initial=0)) + 1
+    bits = top.bit_length()
+    per_word = 64 // bits
+    weights = np.zeros((C, -(-C // per_word)), dtype=np.uint64)
+    for c in range(C):
+        weights[c, c // per_word] = 1 << (bits * (per_word - 1 - c % per_word))
+    prefix = np.zeros((C + 1, weights.shape[1]), dtype=np.uint64)
+    np.cumsum(weights, axis=0, out=prefix[1:])
+    flipped = np.concatenate([pos[:, ::-1], np.ones((n, 1), dtype=bool)], axis=1)
+    span = C - np.argmax(flipped, axis=1)
+    zeros = prefix[span] - pos.astype(np.uint64) @ weights
+    return exps.view(np.uint64) @ weights + np.uint64(top) * zeros
+
+
+def runs_oracle(exps):
+    """_runs on the uint64 oracle keys."""
+    keys = order_keys_oracle(exps)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    start = np.ones(order.shape[0], dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, start
+
+
+def assert_runs_match_oracle(exps):
+    order, start = _runs(exps)
+    want_order, want_start = runs_oracle(exps)
+    assert order.tolist() == want_order.tolist()
+    assert start.tolist() == want_start.tolist()
+
+
+@given(exponent_matrices())
+def test_runs_equal_uint64_keys_on_random_matrices(m):
+    _, exps = m
+    # repeats, so that runs of several equal rows occur
+    assert_runs_match_oracle(np.concatenate([exps, exps[::2]]))
+
+
+@pytest.mark.parametrize("top", [6, 2**10, 2**13 - 1, 2**17, 2**20, MAX_TOTAL_DEGREE])
+def test_runs_equal_uint64_keys_across_word_widths(top):
+    # keys of 3 to 21 bits over 40 columns: 20 down to 2 keys per word of
+    # two 32-bit halves, against 21 down to 3 per directly packed 64-bit
+    # word, so the two packings cut their words at different columns
+    rng = np.random.default_rng(top)
+    exps = rng.integers(0, 4, size=(400, 40)) * (rng.random((400, 40)) < 0.3)
+    exps[::5, rng.integers(0, 40)] = top
+    exps = np.concatenate([exps, exps[::3], np.zeros((3, 40), dtype=np.int64)])
+    keys = _order_keys(exps)
+    assert keys.dtype == np.uint64
+    assert_runs_match_oracle(exps)
+
+
+def test_runs_equal_uint64_keys_at_degree_limit():
+    # every row of total degree MAX_TOTAL_DEGREE: all of it on one column,
+    # or split at random; 20-bit keys, one to a half and two to a word
+    rng = np.random.default_rng(3)
+    C = 18
+    exps = np.concatenate(
+        [
+            np.eye(C, dtype=np.int64) * MAX_TOTAL_DEGREE,
+            rng.multinomial(MAX_TOTAL_DEGREE, [1 / C] * C, size=200),
+            rng.multinomial(MAX_TOTAL_DEGREE, [0.5, 0.5] + [0] * (C - 2), size=50),
+        ]
+    )
+    exps = np.concatenate([exps, exps[::4]])
+    _check_exponents(exps)
+    assert _order_keys(exps).shape == (len(exps), 9)
+    assert_runs_match_oracle(exps)
 
 
 def test_set_guards():
