@@ -4,23 +4,30 @@ Each transmit stream gets a finite set of monomial directions built from
 coefficient pairs; receivers then see desired streams on squared direct
 gains and interference confined (by construction) to a common reference
 family per receive antenna.  Verification is exact: set relations are
-checked on exponent vectors, never on evaluated floats.
+decided on integer exponents, never on evaluated floats.
 
-Every direction set here is an integer exponent matrix over the config's
-coefficient ids (see directions.py): a stream set is a box of pair-family
-exponents times the family incidence matrix, an arrival is a row add, and
-membership in the reference family is a set of column sums.
+verify_alignment decides every count and check on boxes and forms no
+exponent row.  In the family coordinates of its destination antenna,
+every stream set, arrival and desired set is a box: each pair family's
+exponent in an interval, and each transmit-antenna block's direct exponent
+the sum of the block's other exponents plus a fixed beta.  Sizes are
+products of interval lengths, disjointness and reference membership are
+read off the intervals (_meets), and the interference dimension L' is an
+inclusion-exclusion over intersections of boxes (_union_size), all in
+Python integers, so it decides configs whose rows could not be enumerated.
 
-Each receive antenna is read off one grouping step (_group), shared by
-verify_alignment and expand_received.  Every stream's rows get exact
+The simulator needs rows.  There every direction set is an integer
+exponent matrix over the config's coefficient ids (see directions.py): a
+stream set is a box of pair-family exponents times the family incidence
+matrix, and an arrival is a row add.  expand_received reads each receive
+antenna off one grouping step (_group): every stream's rows get exact
 mixed-radix integer codes once per plan (stream_codes); at an antenna each
 source, an arrival or a desired set, adds its tag's code to its stream's
 codes, and one sort of those code words puts equal rows next to each other.
-The verifier reads every count and check off the runs; expand_received puts
-into canonical order only the sets it returns.  The integer products (row
-codes, box points, membership sums) run as float64 products, which BLAS
-computes exactly here: every operand and partial sum is an integer of
-magnitude below 2**53.
+Only the sets returned are put into canonical order.  The integer products
+(row codes, box points) run as float64 products, which BLAS computes
+exactly here: every operand and partial sum is an integer of magnitude
+below 2**53.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, combinations
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -257,76 +264,6 @@ def truncate_plan(plan: TransmitPlan, cap: int) -> TransmitPlan:
         streams={s: ds.head(cap) for s, ds in plan.streams.items()},
         truncation_cap=cap,
     )
-
-
-@lru_cache(maxsize=64)
-def _membership_maps(
-    cols: Columns, dests: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three float64 maps behind ReferenceFamily.within_at for matrices
-    over cols, with blocks the transmit antennas (t, m): balance,
-    (len(cols), len(dests) * blocks), holds +1 on a block's direct
-    coefficient at each dest and -1 on its other coefficients; fold,
-    (len(dests) * blocks, len(dests)), adds up one dest's blocks; capped,
-    (len(cols), len(dests)), marks the coefficients held to gamma at each
-    dest."""
-    blocks = sorted({(t, m) for _, t, _, m in cols})
-    block = {b: i for i, b in enumerate(blocks)}
-    balance = np.zeros((len(cols), len(dests), len(blocks)))
-    capped = np.ones((len(cols), len(dests)))
-    for c, (r, t, a, m) in enumerate(cols):
-        b = block[(t, m)]
-        balance[c, :, b] = -1
-        for i, dest in enumerate(dests):
-            if r == t and a == dest:
-                balance[c, i, b] = 1
-                capped[c, i] = 0
-    balance = balance.reshape(len(cols), len(dests) * len(blocks))
-    fold = np.repeat(np.eye(len(dests)), len(blocks), axis=0)
-    for a in (balance, fold, capped):
-        a.flags.writeable = False
-    return balance, fold, capped
-
-
-class ReferenceFamily:
-    """Membership tests for the per-antenna interference superset.
-
-    The superset at dest is every product of dest families with exponents in
-    [0, gamma].  Membership needs no enumeration: second factors pin their
-    family's exponent uniquely, so a direction is inside iff those pinned
-    exponents stay within gamma and, per transmit antenna block, add up to
-    the direct-coefficient exponent they must have produced.
-    """
-
-    __slots__ = ("config",)
-
-    def __init__(self, config: SystemConfig):
-        self.config = config
-
-    def within_at(self, cols: Columns, exps: np.ndarray, dests) -> np.ndarray:
-        """Membership of every row of an exponent matrix over cols, in any
-        order, in the superset of each dest, as a (rows, len(dests)) boolean
-        matrix.
-
-        Columns fall into blocks by transmit antenna (t, m).  At dest, a
-        block's direct coefficient (t, t, dest, m) must carry the sum of the
-        block's other exponents, and each of those stays within gamma.  A
-        row misses dest by its blocks' absolute imbalances plus its
-        exponents' excesses over gamma, and is inside iff it misses by 0.
-        Both are column sums over the whole matrix, for every dest at once,
-        as float64 products with maps built once per (columns, dests).  They
-        are exact for rows held to the exponent limits (a DirectionSet's,
-        or a tagged stream row once stream_codes has checked the plan):
-        each imbalance is at most its block's degree and each miss at most
-        twice the row's total degree, integers far below 2**53.
-        """
-        balance, fold, capped = _membership_maps(cols, tuple(dests))
-        exps = exps.astype(np.float64)
-        misses = np.abs(exps @ balance) @ fold
-        np.subtract(exps, self.config.gamma, out=exps)
-        np.maximum(exps, 0, out=exps)
-        misses += exps @ capped
-        return misses == 0
 
 
 class StreamCodes(NamedTuple):
@@ -610,39 +547,177 @@ class AlignmentReport:
         }
 
 
-def verify_alignment(plan: TransmitPlan) -> AlignmentReport:
-    """Run every symbolic check at every receive antenna.
 
-    All checks are exact.  Each antenna's counts and checks are read off
-    its runs of equal rows (see _group) and the stream lengths, with no
-    set put into canonical order: the interference dimension is the number
-    of runs that hold an arrival, desired sets meet interference or each
-    other where a run holds both, and reference membership is tested on one
-    row of each interference run.  A failed check is reported, not raised;
-    callers that need a hard failure (the CLI verify path) inspect .passed.
+
+class _Source(NamedTuple):
+    """A stream set as it arrives at one receive antenna, as a box in the
+    family coordinates of its destination antenna dest.
+
+    The exponent of each family at dest, a cross exponent of the family's
+    transmit-antenna block, lies in [lo, hi]; each block's direct exponent
+    at dest is the sum of the block's crosses plus its beta, one entry per
+    block in (t, m) order.  reach holds the other destinations at which
+    some point of the box is balanced too (see _reach).
     """
-    config = plan.config
+
+    dest: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    beta: tuple[int, ...]
+    reach: frozenset[int]
+
+
+def _reach(dest: int, lo, beta, fams: tuple[PairFamily, ...], N: int) -> frozenset[int]:
+    """The other destinations d2 at which some point of a box is balanced
+    as well.
+
+    At such a point each block solves 2R = -(beta1 + beta2), where R is the
+    sum of the block's exponents off its directs at dest and d2; nothing is
+    negative, so the point has beta 0 and R = 0 at both.  A box reaches d2
+    only if its beta is 0 and every positive lower bound sits on a direct
+    at d2, the family (t, m, d2, t).
+    """
+    if any(beta):
+        return frozenset()
+    raised = {(j == i, np_) for (j, _, np_, i), low in zip(fams, lo) if low}
+    if not raised:
+        return frozenset(range(1, N + 1)) - {dest}
+    if len(raised) == 1:
+        direct, d2 = raised.pop()
+        if direct:
+            return frozenset((d2,))
+    return frozenset()
+
+
+def _meets(a: _Source, b: _Source, index: dict[int, dict[PairFamily, int]]) -> bool:
+    """Whether two sources at one antenna share a point.
+
+    A row's crosses and beta at a destination read back from it.  So with
+    one destination the boxes meet iff their betas agree and every family's
+    intervals intersect.  With two, a shared point is balanced at both (see
+    _reach): it is 0 off the two directs of every block, and y_d1 - y_d2 =
+    R + beta1 = 0 puts one exponent on both.  The boxes then meet iff each
+    reaches the other's destination and, in every block, a's interval for
+    its direct at b.dest meets b's for its direct at a.dest.  index gives
+    each family's position at each destination.
+    """
+    if a.dest == b.dest:
+        return a.beta == b.beta and all(
+            max(l1, l2) <= min(h1, h2) for l1, h1, l2, h2 in zip(a.lo, a.hi, b.lo, b.hi)
+        )
+    if b.dest not in a.reach or a.dest not in b.reach:
+        return False
+    # x: block (t, m)'s direct at b.dest in a's box, y: at a.dest in b's
+    pairs = (
+        (x, index[b.dest][t, m, a.dest, t])
+        for (t, m, np_, i), x in index[a.dest].items()
+        if i == t and np_ == b.dest
+    )
+    return all(max(a.lo[x], b.lo[y]) <= min(a.hi[x], b.hi[y]) for x, y in pairs)
+
+
+def _union_size(boxes: list[_Source]) -> int:
+    """The number of points in the union of boxes of one destination and
+    one beta, by inclusion-exclusion: every intersection of boxes is the
+    box of their per-family max lower and min upper bounds.  The walk
+    extends only non-empty intersections, since every intersection that
+    contains an empty one is empty: for a boxes it visits at most 2**a - 1
+    of them, but only a when the boxes are pairwise disjoint, and it never
+    forms them all at once."""
+    total = 0
+    stack = [(i + 1, box.lo, box.hi, 1) for i, box in enumerate(boxes)]
+    while stack:
+        start, lo, hi, sign = stack.pop()
+        total += sign * math.prod(h - l + 1 for l, h in zip(lo, hi))
+        for i in range(start, len(boxes)):
+            lo2 = tuple(map(max, lo, boxes[i].lo))
+            hi2 = tuple(map(min, hi, boxes[i].hi))
+            if all(l <= h for l, h in zip(lo2, hi2)):
+                stack.append((i + 1, lo2, hi2, -sign))
+    return total
+
+
+def verify_alignment(config: SystemConfig) -> AlignmentReport:
+    """Run every check of the construction at every receive antenna, on
+    boxes: no exponent row is formed.
+
+    In the family coordinates of its destination antenna, every source at
+    antenna (k, n) is a box (see _Source).  A stream set is the box of its
+    caps (stream_family_cap) with beta 0.  An arrival adds one to the family
+    of its two-gain tag, (j, mp, n, k) at the stream's destination, so it
+    stays balanced; a desired set adds 2 to its own block's direct, beta 2.
+    From that model:
+    - a set's size is the product of its interval lengths (L_observed);
+    - two sets are disjoint unless _meets finds a shared point;
+    - an arrival lies in the reference family, every product of families
+      at some destination with exponents in [0, gamma], iff its beta is 0
+      and every interval lies in [0, gamma]: a point balanced at its own
+      destination lies in another's reference only if balanced at both,
+      where it has the same bounds in both;
+    - L' is the sum over destinations of the union of that destination's
+      arrivals (_union_size), once every pair of arrivals with different
+      destinations has been checked to be disjoint (a RuntimeError if not).
+    A failed check is reported, not raised; callers that need a hard
+    failure (the CLI verify path) inspect .passed.
+    """
+    K, M, N, gamma = config.K, config.M, config.N, config.gamma
     L, l_prime = closed_form_counts(config)
-    expected = L if plan.truncation_cap is None else min(plan.truncation_cap, L)
-    reference = ReferenceFamily(config)
-    dests = tuple(range(1, config.N + 1))
+    dests = range(1, N + 1)
+    fams = {d: families(K, M, N, d) for d in dests}
+    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in fams.items()}
+    caps = {
+        (j, mp, d): [max(stream_family_cap((j, mp, d), f, gamma), 0) for f in fams[d]]
+        for j in range(1, K + 1)
+        for mp in range(1, M + 1)
+        for d in dests
+    }
+    flat = (0,) * (K * M)
+
+    def source(dest, lo, hi, beta):
+        reach = _reach(dest, lo, beta, fams[dest], N)
+        return _Source(dest, tuple(lo), tuple(hi), beta, reach)
+
     verdicts = []
-    for k in range(1, config.K + 1):
-        for n in range(1, config.N + 1):
-            runs = _group(plan, k, n)
-            cols = runs.codes.cols
-            hit = runs.arrivals > 0
-            # one row of each interference run
-            rows = runs.rows(np.sort(runs.first[hit]))
-            inside = reduce(np.logical_or, reference.within_at(cols, rows, dests).T)
-            lengths = [len(plan.streams[(k, m, n)]) for m in range(1, config.M + 1)]
-            l_prime_observed = int(np.count_nonzero(hit))
+    for k in range(1, K + 1):
+        for n in dests:
+            desired = []
+            for m in range(1, M + 1):
+                beta = list(flat)
+                beta[(k - 1) * M + m - 1] = 2
+                hi = caps[k, m, n]
+                desired.append(source(n, [0] * len(hi), hi, tuple(beta)))
+            arrivals = []
+            for (j, mp, d), hi in caps.items():
+                if j == k and d == n:
+                    continue
+                tag = index[d][j, mp, n, k]
+                lo = [0] * len(hi)
+                hi = list(hi)
+                lo[tag] += 1
+                hi[tag] += 1
+                arrivals.append(source(d, lo, hi, flat))
+            for a, b in combinations(arrivals, 2):
+                if a.dest != b.dest and _meets(a, b, index):
+                    raise RuntimeError(
+                        f"arrivals of destinations {a.dest} and {b.dest} meet"
+                        f" at antenna ({k},{n})"
+                    )
+            lengths = [math.prod(h + 1 for h in s.hi) for s in desired]
+            l_prime_observed = sum(
+                _union_size([a for a in arrivals if a.dest == d]) for d in dests
+            )
             checks = {
-                "desired_pairwise_disjoint": not (runs.desired > 1).any(),
-                "desired_disjoint_from_interference": not (hit & (runs.desired > 0)).any(),
-                "interference_within_reference": bool(inside.all()),
+                "desired_pairwise_disjoint": not any(
+                    _meets(a, b, index) for a, b in combinations(desired, 2)
+                ),
+                "desired_disjoint_from_interference": not any(
+                    _meets(a, b, index) for a in desired for b in arrivals
+                ),
+                "interference_within_reference": all(
+                    not any(a.beta) and max(a.hi, default=0) <= gamma for a in arrivals
+                ),
                 "l_prime_within_bound": l_prime_observed <= l_prime,
-                "stream_counts_match": all(size == expected for size in lengths),
+                "stream_counts_match": all(size == L for size in lengths),
             }
             verdicts.append(
                 AntennaVerdict(

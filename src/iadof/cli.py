@@ -12,11 +12,12 @@ import json
 import math
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-# Only the bounds layer loads with the CLI: `bounds` and `sweep` never import
-# numpy, and each numpy command imports its own layers when it runs.
-from .bounds import DofReport, dof_report, fraction_dec, fraction_str
+# No layer loads with the CLI: `bounds` and `sweep` import the bounds layer
+# (never numpy) when they run, and `directions` and `simulate` their own.
+if TYPE_CHECKING:
+    from .bounds import DofReport
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,6 +62,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _render_bounds(r: DofReport) -> str:
+    from .bounds import fraction_dec, fraction_str
+
     w = r.witness
     lines = [
         f"M={r.M} N={r.N} K={r.K}",
@@ -82,6 +85,8 @@ def _render_bounds(r: DofReport) -> str:
 
 
 def _sweep_csv(reports: list[DofReport]) -> str:
+    from .bounds import fraction_dec, fraction_str
+
     frac_cols = [c for c in SWEEP_COLUMNS if c not in ("K", "regime")]
     header = ",".join(SWEEP_COLUMNS) + "," + ",".join(c + "_dec" for c in frac_cols)
     lines = [header]
@@ -100,6 +105,8 @@ def _sweep_csv(reports: list[DofReport]) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import dof_report
+
     report = dof_report(args.M, args.N, args.K)
     if args.json:
         text = _json_text(
@@ -112,6 +119,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .bounds import dof_report
+
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError(
             f"need 1 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]"
@@ -162,28 +171,20 @@ def _render_alignment(report, L: int, l_prime: int) -> str:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
-    from .alignment import (
-        DEFAULT_STREAM_BUDGET,
-        EnumerationBudgetError,
-        build_transmit_directions,
-        closed_form_counts,
-        verify_alignment,
-    )
+    from .alignment import DEFAULT_STREAM_BUDGET, closed_form_counts, verify_alignment
     from .channel import SystemConfig
 
     config = SystemConfig(K=args.K, M=args.M, N=args.N, gamma=args.gamma)
     budget = _budget(args, DEFAULT_STREAM_BUDGET)
     L, l_prime = closed_form_counts(config)
-    try:
-        plan = build_transmit_directions(config, budget=budget)
-    except EnumerationBudgetError as e:
+    if L > budget:
         sys.stderr.write(
-            f"enumeration budget exceeded: {e.required} directions per stream"
-            f" against budget {e.budget}\n"
+            f"enumeration budget exceeded: {L} directions per stream"
+            f" against budget {budget}\n"
             f"closed form: L={L} L'={l_prime}\n"
         )
         return EXIT_BUDGET
-    report = verify_alignment(plan)
+    report = verify_alignment(config)
     if args.json:
         text = _json_text(
             {"schema": SCHEMA, "command": "directions", **report.to_json_dict()}
@@ -282,7 +283,7 @@ def _parser() -> argparse.ArgumentParser:
         "directions",
         aliases=["verify"],
         parents=[common],
-        help="build direction sets and run alignment checks",
+        help="count the direction sets and run alignment checks",
     )
     _add_config_flags(p)
     p.add_argument("--budget", type=int, default=None, help="enumeration budget override")

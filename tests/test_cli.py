@@ -9,9 +9,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+import iadof.alignment
 from iadof.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -158,15 +160,27 @@ def test_verify_alias_matches_directions(capsys):
     assert a[0] == EXIT_OK
 
 
-def test_directions_check_failure_exit(capsys, monkeypatch, overcounted_plan):
-    # every real config passes, so feed the command a plan with one
-    # direction too many; it must report the excess and exit nonzero
-    monkeypatch.setattr(
-        "iadof.alignment.build_transmit_directions", lambda config, budget: overcounted_plan
-    )
+def test_directions_check_failure_exit(capsys, monkeypatch):
+    # every real config passes, so let own-antenna families run to gamma:
+    # each stream grows from 16 to 64 directions, the arrivals' last step
+    # leaves the reference family, and the union passes the exact count
+    cap = iadof.alignment.stream_family_cap
+
+    def own_to_gamma(stream, fam, gamma):
+        return gamma if fam[:2] == stream[:2] else cap(stream, fam, gamma)
+
+    monkeypatch.setattr(iadof.alignment, "stream_family_cap", own_to_gamma)
     code, out, err = run(["verify", "-K", "3", "-M", "1", "-N", "1"], capsys)
     assert code == EXIT_CHECK_FAILED
-    assert "l_prime_within_bound: FAIL" in out
+    lines = out.splitlines()
+    assert lines[2] == "antenna (1,1): L_observed=64 L'_observed=112"
+    assert lines[3:8] == [
+        "  desired_pairwise_disjoint: pass",
+        "  desired_disjoint_from_interference: pass",
+        "  interference_within_reference: FAIL",
+        "  l_prime_within_bound: FAIL",
+        "  stream_counts_match: FAIL",
+    ]
     assert out.rstrip().endswith("result: FAIL")
 
 
@@ -181,6 +195,30 @@ def test_directions_budget_exit(capsys):
         " against budget 1000000" in err
     )
     assert "closed form: L=254803968" in err
+
+
+def test_directions_past_enumeration(capsys):
+    # (3,2,2,1): L = 1,048,576 directions per stream, over the default
+    # budget; with the budget raised it is decided on boxes, not rows
+    argv = ["directions", "-K", "3", "-M", "2", "-N", "2"]
+    t0 = time.perf_counter()
+    code, out, err = run(argv + ["--budget", "2000000", "--json"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert len(payload["per_antenna"]) == 6
+    for row in payload["per_antenna"]:
+        assert row["L_observed"] == 2 * 1048576
+        assert row["L_prime_observed"] == 10469384
+        assert all(row["checks"].values())
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == (
+        "enumeration budget exceeded: 1048576 directions per stream against budget 1000000\n"
+        "closed form: L=1048576 L'=10469384\n"
+    )
 
 
 def test_directions_budget_override(capsys):
@@ -476,6 +514,13 @@ def _modules_after(code):
 )
 def test_numpy_layers_not_loaded(code):
     assert _modules_after(code).isdisjoint(HEAVY_MODULES)
+
+
+def test_cli_loads_no_layer():
+    # the bound commands import the bounds layer, with fractions and
+    # decimal, when they run, not with the CLI
+    loaded = _modules_after("import iadof.cli")
+    assert loaded.isdisjoint({"iadof.bounds", "fractions", "decimal"})
 
 
 def test_directions_loads_no_simulator():
