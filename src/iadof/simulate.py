@@ -11,15 +11,22 @@ are searched once per desired sum (_kernels).  All randomness is keyed by
 The plan is symbolic: every direction is a monomial in the channel gains,
 so one plan, and each antenna's expansion of it, serves every channel draw
 of a system.  The seed belongs to the draw, not to the plan; run_link_sim
-builds the kept plan once per seedless config and cap, and only the numeric
-half (channel, evaluation, decode, distances) runs per call.
+builds the kept plan once per seedless config and cap.
+
+The channel is fixed and known at every node, so all a run derives from one
+draw, before its operating points, is a function of (config, seed, cap,
+trials): the channel, the forward map, the antenna models, the stream
+powers, the symbols and noise, each unit-amplitude distance and the
+separation slope.  A _Draw holds them, and run_link_sim keeps the last one
+(_kept_draw).  Each call checks its budgets, then derives its amplitudes,
+decode, SER and d_min from the draw, whether the draw is new or kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -179,13 +186,22 @@ def amplitude_scale(
     unit-amplitude stream powers do not depend on rho and are computed once.
     An A below MIN_AMPLITUDE is refused.
     """
+    return _amplitudes(_stream_powers(plan, h), rhos)
+
+
+def _stream_powers(plan: TransmitPlan, h: ChannelRealization) -> list[float]:
+    """The unit-amplitude power of every transmit antenna, user-major."""
     c = plan.config
-    powers = [stream_mean_power(plan, h, k, m) for (k, m) in _antennas(c.K, c.M)]
+    return [stream_mean_power(plan, h, k, m) for (k, m) in _antennas(c.K, c.M)]
+
+
+def _amplitudes(powers: list[float], rhos: tuple[float, ...]) -> dict[float, float]:
+    """amplitude_scale from the transmit antennas' unit-amplitude powers."""
     amplitudes = {}
     for rho in rhos:
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
-        a = amplitudes[rho] = min(math.sqrt(rho / (c.K * c.M) / p) for p in powers)
+        a = amplitudes[rho] = min(math.sqrt(rho / len(powers) / p) for p in powers)
         if a < MIN_AMPLITUDE:
             raise ValueError(f"amplitude {a} at rho={rho} is below {MIN_AMPLITUDE:g}")
     return amplitudes
@@ -289,8 +305,14 @@ def separation_exponent(model: AntennaModel) -> float:
     Every Q's difference box is checked against the budget before any
     distance is computed, so a refusal at a large Q costs no work.
     """
+    return _slope(model, lambda r: min_abs_combination(model.gains, r, len(model.coords)))
+
+
+def _slope(model: AntennaModel, distance) -> float:
+    """separation_exponent with each unit-amplitude distance read from
+    distance(radii)."""
     radii = [_distance_radii(model, q, DEFAULT_DECODE_BUDGET) for q in SLOPE_Q]
-    d = [min_abs_combination(model.gains, r, len(model.coords)) for r in radii]
+    d = [distance(r) for r in radii]
     if any(v <= 0 for v in d):
         return float("nan")
     slope = np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0]
@@ -369,6 +391,66 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
+class _Draw:
+    """One channel draw's numeric model at a trials count: everything a run
+    derives from (plan, channel, trials) before its operating points.
+
+    Built with the forward map (coords, W), the antenna models and the
+    unit-amplitude stream powers.  The symbols U and y_unit = U @ W are drawn
+    on the first decode and the noise Z on the first noisy one, so a call
+    refused by its budgets draws nothing.  Unit-amplitude distances are kept
+    by (antenna, box radii), so d_min and the slope solve a shared box once;
+    the slope is kept too.
+    """
+
+    def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
+        self.coords, self.W = _forward(plan, h)
+        c = plan.config
+        self.plan = plan
+        self.seed = h.config.seed
+        self.trials = trials
+        self.ants = _antennas(c.K, c.N)
+        self.models = [antenna_model(plan, h, k, n) for (k, n) in self.ants]
+        self.powers = _stream_powers(plan, h)
+        col_of = {x: i for i, x in enumerate(self.coords)}
+        # each antenna's desired symbols, as columns of U in decode order
+        self.columns = [
+            [col_of[(k, m, n, l)] for (m, l) in model.coords]
+            for (k, n), model in zip(self.ants, self.models)
+        ]
+        self.distances: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return _draw_symbols(self.seed, self.plan.config.Q, self.trials, len(self.coords))
+
+    @cached_property
+    def y_unit(self) -> np.ndarray:
+        return self.U.astype(np.float64) @ self.W
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return _draw_noise(self.seed, self.trials, len(self.ants))
+
+    def distance(self, ai: int, radii: list[int]) -> float:
+        """min_abs_combination of antenna ai's model over the box radii."""
+        key = (ai, tuple(radii))
+        d = self.distances.get(key)
+        if d is None:
+            model = self.models[ai]
+            d = self.distances[key] = min_abs_combination(model.gains, radii, len(model.coords))
+        return d
+
+    @cached_property
+    def slope(self) -> float:
+        """separation_exponent of the first antenna, NaN when refused; the
+        refusal depends on the model alone, not on a call's budget."""
+        try:
+            return _slope(self.models[0], lambda r: self.distance(0, r))
+        except DecodeBudgetError:
+            return float("nan")
+
+
 def simulate_plan(
     plan: TransmitPlan,
     h: ChannelRealization,
@@ -383,59 +465,61 @@ def simulate_plan(
     every SNR point, so it decodes them once and counts the same errors at
     each.
     """
-    coords, W = _forward(plan, h)
-    config = plan.config
-    Q = config.Q
-    col_of = {c: i for i, c in enumerate(coords)}
-    ants = _antennas(config.K, config.N)
-    models = [antenna_model(plan, h, k, n) for (k, n) in ants]
+    return _operate(_Draw(plan, h, sim_config.trials), sim_config, budget)
 
+
+def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
+    """The operating points of sim_config on a draw of its trials count.
+
+    Every budget is checked here, on each call, before the work it guards.
+    """
+    Q = draw.plan.config.Q
+    models = draw.models
     trials = sim_config.trials
     rhos = sim_config.snr_points
     passes = 1 if sim_config.noiseless else len(rhos)
     # every antenna is checked before any is decoded
     radii = [_decode_radii(m, Q, trials * passes, budget) for m in models]
-    amplitudes = amplitude_scale(plan, h, rhos)
-    U = _draw_symbols(h.config.seed, Q, trials, len(coords))
-    Z = _draw_noise(h.config.seed, trials, len(ants))
-    y_unit = U.astype(np.float64) @ W
+    amplitudes = _amplitudes(draw.powers, rhos)
+    U, y_unit = draw.U, draw.y_unit
 
     # One antenna at a time, each searched once with the queries of every
     # pass stacked: the queries are independent, so the indices are those
     # of one search per pass.
     wrong = np.zeros(len(rhos), dtype=np.int64)
     total = 0
-    for ai, ((k, n), model, r) in enumerate(zip(ants, models, radii)):
+    for ai, (model, r, cols) in enumerate(zip(models, radii, draw.columns)):
         y = y_unit[:, ai]
         if sim_config.noiseless:
             ys = [y]
         else:
-            ys = [y + Z[:, ai] / amplitudes[rho] for rho in rhos]
+            ys = [y + draw.Z[:, ai] / amplitudes[rho] for rho in rhos]
         nd = len(model.coords)
         blocks = (_block_sums(model.gains, r, 0, nd), _block_sums(model.gains, r, nd, len(r)))
         idx = nearest_candidate_indices(np.concatenate(ys), *blocks)
         pos = np.unravel_index(idx, [2 * x + 1 for x in r])
-        for d, (m, l) in enumerate(model.coords):
+        for d, col in enumerate(cols):
             decoded = (pos[d] - (Q - 1)).reshape(passes, trials)
             # a noiseless pass counts at every rho
-            wrong += np.sum(decoded != U[:, col_of[(k, m, n, l)]], axis=1)
+            wrong += np.sum(decoded != U[:, col], axis=1)
             total += trials
     ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
 
+    # the same product min_distance forms, on the draw's kept distances
     a0 = amplitudes[rhos[0]]
     try:
-        d_min = min(min_distance(model, Q, a0, budget) for model in models)
+        d_min = min(
+            a0 * draw.distance(ai, _distance_radii(model, Q, budget))
+            for ai, model in enumerate(models)
+        )
     except DecodeBudgetError:
         d_min = float("nan")
-    try:
-        slope = separation_exponent(models[0])
-    except DecodeBudgetError:
-        slope = float("nan")
 
     n_streams = len(models[0].coords)
-    hit = [rho for rho in sim_config.snr_points if ser[rho] < 1e-3]
+    hit = [rho for rho in rhos if ser[rho] < 1e-3]
     rate = n_streams * math.log2(2 * Q - 1) if hit else 0.0
 
+    plan = draw.plan
     cap = plan.truncation_cap
     if cap is None:
         cap = max(len(ds) for ds in plan.streams.values())
@@ -445,11 +529,20 @@ def simulate_plan(
         trials=trials,
         d_min=d_min,
         ser=ser,
-        separation_slope=slope,
+        separation_slope=draw.slope,
         separation_floor=separation_floor(models[0].profile),
         decoded_rate=rate,
         amplitudes=amplitudes,
     )
+
+
+# One entry, beside _kept_plan: a sweep runs each draw's operating points
+# back to back (sim_sweep's noiseless command, then its noisy one, on every
+# seed) and does not come back to an earlier draw.
+@lru_cache(maxsize=1)
+def _kept_draw(config: SystemConfig, cap: int, trials: int) -> _Draw:
+    """The draw of a config, seed included, on its system's kept plan."""
+    return _Draw(_kept_plan(replace(config, seed=0), cap), generate_channel(config), trials)
 
 
 def run_link_sim(
@@ -459,8 +552,7 @@ def run_link_sim(
     budget: int = DEFAULT_DECODE_BUDGET,
 ) -> SimResult:
     """Simulate a bare config: its channel draw on the system's kept plan,
-    built on the first call for the system and cap."""
+    both built on the first call that asks for them."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    plan = _kept_plan(replace(config, seed=0), cap)
-    return simulate_plan(plan, generate_channel(config), sim_config, budget)
+    return _operate(_kept_draw(config, cap, sim_config.trials), sim_config, budget)

@@ -9,8 +9,8 @@ fresh interpreters; every ninth of them (8 of 66 seeds) is replayed here.
 Two row sets are replayed once more in a fresh interpreter of their own:
 the bounds_sweep rows with numpy unimportable, since the bound commands
 must not need it, and the sim_sweep rows in seed order and then reversed,
-since the simulator keeps one plan per system across commands and earlier
-tests in this process may have warmed it.
+since the simulator keeps one plan per system and its last channel draw
+across commands and earlier tests in this process may have warmed them.
 """
 
 import contextlib

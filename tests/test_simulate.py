@@ -535,9 +535,80 @@ def test_kept_plan_cache_replays_fresh():
     run_link_sim(SystemConfig(K=3, seed=0), sim_config, cap=1)
     assert sim._kept_plan.cache_info().hits == hits + 1
     for s in range(10):
+        # a kept draw holds its plan, so a cold run clears both caches
+        sim._kept_draw.cache_clear()
         sim._kept_plan.cache_clear()
         cold = run_link_sim(SystemConfig(K=3, seed=s), sim_config, cap=1)
         assert cold.to_json_dict() == warm[s]
+
+
+def _cold_run(config, sim_config, **kw):
+    import iadof.simulate as sim
+
+    sim._kept_draw.cache_clear()
+    sim._kept_plan.cache_clear()
+    return run_link_sim(config, sim_config, cap=1, **kw).to_json_dict()
+
+
+def test_kept_draw_replays_cold():
+    # a draw kept from the previous call, noiseless or noisy, gives what a
+    # draw built afresh gives, in either order of the two calls
+    quiet = SimConfig(snr_points=(1e2,), trials=1000, noiseless=True)
+    noisy = SimConfig(snr_points=(1e2, 1e6), trials=1000)
+    for s in range(10):
+        config = SystemConfig(K=3, seed=s)
+        cold = [_cold_run(config, quiet), _cold_run(config, noisy)]
+        for order in ((0, 1), (1, 0)):
+            runs = [None, None]
+            for i in order:
+                runs[i] = run_link_sim(config, (quiet, noisy)[i], cap=1).to_json_dict()
+            assert runs == cold
+
+
+def test_kept_draw_checks_budgets_on_every_call(capsys):
+    # the noiseless call keeps the draw; the noisy call on it charges its
+    # 3 * 3,000 queries against the budget all the same
+    import iadof.simulate as sim
+
+    config = SystemConfig(K=3, seed=1)
+    run_link_sim(config, SimConfig(snr_points=SNR3, noiseless=True), cap=1)
+    hits = sim._kept_draw.cache_info().hits
+    with pytest.raises(DecodeBudgetError) as exc:
+        run_link_sim(config, SimConfig(snr_points=SNR3), cap=1, budget=5000)
+    assert exc.value.required == 9000
+    base = ["simulate", "-K", "3", "-M", "1", "-N", "1", "--seed", "1", "--snr", "1e2,1e4,1e6"]
+    assert main(base + ["--noiseless"]) == 0
+    assert main(base + ["--budget", "5000"]) == 4
+    assert "needs 9000" in capsys.readouterr().err
+    assert sim._kept_draw.cache_info().hits == hits + 3
+
+
+def test_draw_solves_each_distance_box_once(monkeypatch):
+    # at K=3, Q=2, d_min's box at antenna (1,1) is the slope's q=2 box: 3
+    # d_min boxes and 3 more slope boxes.  A second call on the kept draw
+    # solves none and decodes each antenna once.
+    import iadof.simulate as sim
+
+    config = SystemConfig(K=3, Q=2, seed=2)
+    sim_config = SimConfig(snr_points=(1e2, 1e4), trials=200)
+    want = _cold_run(config, sim_config)
+    calls = {"min_abs": 0, "nearest": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(sim, "min_abs_combination", counting("min_abs", min_abs_combination))
+    monkeypatch.setattr(
+        sim, "nearest_candidate_indices", counting("nearest", nearest_candidate_indices)
+    )
+    assert _cold_run(config, sim_config) == want
+    assert calls == {"min_abs": 6, "nearest": 3}
+    assert run_link_sim(config, sim_config, cap=1).to_json_dict() == want
+    assert calls == {"min_abs": 6, "nearest": 6}
 
 
 def test_plan_serves_every_draw_of_its_system():
