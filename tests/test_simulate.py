@@ -629,6 +629,8 @@ def test_plan_serves_every_draw_of_its_system():
 def test_kept_plans_bounded_and_read_only():
     import iadof.simulate as sim
 
+    # a kept draw holds its own plan, so run_link_sim below must not find one
+    sim._kept_draw.cache_clear()
     maxsize = sim._kept_plan.cache_info().maxsize
     assert maxsize is not None
     for Q in range(2, maxsize + 4):
