@@ -26,8 +26,8 @@ source, an arrival or a desired set, adds its tag's code to its stream's
 codes, and one sort of those code words puts equal rows next to each other.
 Only the sets returned are put into canonical order.  The integer products
 (row codes, box points) run as float64 products, which BLAS computes
-exactly here: every operand and partial sum is an integer of magnitude
-below 2**53.
+exactly here; directions._code_weights gives the argument for the codes,
+and _box for the box points.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from .directions import (
     MAX_TOTAL_DEGREE,
     Columns,
     DirectionSet,
+    _code_weights,
     _runs,
+    _sort_runs,
     merge_columns,
 )
 
@@ -61,12 +63,22 @@ PairFamily = tuple[int, int, int, int]
 DEFAULT_STREAM_BUDGET = 10**6
 
 
+def count_text(n: int) -> str:
+    """A non-negative count in decimal, or, past the interpreter's limit on
+    int to decimal conversion, as 2^B or more than 2^B."""
+    try:
+        return str(n)
+    except ValueError:
+        b = n.bit_length() - 1
+        return f"2^{b}" if n == 1 << b else f"more than 2^{b}"
+
+
 class EnumerationBudgetError(RuntimeError):
     """Raised before starting an enumeration whose exact size is over budget."""
 
     def __init__(self, required: int, budget: int, what: str = "enumeration"):
         super().__init__(
-            f"{what} would produce {required} directions, budget is {budget}"
+            f"{what} would produce {count_text(required)} directions, budget is {budget}"
         )
         self.required = required
         self.budget = budget
@@ -269,15 +281,15 @@ def truncate_plan(plan: TransmitPlan, cap: int) -> TransmitPlan:
 class StreamCodes(NamedTuple):
     """Exact integer codes of every stream's rows, formed once per plan.
 
-    index gives each coefficient id's column in cols and places each
-    column's (word, place value); rows holds each stream's exponent matrix
-    over cols, and codes its rows' code words as a (words, rows) float64
-    matrix.
+    index gives each coefficient id's column in cols and weights each
+    column's place in the code words (see _code_weights); rows holds each
+    stream's exponent matrix over cols, and codes its rows' code words as
+    a (words, rows) float64 matrix.
     """
 
     cols: Columns
     index: dict[CoefficientId, int]
-    places: list[tuple[int, int]]
+    weights: np.ndarray
     rows: dict[Stream, np.ndarray]
     codes: dict[Stream, np.ndarray]
 
@@ -300,10 +312,8 @@ def stream_codes(plan: TransmitPlan) -> StreamCodes:
     A column's radix is its largest exponent over all streams plus 3, so a
     digit stays below its radix after a tag adds at most 2 to it: tagged
     rows have equal codes exactly when they are equal.  Columns are cut,
-    in order, into words whose radix product stays below 2**53, and each
-    word is one float64 product of the rows with the column places.  Every
-    term is a non-negative integer and every partial sum is at most the
-    word, so the products are exact.
+    in order, into float64 words below 2**53 (_code_weights), and one
+    exact product of the rows with the column places forms every word.
 
     At every receive antenna each stream arrives or is desired, and either
     tag adds exactly 2 to a row's total degree, so the plan is held here,
@@ -318,18 +328,9 @@ def stream_codes(plan: TransmitPlan) -> StreamCodes:
     top = np.zeros(len(cols), dtype=np.int64)
     for exps in rows.values():
         np.maximum(top, exps.max(axis=0, initial=0), out=top)
-    places = []
-    word, place = 0, 1
-    for radix in (top + 3).tolist():
-        if place * radix >= 2**53:
-            word, place = word + 1, 1
-        places.append((word, place))
-        place *= radix
+    weights = _code_weights((top + 3).tolist())
     # one row per code word, and a last row of ones for the total degree
-    maps = np.zeros((word + 2, len(cols)))
-    maps[-1] = 1
-    for c, (w, p) in enumerate(places):
-        maps[w, c] = p
+    maps = np.vstack([weights.T, np.ones(len(cols))])
     codes = {}
     total = 0
     for s, exps in rows.items():
@@ -339,7 +340,7 @@ def stream_codes(plan: TransmitPlan) -> StreamCodes:
     if total + 2 > MAX_TOTAL_DEGREE:
         raise OverflowError(f"total degree {total + 2} exceeds {MAX_TOTAL_DEGREE}")
     index = {cid: c for c, cid in enumerate(cols)}
-    return StreamCodes(cols, index, places, rows, codes)
+    return StreamCodes(cols, index, weights, rows, codes)
 
 
 class _Runs(NamedTuple):
@@ -378,9 +379,8 @@ def _group(plan: TransmitPlan, k: int, n: int) -> _Runs:
     Each arrival is a stream's rows times the direct gain to its antenna
     and the gain into (k, n); each desired set is an own stream's rows times
     the squared direct gain.  A source's row codes are its stream's codes
-    plus its tag's code, and one sort of the code words puts equal rows
-    next to each other: an argsort of the one word most plans need, or a
-    lexsort of several.
+    plus its tag's code, and one sort of the code words (_sort_runs) puts
+    equal rows next to each other.
     """
     config = plan.config
     if not 1 <= k <= config.K:
@@ -399,21 +399,11 @@ def _group(plan: TransmitPlan, k: int, n: int) -> _Runs:
         # j == k that second factor is user k's own direct gain
         sources.append(((j, mp, np_), ((index[(j, j, np_, mp)], 1), (index[(k, j, n, mp)], 1))))
     offsets = [0, *accumulate(codes.codes[stream].shape[1] for stream, _ in sources)]
-    words = codes.places[-1][0] + 1
-    shifts = np.zeros((len(sources), words, 1))
-    for shift, (_, tag) in zip(shifts, sources):
-        for c, e in tag:
-            w, place = codes.places[c]
-            shift[w] += e * place
-    stack = np.empty((words, offsets[-1]))
-    for (stream, _), shift, lo, hi in zip(sources, shifts, offsets, offsets[1:]):
-        np.add(codes.codes[stream], shift, out=stack[:, lo:hi])
-    order = np.argsort(stack[0]) if len(stack) == 1 else np.lexsort(stack)
-    ranked = stack[:, order]
-    start = np.zeros(len(order), dtype=bool)
-    start[:1] = True
-    for word in ranked:
-        start[1:] |= word[1:] != word[:-1]
+    stack = np.empty((codes.weights.shape[1], offsets[-1]))
+    for (stream, tag), lo, hi in zip(sources, offsets, offsets[1:]):
+        shift = sum(e * codes.weights[c] for c, e in tag)
+        np.add(codes.codes[stream], shift[:, None], out=stack[:, lo:hi])
+    order, start = _sort_runs(stack)
     run = np.empty(len(order), dtype=np.int64)
     run[order] = np.cumsum(start) - 1
     runs = int(np.count_nonzero(start))

@@ -2,7 +2,9 @@
 and link simulations, with deterministic CSV/JSON output.
 
 Exit codes are contractual: 0 success, 1 verification failure, 2 usage,
-3 I/O failure, 4 enumeration budget exceeded.
+3 I/O failure, 4 enumeration budget exceeded.  An input past one of the
+program's fixed limits (a direction's total degree, the float range) is a
+usage error.
 """
 
 from __future__ import annotations
@@ -171,13 +173,14 @@ def _render_alignment(report, L: int, l_prime: int) -> str:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
-    from .alignment import DEFAULT_STREAM_BUDGET, closed_form_counts, verify_alignment
+    from .alignment import DEFAULT_STREAM_BUDGET, closed_form_counts, count_text, verify_alignment
     from .channel import SystemConfig
 
     config = SystemConfig(K=args.K, M=args.M, N=args.N, gamma=args.gamma)
     budget = _budget(args, DEFAULT_STREAM_BUDGET)
     L, l_prime = closed_form_counts(config)
     if L > budget:
+        L, l_prime = count_text(L), count_text(l_prime)
         sys.stderr.write(
             f"enumeration budget exceeded: {L} directions per stream"
             f" against budget {budget}\n"
@@ -286,7 +289,11 @@ def _parser() -> argparse.ArgumentParser:
         help="count the direction sets and run alignment checks",
     )
     _add_config_flags(p)
-    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
+    p.add_argument(
+        "--budget", type=int, default=None,
+        help="refuse a config whose per-stream count L is above this (default 10^6);"
+        " 0 prints only the closed-form counts",
+    )
     p.set_defaults(func=cmd_directions)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo link simulation")
@@ -317,7 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except OSError as e:

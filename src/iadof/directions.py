@@ -2,7 +2,8 @@
 
 A direction is a product of channel coefficients raised to non-negative
 integer powers.  Equality, order and the counting of repeated rows are
-exact operations on exponent vectors; nothing here ever compares
+exact operations on exponent vectors, decided on exact integer codes of
+the rows (_code_weights, _sort_runs); nothing here ever compares
 floating-point products.
 
 A DirectionSet stores its members as an integer exponent matrix: one row
@@ -14,7 +15,6 @@ id: exponent} mapping.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,8 +23,6 @@ from .channel import ChannelRealization, CoefficientId
 
 MAX_EXPONENT = 2**31 - 1
 MAX_TOTAL_DEGREE = 1_000_000
-# width of the sort-key halves formed by float64 products; two make a word
-HALF_BITS = 32
 
 # Coefficient ids of the columns of an exponent matrix, increasing.
 Columns = tuple[CoefficientId, ...]
@@ -56,69 +54,63 @@ def _check_exponents(exps: np.ndarray) -> None:
         raise OverflowError(f"total degree {total} exceeds {MAX_TOTAL_DEGREE}")
 
 
-def _order_keys(exps: np.ndarray) -> np.ndarray:
-    """Packed unsigned words, one row per matrix row, whose lexicographic
-    order is the canonical order and which are equal exactly when the rows
-    are.
-
-    The canonical order compares each row's flat tuple of (id, exponent)
-    entries for its non-zero columns, so the unit (the all-zero row) comes
-    first.  Column by column that is the order of these keys: a
-    positive exponent keys as itself; a zero keys as top, above every
-    exponent, when a later column is non-zero (that row's next id is larger)
-    and as 0 when none is (that row's tuple has ended).  The keys are packed,
-    first column highest, into 32-bit halves by float64 products with the
-    column weights: the exponents, plus top times the weights of the zero
-    columns before the row's last non-zero one.  Both products are exact:
-    every operand, partial sum and half is a non-negative integer below
-    2**32, far below 2**53.  Each pair of halves is stored low half first
-    as little-endian 32-bit integers and read as one little-endian 64-bit
-    word, so a sort sees as few words as 64-bit packing gives.
-    """
-    n, C = exps.shape
-    if C == 0:
-        return np.zeros((n, 1), dtype=np.uint64)
-    pos = exps > 0
-    top = int(exps.max(initial=0)) + 1
-    weights, prefix = _key_weights(C, top.bit_length())
-    # columns up to and including the last non-zero one; 0 for the unit
-    flipped = np.concatenate([pos[:, ::-1], np.ones((n, 1), dtype=bool)], axis=1)
-    span = C - np.argmax(flipped, axis=1)
-    # both products run in float64 (numpy casts pos and exps to it)
-    zeros = prefix[span] - pos @ weights
-    # the fields of one half never overlap, so these sums never carry
-    halves = exps @ weights + top * zeros
-    return halves.astype("<u4").view("<u8")
+def _code_weights(radices: list[int]) -> np.ndarray:
+    """Place of each mixed-radix digit in float64 words, as a (digits,
+    words) matrix.  The digits take places 1, r0, r0*r1, ... in the order
+    given, and one opens the next word when its place times its radix
+    would reach 2**53.  Rows of digits, each below its radix, times these
+    weights are equal exactly when the rows are, and the float64 product
+    is exact: every term is a non-negative integer and every partial sum
+    is at most its word, below 2**53."""
+    weights = np.zeros((len(radices), max(len(radices), 1)))
+    word, place = 0, 1
+    for c, radix in enumerate(radices):
+        if place * radix >= 2**53:
+            word, place = word + 1, 1
+        weights[c, word] = place
+        place *= radix
+    return weights[:, : word + 1]
 
 
-@lru_cache(maxsize=None)
-def _key_weights(C: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Place of each of C keys of the given width in the packed halves (as
-    many keys per 32-bit half as fit, first column highest, two halves to a
-    word with the high one second), and the sums of the first j rows of
-    those weights for j = 0..C."""
-    per_half = HALF_BITS // bits
-    halves = -(-C // per_half)
-    weights = np.zeros((C, halves + halves % 2))
-    for c in range(C):
-        half = c // per_half
-        weights[c, half ^ 1] = 1 << (bits * (per_half - 1 - c % per_half))
-    prefix = np.zeros((C + 1, weights.shape[1]))
-    np.cumsum(weights, axis=0, out=prefix[1:])
-    weights.flags.writeable = False
-    prefix.flags.writeable = False
-    return weights, prefix
+def _sort_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order of the codes given as the columns of a (words, codes)
+    matrix, the last word leading, and along it where each run of equal
+    codes starts."""
+    order = np.lexsort(words)
+    ranked = words[:, order]
+    start = np.ones(order.shape[0], dtype=bool)
+    start[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    return order, start
 
 
 def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical order of the rows, and along it where each run of equal
-    rows starts."""
-    keys = _order_keys(exps)
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    start = np.ones(order.shape[0], dtype=bool)
-    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return order, start
+    rows starts.
+
+    The canonical order compares each row's flat tuple of (id, exponent)
+    entries for its non-zero columns, so the unit comes first.  Column by
+    column that is the order of these keys: a positive exponent keys as
+    itself; a zero keys as top, above every exponent, when a later column
+    is non-zero (the row's next id is larger) and as 0 when none is (its
+    tuple has ended).  The keys are the digits of one code per row, radix
+    top + 1, fed last column first to _code_weights, so that the leading
+    word holds the first columns.  The zeros keyed as top are the columns
+    before the row's last non-zero one that are not positive: their
+    weights are a prefix sum of the weights less those of the positive
+    columns.
+    """
+    n, C = exps.shape
+    pos = exps > 0
+    top = int(exps.max(initial=0)) + 1
+    weights = _code_weights([top + 1] * C)[::-1]
+    prefix = np.zeros((C + 1, weights.shape[1]))
+    np.cumsum(weights, axis=0, out=prefix[1:])
+    # columns up to and including the last non-zero one; 0 for the unit
+    flipped = np.concatenate([pos[:, ::-1], np.ones((n, 1), dtype=bool)], axis=1)
+    span = C - np.argmax(flipped, axis=1)
+    # float64 products; a row's two terms fill different digits
+    words = exps @ weights + top * (prefix[span] - pos @ weights)
+    return _sort_runs(words.T)
 
 
 def _unique_rows(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

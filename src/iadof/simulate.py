@@ -35,6 +35,7 @@ from .alignment import (
     ReceiverProfile,
     TransmitPlan,
     build_transmit_directions,
+    count_text,
     expand_received,
     truncate_plan,
 )
@@ -59,7 +60,7 @@ class DecodeBudgetError(RuntimeError):
     how big it would have been."""
 
     def __init__(self, required: int, budget: int, what: str = "exhaustive decode"):
-        super().__init__(f"{what} needs {required}, budget is {budget}")
+        super().__init__(f"{what} needs {count_text(required)}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -96,8 +97,12 @@ def _profile(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
 
 
 def symbol_variance(Q: int) -> float:
-    """Variance of a uniform integer symbol on -(Q-1)..(Q-1)."""
-    return Q * (Q - 1) / 3.0
+    """Variance of a uniform integer symbol on -(Q-1)..(Q-1); an OverflowError
+    when it passes the float range."""
+    try:
+        return Q * (Q - 1) / 3.0
+    except OverflowError:
+        raise OverflowError(f"symbol variance at Q={Q} exceeds the float range") from None
 
 
 def plan_coordinates(plan: TransmitPlan) -> list[tuple[int, int, int, int]]:
@@ -395,12 +400,12 @@ class _Draw:
     """One channel draw's numeric model at a trials count: everything a run
     derives from (plan, channel, trials) before its operating points.
 
-    Built with the forward map (coords, W), the antenna models and the
-    unit-amplitude stream powers.  The symbols U and y_unit = U @ W are drawn
-    on the first decode and the noise Z on the first noisy one, so a call
-    refused by its budgets draws nothing.  Unit-amplitude distances are kept
-    by (antenna, box radii), so d_min and the slope solve a shared box once;
-    the slope is kept too.
+    Built with the forward map (coords, W) and the antenna models.  The
+    unit-amplitude stream powers are computed, and the symbols U and
+    y_unit = U @ W drawn, on the first decode, and the noise Z on the first
+    noisy one, so a call refused by its budgets computes none of them.
+    Unit-amplitude distances are kept by (antenna, box radii), so d_min and
+    the slope solve a shared box once; the slope is kept too.
     """
 
     def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
@@ -411,7 +416,7 @@ class _Draw:
         self.trials = trials
         self.ants = _antennas(c.K, c.N)
         self.models = [antenna_model(plan, h, k, n) for (k, n) in self.ants]
-        self.powers = _stream_powers(plan, h)
+        self.h = h
         col_of = {x: i for i, x in enumerate(self.coords)}
         # each antenna's desired symbols, as columns of U in decode order
         self.columns = [
@@ -419,6 +424,10 @@ class _Draw:
             for (k, n), model in zip(self.ants, self.models)
         ]
         self.distances: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    @cached_property
+    def powers(self) -> list[float]:
+        return _stream_powers(self.plan, self.h)
 
     @cached_property
     def U(self) -> np.ndarray:

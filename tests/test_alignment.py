@@ -811,7 +811,7 @@ def test_codes_span_several_words():
         },
     )
     codes = stream_codes(plan)
-    assert codes.places[-1][0] >= 1
+    assert codes.weights.shape[1] >= 2
     assert_profiles_match_oracle(plan)
 
 
@@ -829,11 +829,10 @@ def test_code_words_split_below_2_53(last):
     codes = stream_codes(plan)
     assert codes.cols == cols
     split = 2 if last == 2**15 else 3
-    assert [w for w, _ in codes.places] == [0] * split + [1] * (len(cols) - split)
-    assert [p for _, p in codes.places][:2] == [1, 2**19]
-    weights = np.zeros((len(cols), 2), dtype=np.int64)
-    for c, (w, p) in enumerate(codes.places):
-        weights[c, w] = p
+    weights = codes.weights.astype(np.int64)
+    assert weights.shape == (len(cols), 2)
+    assert weights.argmax(axis=1).tolist() == [0] * split + [1] * (len(cols) - split)
+    assert weights.max(axis=1)[:2].tolist() == [1, 2**19]
     for stream, exps in codes.rows.items():
         assert np.array_equal(codes.codes[stream], (exps @ weights).T)
     assert_profiles_match_oracle(plan)
@@ -914,6 +913,8 @@ def test_directions_builds_no_rows(monkeypatch, capsys):
         (iadof.alignment, "_box"),
         (iadof.alignment, "_runs"),
         (iadof.directions, "_runs"),
+        (iadof.alignment, "_sort_runs"),
+        (iadof.directions, "_sort_runs"),
         (iadof.alignment, "_group"),
         (iadof.alignment, "stream_codes"),
     ]:

@@ -14,6 +14,7 @@ import time
 import pytest
 
 import iadof.alignment
+from iadof.alignment import count_text
 from iadof.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -370,6 +371,70 @@ def test_simulate_enumeration_budget_exit(capsys):
         "error: per-stream enumeration would produce 254803968 directions,"
         " budget is 1000000\n"
     )
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int to decimal conversion, 4300
+    digits, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_count_text_past_decimal_limit(default_digit_limit):
+    assert count_text(10**4299) == "1" + "0" * 4299
+    assert count_text(1 << 20000) == "2^20000"
+    assert count_text((1 << 20000) + 1) == "more than 2^20000"
+
+
+@pytest.mark.parametrize("command", ["directions", "simulate"])
+def test_refusal_past_decimal_limit_exits_budget(command, default_digit_limit, capsys):
+    # L at (10,10,10,10) has over 9,000 decimal digits: the refusal used to
+    # fail formatting it and exit 2
+    argv = [command, "-K", "10", "-M", "10", "-N", "10", "--gamma", "10"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    if command == "directions":
+        assert err == (
+            "enumeration budget exceeded: more than 2^31152 directions per stream"
+            " against budget 1000000\n"
+            "closed form: L=more than 2^31152 L'=more than 2^31162\n"
+        )
+    else:
+        assert err == (
+            "error: per-stream enumeration would produce more than 2^31152"
+            " directions, budget is 1000000\n"
+        )
+
+
+def test_simulate_degree_limit_is_usage_error(capsys):
+    # the stream box corner has total degree 2 * 599,999; this used to
+    # raise out of main and exit 1
+    argv = ["simulate", "-K", "1", "-M", "1", "-N", "2", "--gamma", "600000"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: total degree 1199998 exceeds 1000000\n"
+
+
+def test_simulate_huge_q_refused_before_stream_powers(capsys):
+    # Q = 10^160: the decode budget refuses it before the stream powers
+    # are computed, whose symbol variance passes the float range; with the
+    # budget raised past the decoder's count, that variance is refused
+    q = str(10**160)
+    argv = ["simulate", "-K", "3", "-M", "1", "-N", "1", "--q", q]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: interference block needs 3999")
+    assert err.endswith(", budget is 10000000\n")
+    code, out, err = run(argv + ["--budget", str(10**1000)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: symbol variance at Q={q} exceeds the float range\n"
 
 
 # ----------------------------------------------------------- output routing

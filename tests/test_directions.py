@@ -26,7 +26,7 @@ from iadof.directions import (
     MAX_TOTAL_DEGREE,
     DirectionSet,
     _check_exponents,
-    _order_keys,
+    _code_weights,
     _runs,
     _unique_rows,
     merge_columns,
@@ -256,7 +256,7 @@ def test_scale_matches_mono_mul(m, factor):
 
 
 def test_keys_span_several_words():
-    # 40 columns with 20-bit keys: one key per 32-bit half, 20 words
+    # 40 columns of keys of radix 500,002: two keys to a word, 20 words
     cols = [(1, j, n, 1) for j in range(1, 5) for n in range(1, 11)]
     rng = np.random.default_rng(5)
     exps = rng.integers(0, 3, size=(300, 40)) * (rng.random((300, 40)) < 0.3)
@@ -268,9 +268,9 @@ def test_keys_span_several_words():
 
 
 def order_keys_oracle(exps):
-    """_order_keys packed straight into uint64 words, as many keys as fit
-    in 64 bits per word, by numpy's integer products.  The float64 products
-    and joined halves are pinned against it."""
+    """The canonical keys packed straight into uint64 words, as many keys
+    as fit in 64 bits per word, by numpy's integer products.  The float64
+    mixed-radix words of _runs are pinned against it."""
     n, C = exps.shape
     if C == 0:
         return np.zeros((n, 1), dtype=np.uint64)
@@ -315,21 +315,23 @@ def test_runs_equal_uint64_keys_on_random_matrices(m):
 
 @pytest.mark.parametrize("top", [6, 2**10, 2**13 - 1, 2**17, 2**20, MAX_TOTAL_DEGREE])
 def test_runs_equal_uint64_keys_across_word_widths(top):
-    # keys of 3 to 21 bits over 40 columns: 20 down to 2 keys per word of
-    # two 32-bit halves, against 21 down to 3 per directly packed 64-bit
-    # word, so the two packings cut their words at different columns
+    # keys of radix 8 to 1,000,002 over 40 columns: 17 down to 2 keys per
+    # float64 word below 2**53, against 21 down to 3 per directly packed
+    # 64-bit word, so at most widths the two packings cut their words at
+    # different columns
     rng = np.random.default_rng(top)
     exps = rng.integers(0, 4, size=(400, 40)) * (rng.random((400, 40)) < 0.3)
     exps[::5, rng.integers(0, 40)] = top
     exps = np.concatenate([exps, exps[::3], np.zeros((3, 40), dtype=np.int64)])
-    keys = _order_keys(exps)
-    assert keys.dtype == np.uint64
+    # the largest code of every word, each key at top + 1, is below 2**53
+    weights = _code_weights([top + 2] * 40).astype(np.int64)
+    assert ((top + 1) * weights).sum(axis=0).max() < 2**53
     assert_runs_match_oracle(exps)
 
 
 def test_runs_equal_uint64_keys_at_degree_limit():
     # every row of total degree MAX_TOTAL_DEGREE: all of it on one column,
-    # or split at random; 20-bit keys, one to a half and two to a word
+    # or split at random; keys of radix 1,000,002, two to a word
     rng = np.random.default_rng(3)
     C = 18
     exps = np.concatenate(
@@ -341,7 +343,7 @@ def test_runs_equal_uint64_keys_at_degree_limit():
     )
     exps = np.concatenate([exps, exps[::4]])
     _check_exponents(exps)
-    assert _order_keys(exps).shape == (len(exps), 9)
+    assert _code_weights([MAX_TOTAL_DEGREE + 2] * C).shape == (C, 9)
     assert_runs_match_oracle(exps)
 
 
