@@ -19,15 +19,13 @@ Python integers, so it decides configs whose rows could not be enumerated.
 The simulator needs rows.  There every direction set is an integer
 exponent matrix over the config's coefficient ids (see directions.py): a
 stream set is a box of pair-family exponents times the family incidence
-matrix, and an arrival is a row add.  expand_received reads each receive
-antenna off one grouping step (_group): every stream's rows get exact
-mixed-radix integer codes once per plan (stream_codes); at an antenna each
-source, an arrival or a desired set, adds its tag's code to its stream's
-codes, and one sort of those code words puts equal rows next to each other.
-Only the sets returned are put into canonical order.  The integer products
-(row codes, box points) run as float64 products, which BLAS computes
-exactly here; directions._code_weights gives the argument for the codes,
-and _box for the box points.
+matrix, and an arrival is a row add.  expand_received stacks every row
+arriving at a receive antenna, desired sets first, and reads the whole
+profile off one canonical sort of the stack (directions._runs), whose runs
+of equal rows are the distinct directions.  The integer products (sort
+codes, box points) run as float64 products, which BLAS computes exactly
+here; directions._code_weights gives the argument for the codes, and _box
+for the box points.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -48,9 +46,8 @@ from .directions import (
     MAX_TOTAL_DEGREE,
     Columns,
     DirectionSet,
-    _code_weights,
+    _check_exponents,
     _runs,
-    _sort_runs,
     merge_columns,
 )
 
@@ -181,9 +178,8 @@ class TransmitPlan:
     applied by truncate_plan.  streams is a read-only copy of the mapping
     given, and direction sets are immutable, so a plan never changes after
     it is built; profiles, keyed by (k, n), keeps each receive antenna's
-    ReceiverProfile once the simulator has expanded it, and codes keeps the
-    streams' row codes (see stream_codes) once they are formed.  Every plan
-    starts with empty memos of its own, including one made by
+    ReceiverProfile once the simulator has expanded it.  Every plan starts
+    with an empty memo of its own, including one made by
     dataclasses.replace.
     """
 
@@ -192,9 +188,6 @@ class TransmitPlan:
     truncation_cap: Optional[int] = None
     profiles: dict[tuple[int, int], ReceiverProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False
-    )
-    codes: Optional[StreamCodes] = field(
-        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -278,147 +271,6 @@ def truncate_plan(plan: TransmitPlan, cap: int) -> TransmitPlan:
     )
 
 
-class StreamCodes(NamedTuple):
-    """Exact integer codes of every stream's rows, formed once per plan.
-
-    index gives each coefficient id's column in cols and weights each
-    column's place in the code words (see _code_weights); rows holds each
-    stream's exponent matrix over cols, and codes its rows' code words as
-    a (words, rows) float64 matrix.
-    """
-
-    cols: Columns
-    index: dict[CoefficientId, int]
-    weights: np.ndarray
-    rows: dict[Stream, np.ndarray]
-    codes: dict[Stream, np.ndarray]
-
-
-# A source's tag: the (column, exponent) entries it adds to each row of its
-# stream.
-Tag = tuple[tuple[int, int], ...]
-
-
-def _tagged(exps: np.ndarray, tag: Tag) -> np.ndarray:
-    """Add a tag to every row of an exponent matrix, in place."""
-    for c, e in tag:
-        exps[:, c] += e
-    return exps
-
-
-def stream_codes(plan: TransmitPlan) -> StreamCodes:
-    """Each stream's rows as mixed-radix integers, split into float64 words.
-
-    A column's radix is its largest exponent over all streams plus 3, so a
-    digit stays below its radix after a tag adds at most 2 to it: tagged
-    rows have equal codes exactly when they are equal.  Columns are cut,
-    in order, into float64 words below 2**53 (_code_weights), and one
-    exact product of the rows with the column places forms every word.
-
-    At every receive antenna each stream arrives or is desired, and either
-    tag adds exactly 2 to a row's total degree, so the plan is held here,
-    once, to the limit every tagged row must keep: no stream row of total
-    degree above MAX_TOTAL_DEGREE - 2.  The same product gives each row's
-    total degree, exactly, since every stream row is held to the exponent
-    limits already.
-    """
-    stream_cols = (ds.columns for ds in plan.streams.values())
-    cols = reduce(merge_columns, stream_cols, _columns(plan.config))
-    rows = {s: ds.matrix_over(cols) for s, ds in plan.streams.items()}
-    top = np.zeros(len(cols), dtype=np.int64)
-    for exps in rows.values():
-        np.maximum(top, exps.max(axis=0, initial=0), out=top)
-    weights = _code_weights((top + 3).tolist())
-    # one row per code word, and a last row of ones for the total degree
-    maps = np.vstack([weights.T, np.ones(len(cols))])
-    codes = {}
-    total = 0
-    for s, exps in rows.items():
-        words = maps @ exps.T
-        total = max(total, int(words[-1].max(initial=0)))
-        codes[s] = words[:-1]
-    if total + 2 > MAX_TOTAL_DEGREE:
-        raise OverflowError(f"total degree {total + 2} exceeds {MAX_TOTAL_DEGREE}")
-    index = {cid: c for c, cid in enumerate(cols)}
-    return StreamCodes(cols, index, weights, rows, codes)
-
-
-class _Runs(NamedTuple):
-    """The rows arriving at one receive antenna, grouped into runs of equal
-    rows.
-
-    sources lists (stream, tag) in stack order: first the own streams,
-    whose rows are desired sets 1..M, then the arrivals; offsets says where
-    each source's rows start in the stack, and where the last one ends.
-    run gives each stacked row's run, first one stacked row of each run,
-    and arrivals and desired each run's number of arrival and desired rows.
-    """
-
-    codes: StreamCodes
-    sources: list[tuple[Stream, Tag]]
-    offsets: list[int]
-    run: np.ndarray
-    first: np.ndarray
-    arrivals: np.ndarray
-    desired: np.ndarray
-
-    def rows(self, at: np.ndarray) -> np.ndarray:
-        """The exponent rows at the given increasing stack positions."""
-        out = np.empty((len(at), len(self.codes.cols)), dtype=np.int64)
-        bounds = np.searchsorted(at, self.offsets).tolist()
-        for (stream, tag), start, lo, hi in zip(self.sources, self.offsets, bounds, bounds[1:]):
-            if lo < hi:
-                out[lo:hi] = self.codes.rows[stream][at[lo:hi] - start]
-                _tagged(out[lo:hi], tag)
-        return out
-
-
-def _group(plan: TransmitPlan, k: int, n: int) -> _Runs:
-    """Group every row arriving at receive antenna (k, n) on its code.
-
-    Each arrival is a stream's rows times the direct gain to its antenna
-    and the gain into (k, n); each desired set is an own stream's rows times
-    the squared direct gain.  A source's row codes are its stream's codes
-    plus its tag's code, and one sort of the code words (_sort_runs) puts
-    equal rows next to each other.
-    """
-    config = plan.config
-    if not 1 <= k <= config.K:
-        raise IndexError(f"user {k} out of range (K={config.K})")
-    if not 1 <= n <= config.N:
-        raise IndexError(f"antenna {n} out of range (N={config.N})")
-    if plan.codes is None:
-        object.__setattr__(plan, "codes", stream_codes(plan))
-    codes = plan.codes
-    index = codes.index
-    sources = [((k, m, n), ((index[(k, k, n, m)], 2),)) for m in range(1, config.M + 1)]
-    for j, mp, np_ in plan.streams:
-        if j == k and np_ == n:
-            continue
-        # the direct gain to antenna np_ times the gain into (k, n); for
-        # j == k that second factor is user k's own direct gain
-        sources.append(((j, mp, np_), ((index[(j, j, np_, mp)], 1), (index[(k, j, n, mp)], 1))))
-    offsets = [0, *accumulate(codes.codes[stream].shape[1] for stream, _ in sources)]
-    stack = np.empty((codes.weights.shape[1], offsets[-1]))
-    for (stream, tag), lo, hi in zip(sources, offsets, offsets[1:]):
-        shift = sum(e * codes.weights[c] for c, e in tag)
-        np.add(codes.codes[stream], shift[:, None], out=stack[:, lo:hi])
-    order, start = _sort_runs(stack)
-    run = np.empty(len(order), dtype=np.int64)
-    run[order] = np.cumsum(start) - 1
-    runs = int(np.count_nonzero(start))
-    own = offsets[config.M]
-    return _Runs(
-        codes=codes,
-        sources=sources,
-        offsets=offsets,
-        run=run,
-        first=order[start],
-        arrivals=np.bincount(run[own:], minlength=runs),
-        desired=np.bincount(run[:own], minlength=runs),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ReceiverProfile:
     """Everything one receive antenna observes under a plan.
@@ -455,45 +307,68 @@ class ReceiverProfile:
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
     """Propagate every stream to receive antenna (k, n) symbolically.
 
-    The arrivals, repeats included, and the desired sets are grouped once
-    on their codes (see _group), and each run of equal rows is one distinct
-    direction.  The runs that hold an arrival are the interference set, in
-    one row each, with their counts as multiplicities; the runs give the
-    first desired row that is also interference, whether sibling desired
-    sets meet, and the number of distinct directions.  Only the sets
-    returned are put into canonical order: the interference rows and each
-    desired set.  A stream set has no repeated row and the squared gain
-    keeps its rows apart, so a run holds at most one row of each desired
-    set; every arriving row carries a tag, so none is the unit.
+    Each stream's rows arrive times two gains: the direct gain to its own
+    receive antenna and the gain from its transmit antenna into (k, n).
+    For an own stream (k, m, n) the two are one gain, squared, and its rows
+    are desired set m; every other stream's rows are arrivals, repeats
+    included.  The desired sets, then the arrivals, are stacked, held to
+    the exponent limits (_check_exponents), and sorted once into canonical
+    order (_runs), and each run of equal rows is one distinct direction.
+    The runs that hold an arrival are the interference set, one row each,
+    with their counts of arrivals as multiplicities; each desired set is
+    its rows in run order; desired_overlap is the first of them, by
+    transmit antenna, whose run holds an arrival.  A stream set has no
+    repeated row and the squared gain keeps its rows apart, so a run holds
+    at most one row of each desired set; every row carries two gains, so
+    none is the unit.
     """
-    runs = _group(plan, k, n)
-    cols = runs.codes.cols
-    hit = runs.arrivals > 0
-    at = runs.first[hit]
-    by_place = np.argsort(at)
-    rows = runs.rows(at[by_place])
-    order, _ = _runs(rows)
-    counts = runs.arrivals[hit][by_place][order]
+    config = plan.config
+    if not 1 <= k <= config.K:
+        raise IndexError(f"user {k} out of range (K={config.K})")
+    if not 1 <= n <= config.N:
+        raise IndexError(f"antenna {n} out of range (N={config.N})")
+    stream_cols = (ds.columns for ds in plan.streams.values())
+    cols = reduce(merge_columns, stream_cols, _columns(config))
+    index = {cid: c for c, cid in enumerate(cols)}
+    M = config.M
+    sources = [(k, m, n) for m in range(1, M + 1)]
+    sources += [(j, mp, np_) for j, mp, np_ in plan.streams if j != k or np_ != n]
+    tags = np.zeros((len(sources), len(cols)), dtype=np.int64)
+    for s, (j, mp, np_) in enumerate(sources):
+        tags[s, index[(j, j, np_, mp)]] += 1
+        tags[s, index[(k, j, n, mp)]] += 1
+    lengths = [len(plan.streams[s]) for s in sources]
+    stack = np.concatenate([plan.streams[s].matrix_over(cols) for s in sources])
+    stack += np.repeat(tags, lengths, axis=0)
+    _check_exponents(stack)
+    order, start = _runs(stack)
+    run = np.cumsum(start) - 1
+    runs = int(np.count_nonzero(start))
+    # each canonical position's source: desired set m is source m - 1
+    source = np.repeat(np.arange(len(sources)), lengths)[order]
+    arrived = source >= M
+    arrivals = np.bincount(run[arrived], minlength=runs)
+    hit = arrivals > 0
+    counts = arrivals[hit]
     counts.flags.writeable = False
     desired = {}
     overlap = None
-    for m, (stream, tag), at in zip(range(1, plan.config.M + 1), runs.sources, runs.offsets):
-        exps = _tagged(runs.codes.rows[stream].copy(), tag)
-        canon, _ = _runs(exps)
-        desired[m] = DirectionSet._of(cols, exps[canon])
-        shared = np.flatnonzero(hit[runs.run[at : at + len(exps)]][canon])
+    for m in range(1, M + 1):
+        mine = source == m - 1
+        rows = stack[order[mine]]
+        desired[m] = DirectionSet._of(cols, rows)
+        shared = np.flatnonzero(hit[run[mine]])
         if overlap is None and shared.size:
-            row = exps[canon[shared[0]]].tolist()
-            overlap = {cid: e for cid, e in zip(cols, row) if e}
+            overlap = {cid: e for cid, e in zip(cols, rows[shared[0]].tolist()) if e}
     return ReceiverProfile(
         k=k,
         n=n,
         desired=desired,
-        interference=DirectionSet._of(cols, rows[order]),
+        interference=DirectionSet._of(cols, stack[order[start][hit]]),
         multiplicity=counts,
         desired_overlap=overlap,
-        siblings_overlap=bool((runs.desired > 1).any()),
-        distinct_directions=len(runs.first),
+        siblings_overlap=bool((np.bincount(run[~arrived], minlength=runs) > 1).any()),
+        distinct_directions=runs,
     )
 
 

@@ -3,7 +3,7 @@
 A direction is a product of channel coefficients raised to non-negative
 integer powers.  Equality, order and the counting of repeated rows are
 exact operations on exponent vectors, decided on exact integer codes of
-the rows (_code_weights, _sort_runs); nothing here ever compares
+the rows (_code_weights, _runs); nothing here ever compares
 floating-point products.
 
 A DirectionSet stores its members as an integer exponent matrix: one row
@@ -72,20 +72,9 @@ def _code_weights(radices: list[int]) -> np.ndarray:
     return weights[:, : word + 1]
 
 
-def _sort_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable order of the codes given as the columns of a (words, codes)
-    matrix, the last word leading, and along it where each run of equal
-    codes starts."""
-    order = np.lexsort(words)
-    ranked = words[:, order]
-    start = np.ones(order.shape[0], dtype=bool)
-    start[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    return order, start
-
-
 def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical order of the rows, and along it where each run of equal
-    rows starts.
+    """Canonical order of the rows, stable among equal rows, and along it
+    where each run of equal rows starts.
 
     The canonical order compares each row's flat tuple of (id, exponent)
     entries for its non-zero columns, so the unit comes first.  Column by
@@ -97,7 +86,8 @@ def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     word holds the first columns.  The zeros keyed as top are the columns
     before the row's last non-zero one that are not positive: their
     weights are a prefix sum of the weights less those of the positive
-    columns.
+    columns.  One stable lexsort of the code words, the leading word as
+    its primary key, gives the order.
     """
     n, C = exps.shape
     pos = exps > 0
@@ -109,8 +99,12 @@ def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flipped = np.concatenate([pos[:, ::-1], np.ones((n, 1), dtype=bool)], axis=1)
     span = C - np.argmax(flipped, axis=1)
     # float64 products; a row's two terms fill different digits
-    words = exps @ weights + top * (prefix[span] - pos @ weights)
-    return _sort_runs(words.T)
+    words = (exps @ weights + top * (prefix[span] - pos @ weights)).T
+    order = np.lexsort(words)
+    ranked = words[:, order]
+    start = np.ones(n, dtype=bool)
+    start[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    return order, start
 
 
 def _unique_rows(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -528,13 +528,9 @@ def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
     hit = [rho for rho in rhos if ser[rho] < 1e-3]
     rate = n_streams * math.log2(2 * Q - 1) if hit else 0.0
 
-    plan = draw.plan
-    cap = plan.truncation_cap
-    if cap is None:
-        cap = max(len(ds) for ds in plan.streams.values())
     return SimResult(
         q=Q,
-        cap=cap,
+        cap=max(len(ds) for ds in draw.plan.streams.values()),
         trials=trials,
         d_min=d_min,
         ser=ser,

@@ -12,9 +12,10 @@ counts are checked at all of them.
 
 verify_alignment decides every count and check on boxes of family
 exponents and forms no row; the row path stays for the simulator.
-expand_received groups each antenna's rows on integer codes, and
-expand_oracle rebuilds a profile from pairwise set operations (scale,
-tally, intersect, union) and is pinned against it field by field.
+expand_received reads each antenna off one canonical sort of its stacked
+rows, and expand_oracle rebuilds a profile from pairwise set operations
+(scale, tally, intersect, union) and is pinned against it field by field,
+on full plans, truncated plans and plans built by hand.
 verify_oracle reads the report off those profiles, with reference
 membership as int64 column sums (within_oracle, pinned against the
 enumerated reference), and is pinned against verify_alignment at every
@@ -55,7 +56,6 @@ from iadof.alignment import (
     families,
     family_pair,
     per_antenna_dof_gamma,
-    stream_codes,
     stream_family_cap,
     truncate_plan,
     verify_alignment,
@@ -578,7 +578,19 @@ def with_rows(plan, added):
     "config", lattice_configs(), ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}"
 )
 def test_profile_equals_oracle_at_every_lattice_config(config):
-    assert_profiles_match_oracle(build_transmit_directions(config))
+    # the full plan, and the plans simulate expands: each stream cut to its
+    # first cap rows
+    plan = build_transmit_directions(config)
+    assert_profiles_match_oracle(plan)
+    for cap in (1, 2, 3):
+        assert_profiles_match_oracle(truncate_plan(plan, cap))
+
+
+def test_expand_received_index_guard():
+    plan = truncate_plan(build_transmit_directions(cfg(2, 1, 2)), 1)
+    for k, n in [(0, 1), (3, 1), (1, 0), (1, 3)]:
+        with pytest.raises(IndexError, match="out of range"):
+            expand_received(plan, k, n)
 
 
 def test_profile_equals_oracle_on_overcounted_plan(overcounted_plan):
@@ -798,9 +810,9 @@ def test_meets_equals_shared_rows(config):
 
 
 def test_codes_span_several_words():
-    # rows at the degree limit widen three radices to 10^6 + 1, whose
-    # product passes 2**53: the codes need two words and the runs a
-    # lexsort of both, and every profile still equals its oracle
+    # tagged rows at the degree limit widen the canonical keys' radix to
+    # 10^6 + 1 or 10^6 + 2, two keys to a float64 word: each antenna's
+    # stack sorts on two words, and every profile still equals its oracle
     H11, H12, H21 = (1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1)
     top = MAX_TOTAL_DEGREE - 2
     plan = with_rows(
@@ -810,31 +822,21 @@ def test_codes_span_several_words():
             (2, 1, 1): [{H12: top - 1, H21: 1}, {H21: top}],
         },
     )
-    codes = stream_codes(plan)
-    assert codes.weights.shape[1] >= 2
     assert_profiles_match_oracle(plan)
 
 
 @pytest.mark.parametrize("last", [2**15, 2**15 - 1])
 def test_code_words_split_below_2_53(last):
-    # radices 2**19, 2**19 and `last` on the first three columns: at 2**15
-    # their product reaches 2**53 and the third column opens the second
-    # word; one less and it fits, and the fourth column opens it
+    # large exponents on the first three columns, tops 2**19 - 3, 2**19 - 3
+    # and last - 3: the stacked rows' canonical keys, radix 2**19 or
+    # 2**19 - 1 at both values of last, take two float64 words, two keys
+    # each, and every profile still equals its oracle
     cols = tuple(cfg(2).coefficient_ids())
     tops = [2**19 - 3, 2**19 - 3, last - 3]
     plan = with_rows(
         build_transmit_directions(cfg(2)),
         {(2, 1, 1): [{cid: top} for cid, top in zip(cols, tops)]},
     )
-    codes = stream_codes(plan)
-    assert codes.cols == cols
-    split = 2 if last == 2**15 else 3
-    weights = codes.weights.astype(np.int64)
-    assert weights.shape == (len(cols), 2)
-    assert weights.argmax(axis=1).tolist() == [0] * split + [1] * (len(cols) - split)
-    assert weights.max(axis=1)[:2].tolist() == [1, 2**19]
-    for stream, exps in codes.rows.items():
-        assert np.array_equal(codes.codes[stream], (exps @ weights).T)
     assert_profiles_match_oracle(plan)
 
 
@@ -913,10 +915,7 @@ def test_directions_builds_no_rows(monkeypatch, capsys):
         (iadof.alignment, "_box"),
         (iadof.alignment, "_runs"),
         (iadof.directions, "_runs"),
-        (iadof.alignment, "_sort_runs"),
-        (iadof.directions, "_sort_runs"),
-        (iadof.alignment, "_group"),
-        (iadof.alignment, "stream_codes"),
+        (iadof.alignment, "expand_received"),
     ]:
         monkeypatch.setattr(module, name, row_path)
     for case, out in zip(cases, want):

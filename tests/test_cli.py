@@ -282,6 +282,16 @@ def test_simulate_json(capsys):
     assert payload["d_min"] == pytest.approx(0.005845734442915394, rel=1e-12)
 
 
+def test_simulate_json_reports_directions_kept(capsys):
+    # at K = 2 every stream holds L = 2 directions, so a larger cap keeps
+    # those two and prints what --cap 2 prints
+    argv = ["simulate", "-K", "2", "-M", "1", "-N", "1", "--trials", "2", "--json"]
+    code, out, err = run([*argv, "--cap", "100000000"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["cap"] == 2
+    assert run([*argv, "--cap", "2"], capsys) == (code, out, err)
+
+
 def test_simulate_noiseless_ok(capsys):
     code, out, err = run(
         ["simulate", "-K", "2", "-M", "1", "-N", "1", "--noiseless", "--snr", "1e2"],
