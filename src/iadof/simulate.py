@@ -4,8 +4,9 @@ One forward model (_forward) carries every plan coordinate to every receive
 antenna; the Monte Carlo loop is a product on it.
 Decoding is exact nearest-point search over the finite constellation each
 antenna can see: desired symbols jointly with bounded integer interference
-aggregates.  The constellation is never built: the sorted interference sums
-are searched once per desired sum (_kernels).  All randomness is keyed by
+aggregates.  The constellation is never built: each antenna's distinct
+interference sums are sorted once into a decode table, and every (desired
+sum, query) pair is bisected in it (_kernels).  All randomness is keyed by
 (seed, role) so every run replays bit for bit.
 
 The plan is symbolic: every direction is a monomial in the channel gains,
@@ -16,10 +17,11 @@ builds the kept plan once per seedless config and cap.
 The channel is fixed and known at every node, so all a run derives from one
 draw, before its operating points, is a function of (config, seed, cap,
 trials): the channel, the forward map, the antenna models, the stream
-powers, the symbols and noise, each unit-amplitude distance and the
-separation slope.  A _Draw holds them, and run_link_sim keeps the last one
-(_kept_draw).  Each call checks its budgets, then derives its amplitudes,
-decode, SER and d_min from the draw, whether the draw is new or kept.
+powers, the symbols and noise, each antenna's decode table, each
+unit-amplitude distance and the separation slope.  A _Draw holds them, and
+run_link_sim keeps the last one (_kept_draw).  Each call checks its
+budgets, then derives its amplitudes, decode, SER and d_min from the draw,
+whether the draw is new or kept.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._kernels import _block_sums, min_abs_combination, nearest_candidate_indices
+from ._kernels import (
+    DecodeTable,
+    _block_sums,
+    decode_table,
+    min_abs_combination,
+    nearest_candidate_indices,
+)
 from .alignment import (
     ReceiverProfile,
     TransmitPlan,
@@ -404,8 +412,10 @@ class _Draw:
     unit-amplitude stream powers are computed, and the symbols U and
     y_unit = U @ W drawn, on the first decode, and the noise Z on the first
     noisy one, so a call refused by its budgets computes none of them.
-    Unit-amplitude distances are kept by (antenna, box radii), so d_min and
-    the slope solve a shared box once; the slope is kept too.
+    Decode tables are kept by (antenna, lattice radii), so a seed's noiseless
+    and noisy runs sort each antenna's sums once.  Unit-amplitude distances
+    are kept by (antenna, box radii), so d_min and the slope solve a shared
+    box once; the slope is kept too.
     """
 
     def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
@@ -423,6 +433,7 @@ class _Draw:
             [col_of[(k, m, n, l)] for (m, l) in model.coords]
             for (k, n), model in zip(self.ants, self.models)
         ]
+        self.tables: dict[tuple[int, tuple[int, ...]], DecodeTable] = {}
         self.distances: dict[tuple[int, tuple[int, ...]], float] = {}
 
     @cached_property
@@ -440,6 +451,18 @@ class _Draw:
     @cached_property
     def Z(self) -> np.ndarray:
         return _draw_noise(self.seed, self.trials, len(self.ants))
+
+    def table(self, ai: int, radii: list[int], queries: int) -> DecodeTable:
+        """decode_table of antenna ai's lattice of radii, built for the
+        first call's queries count: either form decodes every query alike."""
+        key = (ai, tuple(radii))
+        t = self.tables.get(key)
+        if t is None:
+            gains, nd = self.models[ai].gains, len(self.models[ai].coords)
+            d_sum = _block_sums(gains, radii, 0, nd)
+            i_sum = _block_sums(gains, radii, nd, len(radii))
+            t = self.tables[key] = decode_table(d_sum, i_sum, queries)
+        return t
 
     def distance(self, ai: int, radii: list[int]) -> float:
         """min_abs_combination of antenna ai's model over the box radii."""
@@ -497,15 +520,14 @@ def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
     # of one search per pass.
     wrong = np.zeros(len(rhos), dtype=np.int64)
     total = 0
-    for ai, (model, r, cols) in enumerate(zip(models, radii, draw.columns)):
+    for ai, (r, cols) in enumerate(zip(radii, draw.columns)):
         y = y_unit[:, ai]
         if sim_config.noiseless:
             ys = [y]
         else:
             ys = [y + draw.Z[:, ai] / amplitudes[rho] for rho in rhos]
-        nd = len(model.coords)
-        blocks = (_block_sums(model.gains, r, 0, nd), _block_sums(model.gains, r, nd, len(r)))
-        idx = nearest_candidate_indices(np.concatenate(ys), *blocks)
+        table = draw.table(ai, r, trials * passes)
+        idx = nearest_candidate_indices(np.concatenate(ys), table)
         pos = np.unravel_index(idx, [2 * x + 1 for x in r])
         for d, col in enumerate(cols):
             decoded = (pos[d] - (Q - 1)).reshape(passes, trials)

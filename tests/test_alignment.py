@@ -825,18 +825,32 @@ def test_codes_span_several_words():
     assert_profiles_match_oracle(plan)
 
 
-@pytest.mark.parametrize("last", [2**15, 2**15 - 1])
-def test_code_words_split_below_2_53(last):
-    # large exponents on the first three columns, tops 2**19 - 3, 2**19 - 3
-    # and last - 3: the stacked rows' canonical keys, radix 2**19 or
-    # 2**19 - 1 at both values of last, take two float64 words, two keys
-    # each, and every profile still equals its oracle
+@pytest.mark.parametrize("last", [9741, 9743])
+def test_code_words_split_below_2_53(last, monkeypatch):
+    # exponent last - 3 on three of the four columns: the stacked rows'
+    # canonical keys take radix last at antenna (1,1) and last - 1 at
+    # (2,1).  A word holds four keys of radix r while r**4 < 2**53, that is
+    # up to r = 9741: each stack is one float64 word at last = 9741 and two
+    # at 9743, and every profile still equals its oracle
     cols = tuple(cfg(2).coefficient_ids())
-    tops = [2**19 - 3, 2**19 - 3, last - 3]
     plan = with_rows(
         build_transmit_directions(cfg(2)),
-        {(2, 1, 1): [{cid: top} for cid, top in zip(cols, tops)]},
+        {(2, 1, 1): [{cid: last - 3} for cid in cols[:3]]},
     )
+    words = []
+    code_weights = iadof.directions._code_weights
+
+    def counted(radices):
+        weights = code_weights(radices)
+        words.append((radices[0], weights.shape[1]))
+        return weights
+
+    monkeypatch.setattr(iadof.directions, "_code_weights", counted)
+    for k in (1, 2):
+        expand_received(plan, k, 1)
+    monkeypatch.undo()
+    n_words = 1 if last == 9741 else 2
+    assert words == [(last, n_words), (last - 1, n_words)]
     assert_profiles_match_oracle(plan)
 
 

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from iadof._kernels import min_abs_combination, nearest_candidate_indices
+from iadof._kernels import decode_table, min_abs_combination, nearest_candidate_indices
 from iadof.alignment import (
     TransmitPlan,
     build_transmit_directions,
@@ -457,23 +457,30 @@ def test_noisy_run_frozen_values():
 
 
 def test_noiseless_run_decodes_each_query_once(monkeypatch):
-    # a noiseless run receives the same values at every rho: the kernel
-    # sees the 1,000 trials once per antenna, and the |D|*T budget is
-    # charged 3 * 1,000, not 3 * 3,000, so a budget of 5,000 runs
+    # a noiseless run receives the same values at every rho: each antenna's
+    # table is built for the 1,000 trials and queried with them once, and
+    # the |D|*T budget is charged 3 * 1,000, not 3 * 3,000, so a budget of
+    # 5,000 runs
     import iadof.simulate as sim
 
     config = SystemConfig(K=3, seed=1)
     sim_config = SimConfig(snr_points=SNR3, noiseless=True)
-    want = run_link_sim(config, sim_config, cap=1).to_json_dict()
+    want = _cold_run(config, sim_config)
+    sim._kept_draw.cache_clear()
     calls = []
 
     def counted(*args):
         calls.append(len(args[0]))
         return nearest_candidate_indices(*args)
 
+    def built(d_sum, i_sum, queries):
+        calls.append(("table", queries))
+        return decode_table(d_sum, i_sum, queries)
+
     monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
+    monkeypatch.setattr(sim, "decode_table", built)
     assert run_link_sim(config, sim_config, cap=1, budget=5000).to_json_dict() == want
-    assert calls == [1000, 1000, 1000]
+    assert calls == [("table", 1000), 1000] * 3
     with pytest.raises(DecodeBudgetError) as exc:
         run_link_sim(config, SimConfig(snr_points=SNR3), cap=1, budget=5000)
     assert exc.value.required == 9000
@@ -586,13 +593,13 @@ def test_kept_draw_checks_budgets_on_every_call(capsys):
 def test_draw_solves_each_distance_box_once(monkeypatch):
     # at K=3, Q=2, d_min's box at antenna (1,1) is the slope's q=2 box: 3
     # d_min boxes and 3 more slope boxes.  A second call on the kept draw
-    # solves none and decodes each antenna once.
+    # solves none, builds no decode table and queries each antenna once.
     import iadof.simulate as sim
 
     config = SystemConfig(K=3, Q=2, seed=2)
     sim_config = SimConfig(snr_points=(1e2, 1e4), trials=200)
     want = _cold_run(config, sim_config)
-    calls = {"min_abs": 0, "nearest": 0}
+    calls = {"min_abs": 0, "table": 0, "nearest": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -602,13 +609,44 @@ def test_draw_solves_each_distance_box_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(sim, "min_abs_combination", counting("min_abs", min_abs_combination))
+    monkeypatch.setattr(sim, "decode_table", counting("table", decode_table))
     monkeypatch.setattr(
         sim, "nearest_candidate_indices", counting("nearest", nearest_candidate_indices)
     )
     assert _cold_run(config, sim_config) == want
-    assert calls == {"min_abs": 6, "nearest": 3}
+    assert calls == {"min_abs": 6, "table": 3, "nearest": 3}
     assert run_link_sim(config, sim_config, cap=1).to_json_dict() == want
-    assert calls == {"min_abs": 6, "nearest": 6}
+    assert calls == {"min_abs": 6, "table": 3, "nearest": 6}
+
+
+def test_noisy_run_queries_the_kept_tables(monkeypatch):
+    # sim_sweep's pair: a cold noiseless K=3 run builds one table per
+    # antenna and queries each once; the noisy run on the kept draw builds
+    # none, queries each once with both rhos' trials, and prints what a
+    # cold noisy run prints
+    import iadof.simulate as sim
+
+    config = SystemConfig(K=3, seed=4)
+    quiet = SimConfig(snr_points=(1e2,), trials=1000, noiseless=True)
+    noisy = SimConfig(snr_points=(1e2, 1e6), trials=1000)
+    want = _cold_run(config, noisy)
+    calls = []
+
+    def counted(y, table):
+        calls.append(("query", len(y)))
+        return nearest_candidate_indices(y, table)
+
+    def built(d_sum, i_sum, queries):
+        calls.append(("table", queries))
+        return decode_table(d_sum, i_sum, queries)
+
+    monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
+    monkeypatch.setattr(sim, "decode_table", built)
+    _cold_run(config, quiet)
+    assert calls == [("table", 1000), ("query", 1000)] * 3
+    calls.clear()
+    assert run_link_sim(config, noisy, cap=1).to_json_dict() == want
+    assert calls == [("query", 2000)] * 3
 
 
 def test_plan_serves_every_draw_of_its_system():
@@ -702,10 +740,15 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
     plan = TransmitPlan(config=config, streams=streams)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return nearest_candidate_indices(*args)
+    def built(d_sum, i_sum, queries):
+        calls.append(d_sum.shape + i_sum.shape)
+        return decode_table(d_sum, i_sum, queries)
 
+    def counted(y, table):
+        calls.append(len(y))
+        return nearest_candidate_indices(y, table)
+
+    monkeypatch.setattr(sim, "decode_table", built)
     monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
     sim_config = SimConfig(snr_points=(1e2,), trials=10)
     with pytest.raises(DecodeBudgetError) as exc:
@@ -713,7 +756,7 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
     assert exc.value.required == 90
     assert calls == []
     simulate_plan(plan, h, sim_config, budget=90)
-    assert [a[1].shape + a[2].shape for a in calls] == [(3, 9), (9, 3)]
+    assert calls == [(3, 9), 10, (9, 3), 10]
 
 
 def test_sim_curve_decode_stays_small():
