@@ -23,7 +23,6 @@ _LAZY = {
     "closed_form_counts": "alignment",
     "expand_received": "alignment",
     "per_antenna_dof_gamma": "alignment",
-    "truncate_plan": "alignment",
     "verify_alignment": "alignment",
     "ChannelRealization": "channel",
     "SystemConfig": "channel",
@@ -75,7 +74,6 @@ __all__ = [
     "separation_exponent",
     "simulate_plan",
     "solve_partition_balance",
-    "truncate_plan",
     "verify_alignment",
 ]
 

@@ -16,26 +16,25 @@ read off the intervals (_meets), and the interference dimension L' is an
 inclusion-exclusion over intersections of boxes (_union_size), all in
 Python integers, so it decides configs whose rows could not be enumerated.
 
-The simulator needs rows.  There every direction set is an integer
-exponent matrix over the config's coefficient ids (see directions.py): a
-stream set is a box of pair-family exponents times the family incidence
-matrix, and an arrival is a row add.  expand_received stacks every row
-arriving at a receive antenna, desired sets first, and reads the whole
-profile off one canonical sort of the stack (directions._runs), whose runs
-of equal rows are the distinct directions.  The integer products (sort
-codes, box points) run as float64 products, which BLAS computes exactly
-here; directions._code_weights gives the argument for the codes, and _box
-for the box points.
+The simulator needs rows, and only the first cap of each stream set.  There
+every direction set is an integer exponent matrix over the config's
+coefficient ids (see directions.py).  build_transmit_directions walks each
+stream's box straight to its first cap rows in canonical order
+(_stream_rows), so no full box is ever formed, and an arrival is a row add.
+expand_received stacks every row arriving at a receive antenna, desired
+sets first, and reads the whole profile off one canonical sort of the stack
+(directions._runs), whose runs of equal rows are the distinct directions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -43,7 +42,6 @@ import numpy as np
 
 from .channel import CoefficientId, SystemConfig
 from .directions import (
-    MAX_TOTAL_DEGREE,
     Columns,
     DirectionSet,
     _check_exponents,
@@ -71,11 +69,13 @@ def count_text(n: int) -> str:
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised before starting an enumeration whose exact size is over budget."""
+    """Raised before building a plan whose antenna stacks, counted exactly,
+    are over budget."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(self, required: int, budget: int):
         super().__init__(
-            f"{what} would produce {count_text(required)} directions, budget is {budget}"
+            f"antenna stacks would hold {count_text(required)} exponent entries,"
+            f" budget is {budget}"
         )
         self.required = required
         self.budget = budget
@@ -174,18 +174,15 @@ def achievable_dof_gamma(config: SystemConfig) -> Fraction:
 class TransmitPlan:
     """Direction sets for every stream of a config.
 
-    truncation_cap is None for the full construction, or the per-stream cap
-    applied by truncate_plan.  streams is a read-only copy of the mapping
-    given, and direction sets are immutable, so a plan never changes after
-    it is built; profiles, keyed by (k, n), keeps each receive antenna's
-    ReceiverProfile once the simulator has expanded it.  Every plan starts
-    with an empty memo of its own, including one made by
-    dataclasses.replace.
+    streams is a read-only copy of the mapping given, and direction sets
+    are immutable, so a plan never changes after it is built; profiles,
+    keyed by (k, n), keeps each receive antenna's ReceiverProfile once the
+    simulator has expanded it.  Every plan starts with an empty memo of its
+    own, including one made by dataclasses.replace.
     """
 
     config: SystemConfig
     streams: Mapping[Stream, DirectionSet]
-    truncation_cap: Optional[int] = None
     profiles: dict[tuple[int, int], ReceiverProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -199,76 +196,116 @@ def _columns(config: SystemConfig) -> Columns:
     return tuple(config.coefficient_ids())
 
 
-def _box(config: SystemConfig, dest: int, caps: dict[PairFamily, int]) -> DirectionSet:
-    """Every product of the given pair families at dest, family f raised to
-    each power 0..caps[f]: the box of family exponents times the incidence
-    matrix of families and coefficient ids, sorted into canonical order.
+def _stream_rows(config: SystemConfig, stream: Stream, cap: int) -> DirectionSet:
+    """The first cap rows of a stream set, or all of them, in canonical
+    order, walked without forming the set.
 
-    A box point's total degree is 2 * sum(x), so the corner 2 * sum(caps)
-    is held to MAX_TOTAL_DEGREE before the product; that keeps every
-    partial sum of the float64 product an exact integer.  A family's second
-    coefficient belongs to no other family at dest (families excludes the
-    one family whose two coefficients coincide), so each point's exponents
-    read back from its row: box points are distinct monomials, and the rows
-    are sorted without being deduplicated.
+    Every column is a transmit-antenna block's direct at the stream's
+    destination n, or a cross of the block in [0, its pair family's cap]
+    (see _Source); a row is a box point when each direct is the sum of its
+    block's crosses.  Column by column in id order, the walk takes the
+    canonical keys (directions._runs) in order: the row ends here (every
+    later column 0), then each positive exponent ascending, then a zero
+    with a later column non-zero.  A column's positive exponents, given the
+    columns before it, are one interval of its block's bounds, so every
+    branch entered holds a row and a row takes O(columns) steps.  A block's
+    state is 2 when its later columns must hold a non-zero, 1 when they
+    may, else 0; tally counts the blocks in each state.
     """
-    total = 2 * sum(caps.values())
-    if total > MAX_TOTAL_DEGREE:
-        raise OverflowError(f"total degree {total} exceeds {MAX_TOTAL_DEGREE}")
+    n = stream[2]
     cols = _columns(config)
-    index = {cid: c for c, cid in enumerate(cols)}
-    incidence = np.zeros((len(caps), len(cols)))
-    for f, fam in enumerate(caps):
-        for cid in family_pair(fam, dest):
-            incidence[f, index[cid]] += 1
-    private = np.count_nonzero(incidence, axis=0) == 1
-    if not incidence[:, private].any(axis=1).all():
-        raise RuntimeError(f"a pair family at dest {dest} has no column of its own")
-    shape = [cap + 1 for cap in caps.values()]
-    choices = np.indices(shape, dtype=np.float64).reshape(len(shape), math.prod(shape))
-    exps = (choices.T @ incidence).astype(np.int64)
-    order, _ = _runs(exps)
-    return DirectionSet._of(cols, exps[order])
-
-
-def _build_stream(config: SystemConfig, k: int, m: int, n: int) -> DirectionSet:
-    caps = {}
-    for fam in families(config.K, config.M, config.N, n):
-        cap = stream_family_cap((k, m, n), fam, config.gamma)
-        if cap > 0:
-            caps[fam] = cap
-    return _box(config, n, caps)
-
-
-def build_transmit_directions(
-    config: SystemConfig, budget: int = DEFAULT_STREAM_BUDGET
-) -> TransmitPlan:
-    """Enumerate every stream's direction set exactly.
-
-    The size is known in closed form before enumerating, so a config over
-    budget fails fast with the required count attached.
-    """
-    L, _ = closed_form_counts(config)
-    if L > budget:
-        raise EnumerationBudgetError(L, budget, "per-stream enumeration")
-    streams = {
-        (k, m, n): _build_stream(config, k, m, n)
-        for k in range(1, config.K + 1)
-        for m in range(1, config.M + 1)
-        for n in range(1, config.N + 1)
+    limit = {
+        family_pair(f, n)[1]: max(stream_family_cap(stream, f, config.gamma), 0)
+        for f in families(config.K, config.M, config.N, n)
     }
-    return TransmitPlan(config=config, streams=streams, truncation_cap=None)
+    blocks = {b: i for i, b in enumerate(sorted({(j, mp) for _, j, _, mp in cols}))}
+    blk = [blocks[j, mp] for _, j, _, mp in cols]
+    lim = [limit.get(cid, -1) for cid in cols]  # -1: the block's direct
+    S = [0] * len(blocks)  # crosses walked
+    D = [-1] * len(blocks)  # the direct, -1 until walked
+    R = [0] * len(blocks)  # caps of the crosses not walked
+    for b, cap_c in zip(blk, lim):
+        R[b] += max(cap_c, 0)
+    row = [0] * len(cols)
+
+    def state(b):
+        if S[b] if D[b] < 0 else D[b] - S[b]:
+            return 2
+        return int(D[b] < 0 and R[b] > 0)
+
+    tally = Counter(map(state, range(len(blocks))))
+
+    def move(c, old, new):
+        """Column c from value old to new, None meaning not walked."""
+        b = blk[c]
+        tally[state(b)] -= 1
+        if lim[c] < 0:
+            D[b] = -1 if new is None else new
+        else:
+            S[b] += (new or 0) - (old or 0)
+            R[b] += lim[c] * ((new is None) - (old is None))
+        tally[state(b)] += 1
+        row[c] = new or 0
+
+    def frame(c):
+        b, cap_c = blk[c], lim[c]
+        if cap_c < 0:
+            lo, hi = S[b], S[b] + R[b]
+        elif D[b] < 0:
+            lo, hi = 0, cap_c
+        else:
+            lo, hi = max(0, D[b] - S[b] - R[b] + cap_c), min(cap_c, D[b] - S[b])
+        # [column, next positive, last positive, zero still to try, value set]
+        return [c, max(lo, 1), hi, lo == 0, None]
+
+    rows = [row.copy()]  # the unit
+    frames = [frame(0)]
+    while frames and len(rows) < cap:
+        f = frames[-1]
+        c, old = f[0], f[4]
+        if f[1] <= f[2]:
+            v = f[1]
+            f[1] += 1
+        elif f[3]:
+            v = f[3] = 0
+        else:
+            if old is not None:
+                move(c, old, None)
+            frames.pop()
+            continue
+        move(c, old, v)
+        f[4] = v
+        if v == 0 and not tally[1] + tally[2]:
+            move(c, 0, None)
+            f[4] = None
+            continue
+        if v and not tally[2]:
+            rows.append(row.copy())
+        if c + 1 < len(cols):
+            frames.append(frame(c + 1))
+    return DirectionSet._of(cols, np.array(rows, dtype=np.int64))
 
 
-def truncate_plan(plan: TransmitPlan, cap: int) -> TransmitPlan:
-    """Keep only the first cap directions of every stream (canonical order)."""
+def build_transmit_directions(config: SystemConfig, cap: int) -> TransmitPlan:
+    """Every stream's first min(cap, L) directions, in canonical order.
+
+    The simulator stacks every stream's rows at each of the K*N receive
+    antennas, K*M*N * min(cap, L) rows of K^2*N*M exponents there.  The
+    entries of all those stacks are counted before any row is built, and a
+    config over DEFAULT_STREAM_BUDGET fails fast with the count attached.
+    """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    return TransmitPlan(
-        config=plan.config,
-        streams={s: ds.head(cap) for s, ds in plan.streams.items()},
-        truncation_cap=cap,
-    )
+    K, M, N = config.K, config.M, config.N
+    L, _ = closed_form_counts(config)
+    entries = K * N * (K * M * N * min(cap, L)) * (K * K * N * M)
+    if entries > DEFAULT_STREAM_BUDGET:
+        raise EnumerationBudgetError(entries, DEFAULT_STREAM_BUDGET)
+    streams = {
+        s: _stream_rows(config, s, cap)
+        for s in product(range(1, K + 1), range(1, M + 1), range(1, N + 1))
+    }
+    return TransmitPlan(config=config, streams=streams)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,8 +447,6 @@ class AlignmentReport:
             "per_antenna": [a.to_json_dict() for a in self.antennas],
             "pass": self.passed,
         }
-
-
 
 
 class _Source(NamedTuple):

@@ -2,9 +2,8 @@
 
 A direction is a product of channel coefficients raised to non-negative
 integer powers.  Equality, order and the counting of repeated rows are
-exact operations on exponent vectors, decided on exact integer codes of
-the rows (_code_weights, _runs); nothing here ever compares
-floating-point products.
+exact operations on exponent vectors, decided by one lexsort of per-column
+integer keys (_runs); nothing here ever compares floating-point products.
 
 A DirectionSet stores its members as an integer exponent matrix: one row
 per monomial, one column per coefficient id, columns in increasing id
@@ -54,24 +53,6 @@ def _check_exponents(exps: np.ndarray) -> None:
         raise OverflowError(f"total degree {total} exceeds {MAX_TOTAL_DEGREE}")
 
 
-def _code_weights(radices: list[int]) -> np.ndarray:
-    """Place of each mixed-radix digit in float64 words, as a (digits,
-    words) matrix.  The digits take places 1, r0, r0*r1, ... in the order
-    given, and one opens the next word when its place times its radix
-    would reach 2**53.  Rows of digits, each below its radix, times these
-    weights are equal exactly when the rows are, and the float64 product
-    is exact: every term is a non-negative integer and every partial sum
-    is at most its word, below 2**53."""
-    weights = np.zeros((len(radices), max(len(radices), 1)))
-    word, place = 0, 1
-    for c, radix in enumerate(radices):
-        if place * radix >= 2**53:
-            word, place = word + 1, 1
-        weights[c, word] = place
-        place *= radix
-    return weights[:, : word + 1]
-
-
 def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical order of the rows, stable among equal rows, and along it
     where each run of equal rows starts.
@@ -81,29 +62,19 @@ def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column that is the order of these keys: a positive exponent keys as
     itself; a zero keys as top, above every exponent, when a later column
     is non-zero (the row's next id is larger) and as 0 when none is (its
-    tuple has ended).  The keys are the digits of one code per row, radix
-    top + 1, fed last column first to _code_weights, so that the leading
-    word holds the first columns.  The zeros keyed as top are the columns
-    before the row's last non-zero one that are not positive: their
-    weights are a prefix sum of the weights less those of the positive
-    columns.  One stable lexsort of the code words, the leading word as
+    tuple has ended).  One stable lexsort of the keys, the first column as
     its primary key, gives the order.
     """
     n, C = exps.shape
     pos = exps > 0
     top = int(exps.max(initial=0)) + 1
-    weights = _code_weights([top + 1] * C)[::-1]
-    prefix = np.zeros((C + 1, weights.shape[1]))
-    np.cumsum(weights, axis=0, out=prefix[1:])
-    # columns up to and including the last non-zero one; 0 for the unit
-    flipped = np.concatenate([pos[:, ::-1], np.ones((n, 1), dtype=bool)], axis=1)
-    span = C - np.argmax(flipped, axis=1)
-    # float64 products; a row's two terms fill different digits
-    words = (exps @ weights + top * (prefix[span] - pos @ weights)).T
-    order = np.lexsort(words)
-    ranked = words[:, order]
+    # whether the row has a non-zero at or after each column
+    tail = np.logical_or.accumulate(pos[:, ::-1], axis=1)[:, ::-1]
+    keys = np.where(tail & ~pos, top, exps)
+    order = np.lexsort(keys.T[::-1]) if C else np.arange(n)
+    ranked = exps[order]
     start = np.ones(n, dtype=bool)
-    start[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     return order, start
 
 
@@ -183,13 +154,6 @@ class DirectionSet:
 
     def __repr__(self) -> str:
         return f"DirectionSet(<{len(self)} directions>)"
-
-    def head(self, cap: int) -> "DirectionSet":
-        """First cap members in canonical order, in a matrix of their own
-        (a view would keep the whole set's matrix alive)."""
-        if cap < 0:
-            raise ValueError(f"cap must be non-negative, got {cap}")
-        return DirectionSet._of(self._cols, self._exps[:cap].copy())
 
     def evaluate(self, h: ChannelRealization) -> np.ndarray:
         """Numeric value of every member under a channel draw, in member

@@ -12,7 +12,8 @@ sum, query) pair is bisected in it (_kernels).  All randomness is keyed by
 The plan is symbolic: every direction is a monomial in the channel gains,
 so one plan, and each antenna's expansion of it, serves every channel draw
 of a system.  The seed belongs to the draw, not to the plan; run_link_sim
-builds the kept plan once per seedless config and cap.
+builds the kept plan, each stream's first cap directions, once per seedless
+config and cap.
 
 The channel is fixed and known at every node, so all a run derives from one
 draw, before its operating points, is a function of (config, seed, cap,
@@ -45,7 +46,6 @@ from .alignment import (
     build_transmit_directions,
     count_text,
     expand_received,
-    truncate_plan,
 )
 from .channel import ChannelRealization, SystemConfig, generate_channel
 from .directions import monomial_text
@@ -89,10 +89,10 @@ def _check_pair(plan: TransmitPlan, h: ChannelRealization) -> None:
 # a finished system's plan and profiles.
 @lru_cache(maxsize=1)
 def _kept_plan(system: SystemConfig, cap: int) -> TransmitPlan:
-    """The construction of a seedless config, cut to cap directions per
-    stream.  Shared by every draw of the system, with the antenna profiles
-    its simulations fill in."""
-    return truncate_plan(build_transmit_directions(system), cap)
+    """The first cap directions of every stream of a seedless config, built
+    without the rest of the construction.  Shared by every draw of the
+    system, with the antenna profiles its simulations fill in."""
+    return build_transmit_directions(system, cap)
 
 
 def _profile(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
@@ -580,6 +580,4 @@ def run_link_sim(
 ) -> SimResult:
     """Simulate a bare config: its channel draw on the system's kept plan,
     both built on the first call that asks for them."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     return _operate(_kept_draw(config, cap, sim_config.trials), sim_config, budget)

@@ -1,6 +1,16 @@
-"""Shared test configuration."""
+"""Shared test configuration, and the full construction as an oracle.
+
+The library builds only the first rows of each stream set
+(build_transmit_directions walks them).  full_plan enumerates every stream
+set outright, as a box of pair-family exponents times the family incidence
+matrix, for the tests that need whole sets: the walk is pinned against its
+first rows, and the row oracles (verify_oracle, within_oracle) read whole
+plans.
+"""
 
 import dataclasses
+import itertools
+import math
 import os
 from pathlib import Path
 
@@ -8,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from iadof.alignment import build_transmit_directions, family_pair
+from iadof import alignment
+from iadof.alignment import TransmitPlan, families, family_pair
 from iadof.channel import SystemConfig
 from iadof.directions import DirectionSet
 
@@ -26,6 +37,37 @@ if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
+def full_box(config, dest, caps):
+    """Every product of the given pair families at dest, family f raised to
+    each power 0..caps[f], in canonical order: the box of family exponents
+    times the incidence matrix of families and coefficient ids, by numpy's
+    int64 product, sorted by DirectionSet.from_matrix."""
+    cols = tuple(config.coefficient_ids())
+    incidence = np.zeros((len(caps), len(cols)), dtype=np.int64)
+    for f, fam in enumerate(caps):
+        for cid in family_pair(fam, dest):
+            incidence[f, cols.index(cid)] += 1
+    shape = [cap + 1 for cap in caps.values()]
+    choices = np.indices(shape).reshape(len(shape), math.prod(shape))
+    return DirectionSet.from_matrix(cols, choices.T @ incidence)
+
+
+def full_plan(config):
+    """Every stream's whole direction set: the box of its families at its
+    destination, each up to its stream_family_cap (looked up on
+    iadof.alignment, so that a patched rule applies here too)."""
+    streams = {}
+    K, M, N = config.K, config.M, config.N
+    for k, m, n in itertools.product(range(1, K + 1), range(1, M + 1), range(1, N + 1)):
+        caps = {}
+        for fam in families(K, M, N, n):
+            cap = alignment.stream_family_cap((k, m, n), fam, config.gamma)
+            if cap > 0:
+                caps[fam] = cap
+        streams[k, m, n] = full_box(config, n, caps)
+    return TransmitPlan(config=config, streams=streams)
+
+
 @pytest.fixture
 def overcounted_plan():
     """The (K=3, M=1, N=1, gamma=1) plan with one extra direction on stream
@@ -35,7 +77,7 @@ def overcounted_plan():
     the desired set, but no other arrival aligns with it, so that antenna
     sees 29 interference dimensions against the exact count of 28.
     """
-    plan = build_transmit_directions(SystemConfig(K=3))
+    plan = full_plan(SystemConfig(K=3))
     base = plan.streams[(2, 1, 1)]
     extra = np.zeros((1, len(base.columns)), dtype=np.int64)
     extra[0, [base.columns.index(cid) for cid in family_pair((2, 1, 1, 3), 1)]] = 1

@@ -15,7 +15,6 @@ import pytest
 
 from iadof.alignment import (
     achievable_dof_gamma,
-    build_transmit_directions,
     closed_form_counts,
     verify_alignment,
 )
@@ -28,6 +27,7 @@ from iadof.bounds import (
 from iadof.channel import SystemConfig
 from iadof.cli import EXIT_OK, main
 from iadof.simulate import SimConfig, run_link_sim
+from conftest import full_plan
 from test_bounds import brute_force_upper_bound
 
 
@@ -51,7 +51,7 @@ def lattice_configs():
 
 @pytest.fixture(scope="module")
 def lattice_plans():
-    return [(c, build_transmit_directions(c)) for c in lattice_configs()]
+    return [(c, full_plan(c)) for c in lattice_configs()]
 
 
 def test_criterion_1_worked_example(capsys):

@@ -11,17 +11,18 @@ matrix engine makes every acceptance-lattice config cheap, so the exact
 counts are checked at all of them.
 
 verify_alignment decides every count and check on boxes of family
-exponents and forms no row; the row path stays for the simulator.
-expand_received reads each antenna off one canonical sort of its stacked
-rows, and expand_oracle rebuilds a profile from pairwise set operations
-(scale, tally, intersect, union) and is pinned against it field by field,
-on full plans, truncated plans and plans built by hand.
-verify_oracle reads the report off those profiles, with reference
-membership as int64 column sums (within_oracle, pinned against the
-enumerated reference), and is pinned against verify_alignment at every
-lattice config and on random cap rules, failing checks included.  The
-float64 product of _box is pinned against the int64 product at the
-exponent limits.
+exponents and forms no row; the row path stays for the simulator, which
+keeps the first cap rows of each stream.  build_transmit_directions walks
+straight to those rows, and the walk is pinned against the first rows of
+the full construction (full_plan, in conftest.py) at every lattice config
+and on random cap rules.  expand_received reads each antenna off one
+canonical sort of its stacked rows, and expand_oracle rebuilds a profile
+from pairwise set operations (scale, tally, intersect, union) and is
+pinned against it field by field, on full plans, kept prefixes and plans
+built by hand.  verify_oracle reads the report off those profiles, with
+reference membership as int64 column sums (within_oracle, pinned against
+the enumerated reference), and is pinned against verify_alignment at
+every lattice config and on random cap rules, failing checks included.
 """
 
 import dataclasses
@@ -45,7 +46,6 @@ from iadof.alignment import (
     AntennaVerdict,
     EnumerationBudgetError,
     TransmitPlan,
-    _box,
     _meets,
     _reach,
     _Source,
@@ -57,14 +57,14 @@ from iadof.alignment import (
     family_pair,
     per_antenna_dof_gamma,
     stream_family_cap,
-    truncate_plan,
     verify_alignment,
 )
 from iadof.bounds import achievable_dof
 from iadof.channel import SystemConfig
 from iadof.directions import MAX_TOTAL_DEGREE, DirectionSet, merge_columns, tally
+from conftest import full_box, full_plan
 from test_acceptance import lattice_configs
-from test_directions import intersect, scale, union
+from test_directions import assert_runs_match_oracle, intersect, scale, union
 
 CHECKS = (
     "desired_pairwise_disjoint",
@@ -221,9 +221,11 @@ def manual_stream(config, k, m, n):
     [(2, 1, 1, 1), (2, 1, 1, 2), (3, 1, 1, 1), (2, 2, 1, 1), (2, 1, 2, 1)],
 )
 def test_build_matches_manual_enumeration(K, M, N, gamma):
+    # the full construction, and the walk kept to all L rows of it
     config = cfg(K, M, N, gamma)
-    plan = build_transmit_directions(config)
+    plan = full_plan(config)
     L, _ = closed_form_counts(config)
+    walked = build_transmit_directions(config, L)
     for k in range(1, K + 1):
         for m in range(1, M + 1):
             for n in range(1, N + 1):
@@ -234,49 +236,86 @@ def test_build_matches_manual_enumeration(K, M, N, gamma):
                     for row in ds.matrix.tolist()
                 }
                 assert got == manual_stream(config, k, m, n)
+                assert np.array_equal(walked.streams[(k, m, n)].matrix, ds.matrix)
 
 
 def test_build_contains_unit():
-    plan = build_transmit_directions(cfg(3))
-    for ds in plan.streams.values():
-        # the unit, the all-zero row, sorts first
-        assert not ds.matrix[0].any()
+    for cap in (1, 16):
+        for ds in build_transmit_directions(cfg(3), cap).streams.values():
+            # the unit, the all-zero row, sorts first
+            assert not ds.matrix[0].any()
 
 
-def test_build_budget_error():
+def test_build_budget_error(monkeypatch):
+    # at (3,1,2,3) each of 6 antennas stacks the kept rows of 6 streams,
+    # 18 exponents a row: 648 entries a unit of cap.  Cap 1,543 fits 10^6
+    # and cap 1,544 does not; the refusal comes before any row is walked,
+    # and L (254,803,968) plays no part
     config = cfg(3, 1, 2, 3)
+    plan = build_transmit_directions(config, 1543)
+    assert {len(ds) for ds in plan.streams.values()} == {1543}
+
+    def walked(*args):
+        raise AssertionError("a row was walked past the budget")
+
+    monkeypatch.setattr(iadof.alignment, "_stream_rows", walked)
     with pytest.raises(EnumerationBudgetError) as exc:
-        build_transmit_directions(config, budget=10**6)
-    assert exc.value.required == 243 * 4**10
+        build_transmit_directions(config, 1544)
+    assert exc.value.required == 648 * 1544
     assert exc.value.budget == 10**6
+    assert str(exc.value) == (
+        "antenna stacks would hold 1000512 exponent entries, budget is 1000000"
+    )
 
 
-def test_truncate_plan():
-    plan = build_transmit_directions(cfg(3))
-    t = truncate_plan(plan, 5)
-    for key, ds in t.streams.items():
-        assert len(ds) == 5
-        assert ds == plan.streams[key].head(5)
-    one = truncate_plan(plan, 1)
-    assert all(len(ds) == 1 and not ds.matrix.any() for ds in one.streams.values())
-    with pytest.raises(ValueError):
-        truncate_plan(plan, 0)
+def test_build_keeps_first_cap_rows():
+    config = cfg(3)
+    full = full_plan(config)
+    for cap in (1, 5):
+        plan = build_transmit_directions(config, cap)
+        assert list(plan.streams) == list(full.streams)
+        for key, ds in plan.streams.items():
+            assert np.array_equal(ds.matrix, full.streams[key].matrix[:cap])
+            assert ds.columns == full.streams[key].columns
+    with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
+        build_transmit_directions(config, 0)
+
+
+# Past this many rows a whole stream set takes a while to walk: 0.04 s at
+# (2,2,2,2), L = 5,832, and 0.4 s at (3,2,1,2), L = 26,244 (best of 3).
+SLOW_WALK = 1024
+
+
+@pytest.mark.parametrize(
+    "config", lattice_configs(), ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}"
+)
+def test_walk_equals_full_plan_prefix_at_every_lattice_config(config):
+    # caps 1, 2, 3, L and L + 1 on every stream; past SLOW_WALK rows, L on
+    # the first stream only and L + 1 on the last
+    L, _ = closed_form_counts(config)
+    streams = full_plan(config).streams
+    for i, (stream, ds) in enumerate(streams.items()):
+        caps = [1, 2, 3]
+        if L <= SLOW_WALK:
+            caps += [L, L + 1]
+        elif i == 0:
+            caps.append(L)
+        elif i == len(streams) - 1:
+            caps.append(L + 1)
+        for cap in caps:
+            rows = iadof.alignment._stream_rows(config, stream, cap).matrix
+            assert np.array_equal(rows, ds.matrix[:cap])
 
 
 # -------------------------------------------------------------- reference
 
-DEFAULT_REFERENCE_BUDGET = 10**6
 
-
-def materialize(config, dest, budget=DEFAULT_REFERENCE_BUDGET):
+def materialize(config, dest):
     """The reference superset at dest enumerated outright, every product of
     dest families with exponents in [0, gamma]: the oracle that
     within_oracle's membership tests are checked against."""
     fams = families(config.K, config.M, config.N, dest)
-    size = (config.gamma + 1) ** len(fams)
-    if size > budget:
-        raise EnumerationBudgetError(size, budget, "reference enumeration")
-    return _box(config, dest, dict.fromkeys(fams, config.gamma))
+    return full_box(config, dest, dict.fromkeys(fams, config.gamma))
 
 
 def within_oracle(config, cols, exps, dests):
@@ -317,7 +356,7 @@ def within(config, ds):
 
 def test_reference_materialize_matches_contains():
     config = cfg(2, 1, 1, 2)
-    members = materialize(config, 1, budget=10**4)
+    members = materialize(config, 1)
     assert len(members) == 9
     assert within_oracle(config, members.columns, members.matrix, (1,)).all()
     assert within(config, members).all()
@@ -360,7 +399,7 @@ def test_reference_rejects_foreign_monomial():
 def test_expand_received_single_user():
     # two transmit antennas, two receive antennas, nobody else: the only
     # interference is the user's own off-antenna leakage
-    plan = build_transmit_directions(cfg(1, 2, 2, 2))
+    plan = full_plan(cfg(1, 2, 2, 2))
     prof = expand_received(plan, 1, 1)
     assert prof.m_star == 4
     assert closed_form_counts(plan.config)[1] == 4  # the union, exactly
@@ -373,7 +412,7 @@ def test_multiplicity_counts_every_arrival():
     # all L of its directions, and the interference set keeps one count per
     # distinct arrival, in its own order
     config = cfg(3, 1, 2, 1)
-    plan = build_transmit_directions(config)
+    plan = full_plan(config)
     L, _ = closed_form_counts(config)
     prof = expand_received(plan, 2, 1)
     counts = prof.multiplicity
@@ -393,7 +432,7 @@ def test_multiplicity_counts_every_arrival():
 
 
 def test_expand_received_no_cross_terms_when_alone():
-    plan = build_transmit_directions(cfg(1, 1, 1))
+    plan = full_plan(cfg(1, 1, 1))
     prof = expand_received(plan, 1, 1)
     assert len(prof.interference) == 0
     assert closed_form_counts(plan.config)[0] == 1
@@ -451,13 +490,13 @@ def test_verify_report_json_shape():
 
 def test_verify_truncated_plan():
     # the simulator's plans: verify_alignment takes the full construction
-    # only, so the row oracle checks that a truncated plan stays aligned
-    report = verify_oracle(truncate_plan(build_transmit_directions(cfg(3)), 4))
+    # only, so the row oracle checks that a kept prefix stays aligned
+    report = verify_oracle(build_transmit_directions(cfg(3), 4), cap=4)
     assert report.passed
     for v in report.antennas:
         assert v.l_observed == 4
     # a cap that cuts (3,1,2,1) streams of 1024 directions to 100
-    report = verify_oracle(truncate_plan(build_transmit_directions(cfg(3, 1, 2)), 100))
+    report = verify_oracle(build_transmit_directions(cfg(3, 1, 2), 100), cap=100)
     assert report.passed
     assert {v.l_observed for v in report.antennas} == {100}
 
@@ -578,16 +617,15 @@ def with_rows(plan, added):
     "config", lattice_configs(), ids=lambda c: f"{c.K}-{c.M}-{c.N}-{c.gamma}"
 )
 def test_profile_equals_oracle_at_every_lattice_config(config):
-    # the full plan, and the plans simulate expands: each stream cut to its
-    # first cap rows
-    plan = build_transmit_directions(config)
-    assert_profiles_match_oracle(plan)
+    # the full plan, and the plans simulate expands: each stream's first
+    # cap rows
+    assert_profiles_match_oracle(full_plan(config))
     for cap in (1, 2, 3):
-        assert_profiles_match_oracle(truncate_plan(plan, cap))
+        assert_profiles_match_oracle(build_transmit_directions(config, cap))
 
 
 def test_expand_received_index_guard():
-    plan = truncate_plan(build_transmit_directions(cfg(2, 1, 2)), 1)
+    plan = build_transmit_directions(cfg(2, 1, 2), 1)
     for k, n in [(0, 1), (3, 1), (1, 0), (1, 3)]:
         with pytest.raises(IndexError, match="out of range"):
             expand_received(plan, k, n)
@@ -627,7 +665,7 @@ def test_profile_equals_oracle_when_siblings_overlap():
     H111, H112 = (1, 1, 1, 1), (1, 1, 1, 2)
     H12, H22 = (1, 2, 1, 1), (2, 2, 1, 1)
     plan = with_rows(
-        build_transmit_directions(cfg(2, 2, 1, 1)),
+        full_plan(cfg(2, 2, 1, 1)),
         {
             (1, 1, 1): [{H112: 2}, {H112: 5, H12: 1, H22: 1}],
             (1, 2, 1): [{H111: 2}, {H111: 1, H12: 1, H22: 1}],
@@ -646,15 +684,16 @@ def test_profile_equals_oracle_when_siblings_overlap():
 # ------------------------------------------------ boxes against rows
 
 
-def verify_oracle(plan):
+def verify_oracle(plan, cap=None):
     """The alignment report of a plan, read off each antenna's rows: its
     profile (expand_received, pinned against expand_oracle), then
     reference membership of the whole interference set (within_oracle).
     This is verify_alignment as it was before it decided on boxes, and it
-    takes any plan, truncated or built by hand."""
+    takes any plan, a kept prefix or built by hand: cap is the number of
+    rows each stream was kept to, or None for the full construction."""
     config = plan.config
     L, l_prime = closed_form_counts(config)
-    expected = L if plan.truncation_cap is None else min(plan.truncation_cap, L)
+    expected = L if cap is None else min(cap, L)
     verdicts = []
     for k in range(1, config.K + 1):
         for n in range(1, config.N + 1):
@@ -688,7 +727,7 @@ def verify_oracle(plan):
 )
 def test_verify_equals_oracle_at_every_lattice_config(config, capsys):
     # directions prints the oracle's report byte for byte, as text and JSON
-    oracle = verify_oracle(build_transmit_directions(config))
+    oracle = verify_oracle(full_plan(config))
     assert verify_alignment(config).to_json_dict() == oracle.to_json_dict()
     L, lp = closed_form_counts(config)
     argv = ["directions", "-K", str(config.K), "-M", str(config.M), "-N", str(config.N)]
@@ -731,8 +770,23 @@ def test_verify_equals_oracle_on_random_cap_rules(rule):
     config, table = rule
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(iadof.alignment, "stream_family_cap", lambda s, f, g: table[s, f])
-        oracle = verify_oracle(build_transmit_directions(config))
+        oracle = verify_oracle(full_plan(config))
         assert verify_alignment(config).to_json_dict() == oracle.to_json_dict()
+
+
+@given(cap_rules(), st.data())
+def test_walk_equals_full_plan_prefix_on_random_cap_rules(rule, data):
+    # every stream of the patched rule, at one cap in 1..L + 1 for the
+    # rule's largest stream set
+    config, table = rule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iadof.alignment, "stream_family_cap", lambda s, f, g: table[s, f])
+        full = full_plan(config)
+        top = max(len(ds) for ds in full.streams.values())
+        cap = data.draw(st.integers(1, top + 1))
+        for stream, ds in full.streams.items():
+            rows = iadof.alignment._stream_rows(config, stream, cap).matrix
+            assert np.array_equal(rows, ds.matrix[:cap])
 
 
 def test_union_walk_skips_empty_intersections():
@@ -809,48 +863,34 @@ def test_meets_equals_shared_rows(config):
     assert across > 0
 
 
-def test_codes_span_several_words():
-    # tagged rows at the degree limit widen the canonical keys' radix to
-    # 10^6 + 1 or 10^6 + 2, two keys to a float64 word: each antenna's
-    # stack sorts on two words, and every profile still equals its oracle
+def test_codes_span_several_words(monkeypatch):
+    # tagged rows at the degree limit put exponents of 10^6 at antenna
+    # (1,1) and 10^6 - 1 at (2,1) in the stacks: the key sort of every
+    # stack equals the oracle's sort on packed uint64 words (three keys to
+    # a word), and every profile equals its oracle
     H11, H12, H21 = (1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1)
     top = MAX_TOTAL_DEGREE - 2
     plan = with_rows(
-        build_transmit_directions(cfg(2, 1, 1, 2)),
+        full_plan(cfg(2, 1, 1, 2)),
         {
             (1, 1, 1): [{H11: top}, {H12: top}, {H21: top}],
             (2, 1, 1): [{H12: top - 1, H21: 1}, {H21: top}],
         },
     )
-    assert_profiles_match_oracle(plan)
+    stacks = []
+    runs = iadof.alignment._runs
 
+    def kept(exps):
+        stacks.append(exps.copy())
+        return runs(exps)
 
-@pytest.mark.parametrize("last", [9741, 9743])
-def test_code_words_split_below_2_53(last, monkeypatch):
-    # exponent last - 3 on three of the four columns: the stacked rows'
-    # canonical keys take radix last at antenna (1,1) and last - 1 at
-    # (2,1).  A word holds four keys of radix r while r**4 < 2**53, that is
-    # up to r = 9741: each stack is one float64 word at last = 9741 and two
-    # at 9743, and every profile still equals its oracle
-    cols = tuple(cfg(2).coefficient_ids())
-    plan = with_rows(
-        build_transmit_directions(cfg(2)),
-        {(2, 1, 1): [{cid: last - 3} for cid in cols[:3]]},
-    )
-    words = []
-    code_weights = iadof.directions._code_weights
-
-    def counted(radices):
-        weights = code_weights(radices)
-        words.append((radices[0], weights.shape[1]))
-        return weights
-
-    monkeypatch.setattr(iadof.directions, "_code_weights", counted)
+    monkeypatch.setattr(iadof.alignment, "_runs", kept)
     for k in (1, 2):
         expand_received(plan, k, 1)
     monkeypatch.undo()
-    n_words = 1 if last == 9741 else 2
-    assert words == [(last, n_words), (last - 1, n_words)]
+    assert [int(s.max()) for s in stacks] == [MAX_TOTAL_DEGREE, MAX_TOTAL_DEGREE - 1]
+    for stack in stacks:
+        assert_runs_match_oracle(stack)
     assert_profiles_match_oracle(plan)
 
 
@@ -859,7 +899,7 @@ def test_plan_degree_limit_matches_stack_check():
     # row's degree: a stream row of degree MAX_TOTAL_DEGREE - 2 is accepted
     # and one unit more is refused, with the message the stacked rows gave
     H12, H21 = (1, 2, 1, 1), (2, 1, 1, 1)
-    base = build_transmit_directions(cfg(2))
+    base = full_plan(cfg(2))
     at_limit = with_rows(base, {(2, 1, 1): [{H12: MAX_TOTAL_DEGREE - 3, H21: 1}]})
     over = with_rows(base, {(2, 1, 1): [{H12: MAX_TOTAL_DEGREE - 2, H21: 1}]})
     assert_profiles_match_oracle(at_limit)
@@ -872,42 +912,6 @@ def test_plan_degree_limit_matches_stack_check():
         with pytest.raises(OverflowError, match=message):
             expand_oracle(over, k, 1)
         expand_oracle(at_limit, k, 1)
-
-
-# ------------------------------------------------- exact float64 products
-
-
-def test_box_degree_limit_matches_int64_product(monkeypatch):
-    # one family at cap 500,000 puts the box corner at total degree
-    # MAX_TOTAL_DEGREE: accepted, and equal to the int64 product, sorted
-    # and deduplicated; one step more is refused as _check_exponents
-    # refuses the corner row, and a box of 250,002^2 points is refused
-    # before any product is formed
-    config = cfg(2)
-    fam = families(2, 1, 1, 1)
-    cols = tuple(config.coefficient_ids())
-    incidence = np.zeros((len(fam), len(cols)), dtype=np.int64)
-    for f, pair in enumerate(fam):
-        for cid in family_pair(pair, 1):
-            incidence[f, cols.index(cid)] += 1
-    cap = MAX_TOTAL_DEGREE // 2
-    box = _box(config, 1, {fam[0]: cap})
-    choices = np.arange(cap + 1, dtype=np.int64)[:, None]
-    assert box == DirectionSet.from_matrix(cols, choices @ incidence[:1])
-    assert len(box) == cap + 1
-
-    message = f"total degree {MAX_TOTAL_DEGREE + 2} exceeds {MAX_TOTAL_DEGREE}"
-    with pytest.raises(OverflowError, match=message):
-        _box(config, 1, {fam[0]: cap + 1})
-    with pytest.raises(OverflowError, match=message):
-        DirectionSet.from_matrix(cols, [(cap + 1) * incidence[0]])
-
-    def no_product(*args, **kwargs):
-        raise AssertionError("box enumerated past the degree limit")
-
-    monkeypatch.setattr(np, "indices", no_product)
-    with pytest.raises(OverflowError, match="total degree 1000004 exceeds"):
-        _box(config, 1, dict.fromkeys(fam, cap // 2 + 1))
 
 
 # ------------------------------------------------------ work and memory
@@ -926,7 +930,7 @@ def test_directions_builds_no_rows(monkeypatch, capsys):
         raise AssertionError("directions formed exponent rows")
 
     for module, name in [
-        (iadof.alignment, "_box"),
+        (iadof.alignment, "_stream_rows"),
         (iadof.alignment, "_runs"),
         (iadof.directions, "_runs"),
         (iadof.alignment, "expand_received"),

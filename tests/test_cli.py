@@ -7,9 +7,12 @@ cross-checked against the module-level tests.
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -371,16 +374,60 @@ def test_simulate_decodes_past_ten_million_candidates(capsys):
 
 
 def test_simulate_enumeration_budget_exit(capsys):
-    # the direction build refuses before the decoder is reached
-    code, out, err = run(
-        ["simulate", "-K", "3", "-M", "1", "-N", "2", "--gamma", "3"], capsys
+    # L = 254,803,968 at (3,1,2,3), which the whole-box build refused (exit
+    # 4).  Only the kept rows are built: each of 6 antennas stacks the kept
+    # rows of 6 streams, 18 exponents a row, 648 entries a unit of cap, so
+    # cap 1 runs and cap 2,000 (1,296,000 entries) is refused before any
+    # row is built
+    argv = ["simulate", "-K", "3", "-M", "1", "-N", "2", "--gamma", "3"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_OK
+    assert out == (
+        "rho,ser,trials\n"
+        "100,0.594333333333,1000\n"
+        "10000,0.515833333333,1000\n"
+        "1000000,0.163833333333,1000\n"
     )
+    code, out, err = run(argv + ["--cap", "2000"], capsys)
     assert code == EXIT_BUDGET
     assert out == ""
     assert err == (
-        "error: per-stream enumeration would produce 254803968 directions,"
-        " budget is 1000000\n"
+        "error: antenna stacks would hold 1296000 exponent entries, budget is 1000000\n"
     )
+
+
+def test_simulate_refuses_before_any_row_is_built(monkeypatch, capsys):
+    # (10,10,10,10) at cap 1: 100 antennas stack 1,000 rows of 10,000
+    # exponents each, 10^9 entries, refused from the count alone
+    def walked(*args):
+        raise AssertionError("a row was built past the budget")
+
+    monkeypatch.setattr(iadof.alignment, "_stream_rows", walked)
+    argv = ["simulate", "-K", "10", "-M", "10", "-N", "10", "--gamma", "10"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == (
+        "error: antenna stacks would hold 1000000000 exponent entries, budget is 1000000\n"
+    )
+
+
+def test_simulate_past_the_old_stream_budget_keeps_memory_small(capsys):
+    # (3,2,2,1): L = 1,048,576, so one whole stream set would be an int64
+    # matrix of 288 MiB.  Its cap-1 rows decode in about 8 MiB (tracemalloc
+    # peak, warm imports); the whole-box build refused it with exit 4
+    import iadof.simulate  # noqa: F401  (warm: imports are not measured)
+
+    argv = "simulate -K 3 -M 2 -N 2 --cap 1 --trials 100 --noiseless --snr 1e2".split()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "rho,ser,trials\n100,0,100\n"
+    assert peak < 32 * 2**20
 
 
 @pytest.fixture
@@ -402,7 +449,8 @@ def test_count_text_past_decimal_limit(default_digit_limit):
 @pytest.mark.parametrize("command", ["directions", "simulate"])
 def test_refusal_past_decimal_limit_exits_budget(command, default_digit_limit, capsys):
     # L at (10,10,10,10) has over 9,000 decimal digits: the refusal used to
-    # fail formatting it and exit 2
+    # fail formatting it and exit 2.  directions still refuses on L;
+    # simulate counts the kept rows' exponent entries, 10^9 at cap 1
     argv = [command, "-K", "10", "-M", "10", "-N", "10", "--gamma", "10"]
     code, out, err = run(argv, capsys)
     assert code == EXIT_BUDGET
@@ -415,19 +463,22 @@ def test_refusal_past_decimal_limit_exits_budget(command, default_digit_limit, c
         )
     else:
         assert err == (
-            "error: per-stream enumeration would produce more than 2^31152"
-            " directions, budget is 1000000\n"
+            "error: antenna stacks would hold 1000000000 exponent entries,"
+            " budget is 1000000\n"
         )
 
 
 def test_simulate_degree_limit_is_usage_error(capsys):
-    # the stream box corner has total degree 2 * 599,999; this used to
-    # raise out of main and exit 1
+    # the stream box corner has total degree 2 * 599,999, which the
+    # whole-box build refused as a usage error (exit 2); the kept row at cap
+    # 1 is the unit, so the command runs.  A kept row's degree grows with
+    # the cap, not with gamma; the limit itself is tested on the stacks
+    # (test_plan_degree_limit_matches_stack_check)
     argv = ["simulate", "-K", "1", "-M", "1", "-N", "2", "--gamma", "600000"]
     code, out, err = run(argv, capsys)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == "error: total degree 1199998 exceeds 1000000\n"
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == "rho,ser,trials\n100,0.088,1000\n10000,0,1000\n1000000,0,1000\n"
 
 
 def test_simulate_huge_q_refused_before_stream_powers(capsys):
@@ -554,6 +605,17 @@ def test_unknown_export_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         iadof.no_such_name
+
+
+def test_readme_library_example():
+    # the README's `## Library` block runs as written, asserts included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["plan"].streams[(1, 1, 1)]) == 2
+    assert set(namespace["result"].ser) == {1e2, 1e6}
 
 
 # The numpy-backed modules: none may load with the package, the CLI or the

@@ -19,19 +19,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iadof.alignment import build_transmit_directions, closed_form_counts, expand_received
+from iadof.alignment import closed_form_counts, expand_received
 from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import (
     MAX_EXPONENT,
     MAX_TOTAL_DEGREE,
     DirectionSet,
     _check_exponents,
-    _code_weights,
     _runs,
     _unique_rows,
     merge_columns,
     monomial_text,
 )
+from conftest import full_plan
 from test_acceptance import lattice_configs
 
 CIDS = [(1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1)]
@@ -192,15 +192,6 @@ def test_direction_set_scale_injective():
     assert scaled == monomials(A, B, {(1, 1, 1, 1): 3})
 
 
-def test_direction_set_head():
-    s = monomials(B, A, {})
-    assert s.head(2) == monomials({}, A)
-    assert s.head(10) == s
-    assert len(s.head(0)) == 0
-    with pytest.raises(ValueError):
-        s.head(-1)
-
-
 def test_direction_set_evaluate():
     h = generate_channel(SystemConfig(K=2, seed=4))
     s = monomials({(1, 1, 1, 1): 2, (2, 2, 1, 1): 3}, {})
@@ -217,7 +208,7 @@ def test_direction_set_evaluate():
 MATRIX_CIDS = CIDS + [(3, 1, 2, 1)]
 
 # mostly small exponents; a large one widens every key, so that five
-# columns need two packed words
+# columns need two of the oracle's packed words
 exponents = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 190_000))
 
 
@@ -269,8 +260,8 @@ def test_keys_span_several_words():
 
 def order_keys_oracle(exps):
     """The canonical keys packed straight into uint64 words, as many keys
-    as fit in 64 bits per word, by numpy's integer products.  The float64
-    mixed-radix words of _runs are pinned against it."""
+    as fit in 64 bits per word, by numpy's integer products.  The key sort
+    of _runs is pinned against it."""
     n, C = exps.shape
     if C == 0:
         return np.zeros((n, 1), dtype=np.uint64)
@@ -315,23 +306,18 @@ def test_runs_equal_uint64_keys_on_random_matrices(m):
 
 @pytest.mark.parametrize("top", [6, 2**10, 2**13 - 1, 2**17, 2**20, MAX_TOTAL_DEGREE])
 def test_runs_equal_uint64_keys_across_word_widths(top):
-    # keys of radix 8 to 1,000,002 over 40 columns: 17 down to 2 keys per
-    # float64 word below 2**53, against 21 down to 3 per directly packed
-    # 64-bit word, so at most widths the two packings cut their words at
-    # different columns
+    # largest keys from 7 to 1,000,001 over 40 columns: 21 down to 3 keys per
+    # packed 64-bit word of the oracle, one key a column for the key sort
     rng = np.random.default_rng(top)
     exps = rng.integers(0, 4, size=(400, 40)) * (rng.random((400, 40)) < 0.3)
     exps[::5, rng.integers(0, 40)] = top
     exps = np.concatenate([exps, exps[::3], np.zeros((3, 40), dtype=np.int64)])
-    # the largest code of every word, each key at top + 1, is below 2**53
-    weights = _code_weights([top + 2] * 40).astype(np.int64)
-    assert ((top + 1) * weights).sum(axis=0).max() < 2**53
     assert_runs_match_oracle(exps)
 
 
 def test_runs_equal_uint64_keys_at_degree_limit():
     # every row of total degree MAX_TOTAL_DEGREE: all of it on one column,
-    # or split at random; keys of radix 1,000,002, two to a word
+    # or split at random; keys up to 1,000,001, three to an oracle word
     rng = np.random.default_rng(3)
     C = 18
     exps = np.concatenate(
@@ -343,7 +329,6 @@ def test_runs_equal_uint64_keys_at_degree_limit():
     )
     exps = np.concatenate([exps, exps[::4]])
     _check_exponents(exps)
-    assert _code_weights([MAX_TOTAL_DEGREE + 2] * C).shape == (C, 9)
     assert_runs_match_oracle(exps)
 
 
@@ -383,7 +368,7 @@ def test_evaluate_equals_mono_eval_on_random_matrices(m, seed):
 def test_evaluate_equals_mono_eval(config):
     # every stream and interference set of the lattice configs with at
     # most the (3,1,2,1) stream count L = 1024, bit for bit
-    plan = build_transmit_directions(config)
+    plan = full_plan(config)
     h = generate_channel(config)
     sets = list(plan.streams.values()) + [
         expand_received(plan, k, n).interference

@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from iadof._kernels import decode_table, min_abs_combination, nearest_candidate_indices
-from iadof.alignment import (
-    TransmitPlan,
-    build_transmit_directions,
-    expand_received,
-    truncate_plan,
-)
+from iadof.alignment import TransmitPlan, build_transmit_directions, expand_received
 from iadof.channel import SystemConfig, generate_channel
 from iadof.cli import main
 from iadof.directions import DirectionSet
@@ -46,6 +41,7 @@ from iadof.simulate import (
     stream_mean_power,
     symbol_variance,
 )
+from conftest import full_plan
 from test_directions import members, mono_eval
 
 SNR3 = (1e2, 1e4, 1e6)
@@ -54,9 +50,7 @@ SNR3 = (1e2, 1e4, 1e6)
 def make(K, M=1, N=1, gamma=1, Q=2, seed=0, cap=None):
     config = SystemConfig(K=K, M=M, N=N, gamma=gamma, Q=Q, seed=seed)
     h = generate_channel(config)
-    plan = build_transmit_directions(config)
-    if cap is not None:
-        plan = truncate_plan(plan, cap)
+    plan = full_plan(config) if cap is None else build_transmit_directions(config, cap)
     return config, h, plan
 
 
@@ -239,7 +233,7 @@ def test_min_distance_positive_across_seeds():
 
 
 def test_min_distance_rejects_large_direction_count():
-    config, h, plan = make(3, seed=0)  # untruncated: 16 + 28 directions
+    config, h, plan = make(3, seed=0)  # the full plan: 16 + 28 directions
     with pytest.raises(DecodeBudgetError) as exc:
         min_distance(antenna_model(plan, h, 1, 1), config.Q)
     assert exc.value.required == 44
@@ -340,7 +334,6 @@ def test_antenna_model_rejects_overlapping_plan():
             (1, 1, 1): DirectionSet.from_matrix([(1, 2, 1, 1), (2, 2, 1, 1)], [[1, 1]]),
             (2, 1, 1): DirectionSet.from_matrix([(1, 1, 1, 1)], [[2]]),
         },
-        truncation_cap=None,
     )
     refusal = (
         "desired direction H[1,1](1,1)^2 * H[1,2](1,1) * H[2,2](1,1) aligned with"
@@ -360,7 +353,7 @@ def test_replaced_plan_starts_without_profiles(overcounted_plan):
     # antenna (1,1), its source the exact 28
     config = SystemConfig(K=3)
     h = generate_channel(config)
-    plan = build_transmit_directions(config)
+    plan = full_plan(config)
     assert antenna_model(plan, h, 1, 1).profile.m_star == 28
     assert list(plan.profiles) == [(1, 1)]
     extra = dataclasses.replace(plan, streams=overcounted_plan.streams)
@@ -374,7 +367,7 @@ def test_plan_streams_cannot_change_under_its_profiles(overcounted_plan):
     # streams are a read-only copy of the mapping it was built from
     config = SystemConfig(K=3)
     h = generate_channel(config)
-    streams = dict(build_transmit_directions(config).streams)
+    streams = dict(full_plan(config).streams)
     plan = TransmitPlan(config=config, streams=streams)
     assert antenna_model(plan, h, 1, 1).profile.m_star == 28
     streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
@@ -683,7 +676,7 @@ def test_kept_plans_bounded_and_read_only():
         sets += [*prof.desired.values(), prof.interference]
     for ds in sets:
         assert not ds.matrix.flags.writeable
-    # kept rows own their memory, so the cache holds no untruncated build
+    # kept rows own their memory: the cache holds no view of a larger array
     assert all(ds.matrix.base is None for ds in plan.streams.values())
 
 
@@ -736,7 +729,10 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
     import iadof.simulate as sim
 
     config, h, full = make(2, seed=0)
-    streams = {s: ds.head(1 if s[0] == 1 else 3) for s, ds in full.streams.items()}
+    streams = {
+        s: DirectionSet.from_matrix(ds.columns, ds.matrix[: 1 if s[0] == 1 else 3])
+        for s, ds in full.streams.items()
+    }
     plan = TransmitPlan(config=config, streams=streams)
     calls = []
 
@@ -785,7 +781,7 @@ def test_decoder_matches_manual_search_single_user():
     # c * H^2 for c in -(Q-1)..Q-1 and decoding is a 1-d nearest search
     config = SystemConfig(K=1, Q=4, seed=6)
     h = generate_channel(config)
-    plan = build_transmit_directions(config)
+    plan = full_plan(config)
     trials = 400
     # at rho 2.5 over half of the symbols are wrong, at 123 two in 400
     result = simulate_plan(plan, h, SimConfig(snr_points=(2.5, 123.0), trials=trials))
