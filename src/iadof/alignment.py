@@ -12,9 +12,9 @@ every stream set, arrival and desired set is a box: each pair family's
 exponent in an interval, and each transmit-antenna block's direct exponent
 the sum of the block's other exponents plus a fixed beta.  Sizes are
 products of interval lengths, disjointness and reference membership are
-read off the intervals (_meets), and the interference dimension L' is an
-inclusion-exclusion over intersections of boxes (_union_size), all in
-Python integers, so it decides configs whose rows could not be enumerated.
+read off the intervals (_meets), and the interference dimension L' is a
+union of boxes factored over groups of boxes (_union_size), all in Python
+integers, so it decides any config the stack count admits (_check_stacks).
 
 The simulator needs rows, and only the first cap of each stream set.  There
 every direction set is an integer exponent matrix over the config's
@@ -34,7 +34,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
+from operator import le, ne
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -69,8 +70,8 @@ def count_text(n: int) -> str:
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised before building a plan whose antenna stacks, counted exactly,
-    are over budget."""
+    """Raised before building a plan or verifying a config whose antenna
+    stacks, counted exactly, are over budget."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
@@ -286,21 +287,28 @@ def _stream_rows(config: SystemConfig, stream: Stream, cap: int) -> DirectionSet
     return DirectionSet._of(cols, np.array(rows, dtype=np.int64))
 
 
+def _check_stacks(config: SystemConfig, rows: int) -> None:
+    """Refuse a config whose K*N antenna stacks, K*M*N*rows rows of K^2*N*M
+    exponents each, would hold more than DEFAULT_STREAM_BUDGET entries."""
+    K, M, N = config.K, config.M, config.N
+    entries = K * N * (K * M * N * rows) * (K * K * N * M)
+    if entries > DEFAULT_STREAM_BUDGET:
+        raise EnumerationBudgetError(entries, DEFAULT_STREAM_BUDGET)
+
+
 def build_transmit_directions(config: SystemConfig, cap: int) -> TransmitPlan:
     """Every stream's first min(cap, L) directions, in canonical order.
 
     The simulator stacks every stream's rows at each of the K*N receive
     antennas, K*M*N * min(cap, L) rows of K^2*N*M exponents there.  The
-    entries of all those stacks are counted before any row is built, and a
-    config over DEFAULT_STREAM_BUDGET fails fast with the count attached.
+    entries of all those stacks are counted before any row is built
+    (_check_stacks), and a config over DEFAULT_STREAM_BUDGET fails fast with
+    the count attached.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     K, M, N = config.K, config.M, config.N
-    L, _ = closed_form_counts(config)
-    entries = K * N * (K * M * N * min(cap, L)) * (K * K * N * M)
-    if entries > DEFAULT_STREAM_BUDGET:
-        raise EnumerationBudgetError(entries, DEFAULT_STREAM_BUDGET)
+    _check_stacks(config, min(cap, closed_form_counts(config)[0]))
     streams = {
         s: _stream_rows(config, s, cap)
         for s in product(range(1, K + 1), range(1, M + 1), range(1, N + 1))
@@ -475,11 +483,11 @@ def _reach(dest: int, lo, beta, fams: tuple[PairFamily, ...], N: int) -> frozens
     sum of the block's exponents off its directs at dest and d2; nothing is
     negative, so the point has beta 0 and R = 0 at both.  A box reaches d2
     only if its beta is 0 and every positive lower bound sits on a direct
-    at d2, the family (t, m, d2, t).
+    at d2, the family (t, m, d2, t).  With one destination there is no d2.
     """
-    if any(beta):
+    if N == 1 or any(beta):
         return frozenset()
-    raised = {(j == i, np_) for (j, _, np_, i), low in zip(fams, lo) if low}
+    raised = {(f[0] == f[3], f[2]) for f in compress(fams, lo)}
     if not raised:
         return frozenset(range(1, N + 1)) - {dest}
     if len(raised) == 1:
@@ -516,25 +524,49 @@ def _meets(a: _Source, b: _Source, index: dict[int, dict[PairFamily, int]]) -> b
     return all(max(a.lo[x], b.lo[y]) <= min(a.hi[x], b.hi[y]) for x, y in pairs)
 
 
-def _union_size(boxes: list[_Source]) -> int:
-    """The number of points in the union of boxes of one destination and
-    one beta, by inclusion-exclusion: every intersection of boxes is the
-    box of their per-family max lower and min upper bounds.  The walk
-    extends only non-empty intersections, since every intersection that
-    contains an empty one is empty: for a boxes it visits at most 2**a - 1
-    of them, but only a when the boxes are pairwise disjoint, and it never
-    forms them all at once."""
+def _walk(boxes: list[tuple[list[int], list[int]]]) -> int:
+    """The number of points in a union of (lower, upper) boxes, by
+    inclusion-exclusion over their intersections, extending only non-empty
+    ones: at most 2**a - 1 for a boxes, and a if pairwise disjoint."""
     total = 0
-    stack = [(i + 1, box.lo, box.hi, 1) for i, box in enumerate(boxes)]
+    stack = [(i + 1, lo, hi, 1) for i, (lo, hi) in enumerate(boxes)]
     while stack:
         start, lo, hi, sign = stack.pop()
-        total += sign * math.prod(h - l + 1 for l, h in zip(lo, hi))
-        for i in range(start, len(boxes)):
-            lo2 = tuple(map(max, lo, boxes[i].lo))
-            hi2 = tuple(map(min, hi, boxes[i].hi))
-            if all(l <= h for l, h in zip(lo2, hi2)):
-                stack.append((i + 1, lo2, hi2, -sign))
+        total += sign * math.prod([h - l + 1 for l, h in zip(lo, hi)])
+        for i, (lo2, hi2) in enumerate(boxes[start:], start):
+            if all(map(le, map(max, lo, lo2), map(min, hi, hi2))):
+                stack.append((i + 1, list(map(max, lo, lo2)), list(map(min, hi, hi2)), -sign))
     return total
+
+
+def _union_size(boxes: list[_Source]) -> int:
+    """The number of points in the union of boxes of one destination and
+    one beta: their bounding box less the points that miss every box.
+    Boxes that restrict (differ from the bounding box on) a shared
+    coordinate form a group.  A point misses every box iff in each group its
+    projection misses every box, so the misses are a product over groups of
+    each group's size less its union (_walk).  Up to two boxes are walked
+    whole, which costs less than grouping them."""
+    if len(boxes) < 3:
+        return _walk([(b.lo, b.hi) for b in boxes])
+    lo = list(map(min, zip(*(b.lo for b in boxes))))
+    hi = list(map(max, zip(*(b.hi for b in boxes))))
+    bounds = list(zip(lo, hi))
+    groups = []  # (coordinates, boxes) of each group
+    for box in boxes:
+        cut = set(compress(count(), map(ne, zip(box.lo, box.hi), bounds)))
+        members = [box]
+        for group in [g for g in groups if g[0] & cut]:
+            groups.remove(group)
+            cut |= group[0]
+            members += group[1]
+        groups.append((cut, members))
+    total = missed = math.prod([h - l + 1 for l, h in zip(lo, hi)])
+    for cut, members in groups:
+        size = math.prod([hi[c] - lo[c] + 1 for c in cut])
+        part = [([b.lo[c] for c in cut], [b.hi[c] for c in cut]) for b in members]
+        missed = missed // size * (size - _walk(part))
+    return total - missed
 
 
 def verify_alignment(config: SystemConfig) -> AlignmentReport:
@@ -558,8 +590,10 @@ def verify_alignment(config: SystemConfig) -> AlignmentReport:
       arrivals (_union_size), once every pair of arrivals with different
       destinations has been checked to be disjoint (a RuntimeError if not).
     A failed check is reported, not raised; callers that need a hard
-    failure (the CLI verify path) inspect .passed.
+    failure (the CLI verify path) inspect .passed.  A config refused by the
+    stack count at one row per stream (_check_stacks) forms no box.
     """
+    _check_stacks(config, 1)
     K, M, N, gamma = config.K, config.M, config.N, config.gamma
     L, l_prime = closed_form_counts(config)
     dests = range(1, N + 1)
@@ -574,8 +608,7 @@ def verify_alignment(config: SystemConfig) -> AlignmentReport:
     flat = (0,) * (K * M)
 
     def source(dest, lo, hi, beta):
-        reach = _reach(dest, lo, beta, fams[dest], N)
-        return _Source(dest, tuple(lo), tuple(hi), beta, reach)
+        return _Source(dest, tuple(lo), tuple(hi), beta, _reach(dest, lo, beta, fams[dest], N))
 
     verdicts = []
     for k in range(1, K + 1):

@@ -144,27 +144,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _budget(args: argparse.Namespace, default: int) -> int:
-    """--budget, or the command's default when it is not given.  0 refuses
-    every enumeration (directions then prints only the closed-form counts);
-    no budget is below that."""
-    if args.budget is None:
-        return default
-    if args.budget < 0:
-        raise ValueError(f"budget must be >= 0, got {args.budget}")
-    return args.budget
-
-
 def _render_alignment(report, L: int, l_prime: int) -> str:
+    from .alignment import count_text
+
     c = report.config
     lines = [
         f"K={c.K} M={c.M} N={c.N} gamma={c.gamma}",
-        f"closed form: L={L} L'={l_prime}",
+        f"closed form: L={count_text(L)} L'={count_text(l_prime)}",
     ]
     for a in report.antennas:
         lines.append(
-            f"antenna ({a.k},{a.n}): L_observed={a.l_observed}"
-            f" L'_observed={a.l_prime_observed}"
+            f"antenna ({a.k},{a.n}): L_observed={count_text(a.l_observed)}"
+            f" L'_observed={count_text(a.l_prime_observed)}"
         )
         for name, ok in a.checks.items():
             lines.append(f"  {name}: {'pass' if ok else 'FAIL'}")
@@ -173,21 +164,18 @@ def _render_alignment(report, L: int, l_prime: int) -> str:
 
 
 def cmd_directions(args: argparse.Namespace) -> int:
-    from .alignment import DEFAULT_STREAM_BUDGET, closed_form_counts, count_text, verify_alignment
+    from .alignment import EnumerationBudgetError, closed_form_counts, count_text, verify_alignment
     from .channel import SystemConfig
 
     config = SystemConfig(K=args.K, M=args.M, N=args.N, gamma=args.gamma)
-    budget = _budget(args, DEFAULT_STREAM_BUDGET)
     L, l_prime = closed_form_counts(config)
-    if L > budget:
-        L, l_prime = count_text(L), count_text(l_prime)
+    try:
+        report = verify_alignment(config)
+    except EnumerationBudgetError as e:
         sys.stderr.write(
-            f"enumeration budget exceeded: {L} directions per stream"
-            f" against budget {budget}\n"
-            f"closed form: L={L} L'={l_prime}\n"
+            f"error: {e}\nclosed form: L={count_text(L)} L'={count_text(l_prime)}\n"
         )
         return EXIT_BUDGET
-    report = verify_alignment(config)
     if args.json:
         text = _json_text(
             {"schema": SCHEMA, "command": "directions", **report.to_json_dict()}
@@ -218,7 +206,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim_config = SimConfig(
         snr_points=snr_points, trials=args.trials, noiseless=args.noiseless
     )
-    budget = _budget(args, DEFAULT_DECODE_BUDGET)
+    budget = DEFAULT_DECODE_BUDGET if args.budget is None else args.budget
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     try:
         result = run_link_sim(config, sim_config, args.cap, budget=budget)
     except (EnumerationBudgetError, DecodeBudgetError) as e:
@@ -289,11 +279,6 @@ def _parser() -> argparse.ArgumentParser:
         help="count the direction sets and run alignment checks",
     )
     _add_config_flags(p)
-    p.add_argument(
-        "--budget", type=int, default=None,
-        help="refuse a config whose per-stream count L is above this (default 10^6);"
-        " 0 prints only the closed-form counts",
-    )
     p.set_defaults(func=cmd_directions)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo link simulation")

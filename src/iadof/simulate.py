@@ -65,9 +65,9 @@ _NOISE_ROLE = 0xB2
 
 class DecodeBudgetError(RuntimeError):
     """An exhaustive enumeration would exceed its budget; .required says
-    how big it would have been."""
+    how big it would have been, and what names the enumeration."""
 
-    def __init__(self, required: int, budget: int, what: str = "exhaustive decode"):
+    def __init__(self, required: int, budget: int, what: str):
         super().__init__(f"{what} needs {count_text(required)}, budget is {budget}")
         self.required = required
         self.budget = budget

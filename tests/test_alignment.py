@@ -35,7 +35,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import iadof.alignment
@@ -49,6 +49,7 @@ from iadof.alignment import (
     _meets,
     _reach,
     _Source,
+    _union_size,
     achievable_dof_gamma,
     build_transmit_directions,
     closed_form_counts,
@@ -791,14 +792,94 @@ def test_walk_equals_full_plan_prefix_on_random_cap_rules(rule, data):
 
 def test_union_walk_skips_empty_intersections():
     # (2,19,1,1): each antenna sees 19 arrivals of 524,288 directions, one
-    # from each transmit antenna of the other user; siblings are disjoint,
-    # so the walk visits 19 intersections, not 2**19 - 1
+    # from each transmit antenna of the other user.  They restrict the same
+    # coordinates, so they form one group, and siblings are disjoint, so the
+    # walk in it visits 19 intersections, not 2**19 - 1
     config = cfg(2, 19)
     t0 = time.perf_counter()
     report = verify_alignment(config)
     assert time.perf_counter() - t0 < 2.0
     assert report.passed
     assert {v.l_prime_observed for v in report.antennas} == {closed_form_counts(config)[1]}
+
+
+def item1_l_prime(config):
+    """L' with every sibling family run to gamma: N*A^K - A*B^(K-1) -
+    (N-1)*B^K with A = (gamma+1)^(M(KN-1)) and B = ((gamma+1)^(KN-1) -
+    gamma^(KN-1))^M."""
+    K, M, N, G = config.K, config.M, config.N, config.gamma
+    own = K * N - 1
+    A = (G + 1) ** (M * own)
+    B = ((G + 1) ** own - G**own) ** M
+    return N * A**K - A * B ** (K - 1) - (N - 1) * B**K
+
+
+@pytest.mark.parametrize("config", [cfg(2, 19), cfg(1, 40, 2)], ids=["2-19-1-1", "1-40-2-1"])
+def test_union_factors_when_siblings_overlap(config, monkeypatch):
+    # with sibling families run to gamma, every arrival of one user covers
+    # its siblings' families, so the arrivals overlap pairwise: one walk
+    # over them would visit 2**19 - 1 (2**40 - 1) intersections.  Each box
+    # restricts only its own block, so the factored union walks one box a
+    # group.  .passed is not asserted: closed_form_counts keeps the rule
+    # that pins siblings at 0
+    def sibling_to_gamma(stream, fam, gamma):
+        if fam[0] == stream[0]:
+            return gamma - 1 if fam[1] == stream[1] else gamma
+        return gamma
+
+    monkeypatch.setattr(iadof.alignment, "stream_family_cap", sibling_to_gamma)
+    t0 = time.perf_counter()
+    report = verify_alignment(config)
+    assert time.perf_counter() - t0 < 2.0
+    assert {v.l_prime_observed for v in report.antennas} == {item1_l_prime(config)}
+
+
+def union_box(lo, hi):
+    return _Source(1, tuple(lo), tuple(hi), (0,), frozenset())
+
+
+@st.composite
+def union_boxes(draw):
+    """Boxes in up to 5 coordinates inside a base box [0, top]: each spans
+    the base box outside a drawn set of coordinates, which may be empty."""
+    top = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    boxes = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo, hi = [0] * len(top), list(top)
+        for c in sorted(draw(st.sets(st.integers(0, len(top) - 1)))):
+            lo[c] = draw(st.integers(0, top[c]))
+            hi[c] = draw(st.integers(lo[c], top[c]))
+        boxes.append(union_box(lo, hi))
+    return boxes
+
+
+@given(union_boxes())
+@example([])  # no box
+@example([union_box([1, 0], [2, 3])])  # a single box
+@example(  # one box equals the bounding box
+    [union_box([0, 0], [3, 3]), union_box([1, 1], [2, 2]), union_box([0, 1], [3, 1])]
+)
+@example(  # three groups, each restricting its own coordinate
+    [
+        union_box([1, 0, 0], [1, 2, 2]),
+        union_box([0, 0, 2], [2, 2, 2]),
+        union_box([0, 1, 0], [2, 1, 2]),
+    ]
+)
+@example(  # a group joined through a shared coordinate, beside a group of one
+    [
+        union_box([0, 0, 0, 0], [1, 3, 3, 3]),
+        union_box([1, 2, 0, 0], [3, 3, 3, 3]),
+        union_box([2, 0, 0, 0], [3, 1, 3, 3]),
+        union_box([0, 0, 0, 1], [3, 3, 3, 1]),
+    ]
+)
+def test_union_size_equals_point_count(boxes):
+    # up to two boxes are walked whole; from three on they are grouped
+    points = set()
+    for box in boxes:
+        points.update(itertools.product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi))))
+    assert _union_size(boxes) == len(points)
 
 
 def test_verify_checks_arrivals_apart_across_destinations(monkeypatch):
@@ -919,11 +1000,11 @@ def test_plan_degree_limit_matches_stack_check():
 
 def test_directions_builds_no_rows(monkeypatch, capsys):
     # every row-path step raises, and directions prints what it printed
-    # before, at (3,1,2,1) and at (3,2,2,1), which is past the default budget
+    # before, at (3,1,2,1) and at (3,2,2,1), where L = 1,048,576
     cases = [["-K", "3", "-M", "1", "-N", "2"], ["-K", "3", "-M", "2", "-N", "2"]]
     want = []
     for case in cases:
-        assert cli.main(["directions", *case, "--budget", "2000000", "--json"]) == 0
+        assert cli.main(["directions", *case, "--json"]) == 0
         want.append(capsys.readouterr().out)
 
     def row_path(*args, **kwargs):
@@ -937,7 +1018,7 @@ def test_directions_builds_no_rows(monkeypatch, capsys):
     ]:
         monkeypatch.setattr(module, name, row_path)
     for case, out in zip(cases, want):
-        assert cli.main(["directions", *case, "--budget", "2000000", "--json"]) == 0
+        assert cli.main(["directions", *case, "--json"]) == 0
         assert capsys.readouterr().out == out
 
 

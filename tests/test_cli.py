@@ -189,24 +189,34 @@ def test_directions_check_failure_exit(capsys, monkeypatch):
 
 
 def test_directions_budget_exit(capsys):
+    # directions is held to simulate's stack count at one row per stream,
+    # not to L.  (3,1,2,3): L = 254,803,968, refused on L before, and 648
+    # entries now, so it verifies
     code, out, err = run(
         ["directions", "-K", "3", "-M", "1", "-N", "2", "--gamma", "3"], capsys
     )
+    assert code == EXIT_OK
+    assert err == ""
+    assert "closed form: L=254803968 L'=1046504043" in out
+    assert out.count("L_observed=254803968 L'_observed=1046504043") == 6
+    assert out.endswith("result: PASS\n")
+    # (1,2,63): L = 1, verified before; 63 antennas stack 126 rows of 126
+    # exponents, 1,000,188 entries
+    code, out, err = run(["directions", "-K", "1", "-M", "2", "-N", "63"], capsys)
     assert code == EXIT_BUDGET
     assert out == ""
-    assert (
-        "enumeration budget exceeded: 254803968 directions per stream"
-        " against budget 1000000" in err
+    assert err == (
+        "error: antenna stacks would hold 1000188 exponent entries, budget is 1000000\n"
+        "closed form: L=1 L'=124\n"
     )
-    assert "closed form: L=254803968" in err
 
 
 def test_directions_past_enumeration(capsys):
-    # (3,2,2,1): L = 1,048,576 directions per stream, over the default
-    # budget; with the budget raised it is decided on boxes, not rows
-    argv = ["directions", "-K", "3", "-M", "2", "-N", "2"]
+    # (3,2,2,1): L = 1,048,576 directions per stream, refused on L before;
+    # it is decided on boxes, not rows
+    argv = ["directions", "-K", "3", "-M", "2", "-N", "2", "--json"]
     t0 = time.perf_counter()
-    code, out, err = run(argv + ["--budget", "2000000", "--json"], capsys)
+    code, out, err = run(argv, capsys)
     assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -216,27 +226,11 @@ def test_directions_past_enumeration(capsys):
         assert row["L_observed"] == 2 * 1048576
         assert row["L_prime_observed"] == 10469384
         assert all(row["checks"].values())
-    code, out, err = run(argv, capsys)
-    assert code == EXIT_BUDGET
-    assert out == ""
-    assert err == (
-        "enumeration budget exceeded: 1048576 directions per stream against budget 1000000\n"
-        "closed form: L=1048576 L'=10469384\n"
-    )
 
 
-def test_directions_budget_override(capsys):
-    code, out, err = run(
-        ["directions", "-K", "3", "-M", "1", "-N", "1", "--budget", "4"], capsys
-    )
-    assert code == EXIT_BUDGET
-    assert "budget 4" in err
-
-
-@pytest.mark.parametrize("command", ["directions", "simulate"])
+@pytest.mark.parametrize("command", ["simulate"])
 def test_negative_budget_is_usage_error(command, capsys):
-    # -5 used to be refused as an exceeded budget (exit 4); 0 still is,
-    # which is how directions prints only the closed-form counts
+    # -5 used to be refused as an exceeded budget (exit 4); 0 still is
     argv = [command, "-K", "2", "-M", "1", "-N", "1", "--budget"]
     code, out, err = run(argv + ["-5"], capsys)
     assert code == EXIT_USAGE
@@ -373,7 +367,7 @@ def test_simulate_decodes_past_ten_million_candidates(capsys):
     )
 
 
-def test_simulate_enumeration_budget_exit(capsys):
+def test_simulate_stack_count_admits_cap_1_refuses_cap_2000(capsys):
     # L = 254,803,968 at (3,1,2,3), which the whole-box build refused (exit
     # 4).  Only the kept rows are built: each of 6 antennas stacks the kept
     # rows of 6 streams, 18 exponents a row, 648 entries a unit of cap, so
@@ -449,26 +443,35 @@ def test_count_text_past_decimal_limit(default_digit_limit):
 @pytest.mark.parametrize("command", ["directions", "simulate"])
 def test_refusal_past_decimal_limit_exits_budget(command, default_digit_limit, capsys):
     # L at (10,10,10,10) has over 9,000 decimal digits: the refusal used to
-    # fail formatting it and exit 2.  directions still refuses on L;
-    # simulate counts the kept rows' exponent entries, 10^9 at cap 1
+    # fail formatting it and exit 2.  Both commands count the kept rows'
+    # exponent entries, 10^9 at one row per stream, and directions adds the
+    # closed-form counts
     argv = [command, "-K", "10", "-M", "10", "-N", "10", "--gamma", "10"]
     code, out, err = run(argv, capsys)
     assert code == EXIT_BUDGET
     assert out == ""
+    refusal = "error: antenna stacks would hold 1000000000 exponent entries, budget is 1000000\n"
     if command == "directions":
-        assert err == (
-            "enumeration budget exceeded: more than 2^31152 directions per stream"
-            " against budget 1000000\n"
-            "closed form: L=more than 2^31152 L'=more than 2^31162\n"
-        )
+        assert err == refusal + "closed form: L=more than 2^31152 L'=more than 2^31162\n"
     else:
-        assert err == (
-            "error: antenna stacks would hold 1000000000 exponent entries,"
-            " budget is 1000000\n"
-        )
+        assert err == refusal
 
 
-def test_simulate_degree_limit_is_usage_error(capsys):
+def test_directions_refuses_before_any_box_is_formed(monkeypatch, default_digit_limit, capsys):
+    # the same count as simulate's, from the config alone
+    def formed(*args):
+        raise AssertionError("a box was formed past the budget")
+
+    for name in ["_Source", "_reach", "_union_size", "_meets", "stream_family_cap"]:
+        monkeypatch.setattr(iadof.alignment, name, formed)
+    argv = ["directions", "-K", "10", "-M", "10", "-N", "10", "--gamma", "10"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.splitlines()[1] == "closed form: L=more than 2^31152 L'=more than 2^31162"
+
+
+def test_simulate_past_the_old_degree_limit_runs(capsys):
     # the stream box corner has total degree 2 * 599,999, which the
     # whole-box build refused as a usage error (exit 2); the kept row at cap
     # 1 is the unit, so the command runs.  A kept row's degree grows with
