@@ -32,50 +32,14 @@ _LAZY = {
     "InconsistentPlanError": "simulate",
     "SimConfig": "simulate",
     "SimResult": "simulate",
-    "amplitude_scale": "simulate",
     "antenna_model": "simulate",
-    "min_distance": "simulate",
     "run_link_sim": "simulate",
-    "separation_exponent": "simulate",
     "simulate_plan": "simulate",
 }
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentReport",
-    "ChannelRealization",
-    "DecodeBudgetError",
-    "DirectionSet",
-    "DofReport",
-    "EnumerationBudgetError",
-    "InconsistentPlanError",
-    "PartitionWitness",
-    "ReceiverProfile",
-    "SimConfig",
-    "SimResult",
-    "SystemConfig",
-    "TransmitPlan",
-    "achievable_dof",
-    "achievable_dof_gamma",
-    "amplitude_scale",
-    "antenna_model",
-    "build_transmit_directions",
-    "closed_form_counts",
-    "dof_report",
-    "dof_upper_bound",
-    "expand_received",
-    "generate_channel",
-    "gou_jafar_reference",
-    "min_distance",
-    "per_antenna_dof_gamma",
-    "regime_classify",
-    "run_link_sim",
-    "separation_exponent",
-    "simulate_plan",
-    "solve_partition_balance",
-    "verify_alignment",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -177,9 +177,16 @@ def cmd_directions(args: argparse.Namespace) -> int:
         )
         return EXIT_BUDGET
     if args.json:
-        text = _json_text(
-            {"schema": SCHEMA, "command": "directions", **report.to_json_dict()}
-        )
+        try:
+            text = _json_text(
+                {"schema": SCHEMA, "command": "directions", **report.to_json_dict()}
+            )
+        except ValueError:  # json writes an int in decimal or not at all
+            wide = max(max(a.l_observed, a.l_prime_observed) for a in report.antennas)
+            raise ValueError(
+                f"--json cannot carry a count of {count_text(wide)}, past the limit on"
+                " int to decimal conversion; the text report prints it"
+            ) from None
     else:
         text = _render_alignment(report, L, l_prime)
     _emit(text, args.out)
@@ -200,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         K=args.K, M=args.M, N=args.N, gamma=args.gamma, Q=args.q, seed=args.seed
     )
     try:
-        snr_points = tuple(float(s) for s in args.snr.split(",") if s)
+        snr_points = tuple(float(s) for s in args.snr.split(","))
     except ValueError:
         raise ValueError(f"cannot parse --snr {args.snr!r}") from None
     sim_config = SimConfig(

@@ -22,7 +22,8 @@ powers, the symbols and noise, each antenna's decode table, each
 unit-amplitude distance and the separation slope.  A _Draw holds them, and
 run_link_sim keeps the last one (_kept_draw).  Each call checks its
 budgets, then derives its amplitudes, decode, SER and d_min from the draw,
-whether the draw is new or kept.
+whether the draw is new or kept.  No other function computes d_min, the
+slope or the amplitudes.
 """
 
 from __future__ import annotations
@@ -187,33 +188,18 @@ def stream_mean_power(plan: TransmitPlan, h: ChannelRealization, k: int, m: int)
 MIN_AMPLITUDE = 1e-300
 
 
-def amplitude_scale(
-    plan: TransmitPlan, h: ChannelRealization, rhos: tuple[float, ...]
-) -> dict[float, float]:
+def _amplitudes(powers: list[float], rhos: tuple[float, ...]) -> dict[float, float]:
     """Largest common amplitude at each total power rho keeping every
     stream within its share rho/(K*M) of the budget, as {rho: A}.
 
     A single A across streams keeps every interference aggregate an exact
     integer multiple of one scale, which the decoder's candidate lattice
     relies on; the binding stream hits its cap, the rest sit below it.  The
-    unit-amplitude stream powers do not depend on rho and are computed once.
-    An A below MIN_AMPLITUDE is refused.
+    transmit antennas' unit-amplitude powers do not depend on rho, and a
+    draw computes them once.  An A below MIN_AMPLITUDE is refused.
     """
-    return _amplitudes(_stream_powers(plan, h), rhos)
-
-
-def _stream_powers(plan: TransmitPlan, h: ChannelRealization) -> list[float]:
-    """The unit-amplitude power of every transmit antenna, user-major."""
-    c = plan.config
-    return [stream_mean_power(plan, h, k, m) for (k, m) in _antennas(c.K, c.M)]
-
-
-def _amplitudes(powers: list[float], rhos: tuple[float, ...]) -> dict[float, float]:
-    """amplitude_scale from the transmit antennas' unit-amplitude powers."""
     amplitudes = {}
     for rho in rhos:
-        if rho <= 0:
-            raise ValueError(f"rho must be positive, got {rho}")
         a = amplitudes[rho] = min(math.sqrt(rho / len(powers) / p) for p in powers)
         if a < MIN_AMPLITUDE:
             raise ValueError(f"amplitude {a} at rho={rho} is below {MIN_AMPLITUDE:g}")
@@ -278,10 +264,10 @@ def _decode_radii(model: AntennaModel, Q: int, queries: int, budget: int) -> lis
 
 
 def _distance_radii(model: AntennaModel, Q: int, budget: int) -> list[int]:
-    """Radii of the difference box behind min_distance at Q, refused before
-    any work when the box is over budget."""
-    if Q < 2:
-        raise ValueError(f"Q must be >= 2, got {Q}")
+    """Radii of the difference box behind d_min at Q, refused before any
+    work when the box is over budget.  Desired differences range over
+    -2(Q-1)..2(Q-1) and each aggregate's over twice its bound, so
+    min_abs_combination over the box is the unit-amplitude d_min."""
     if len(model.mults) > MAX_DISTANCE_DIRECTIONS:
         raise DecodeBudgetError(
             len(model.mults), MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
@@ -292,44 +278,6 @@ def _distance_radii(model: AntennaModel, Q: int, budget: int) -> list[int]:
     if box > budget:
         raise DecodeBudgetError(box, budget, "distance enumeration")
     return radii
-
-
-def min_distance(
-    model: AntennaModel,
-    Q: int,
-    amplitude: float = 1.0,
-    budget: int = DEFAULT_DECODE_BUDGET,
-) -> float:
-    """Smallest gap between noiseless received points whose desired symbols
-    differ, found exactly over the whole difference box.
-
-    Differences of desired symbols range over -2(Q-1)..2(Q-1) (not all
-    zero) and each aggregate difference over twice its own bound; this
-    covers exactly the pairs of distinct-desired constellation points.
-    """
-    radii = _distance_radii(model, Q, budget)
-    return amplitude * min_abs_combination(model.gains, radii, len(model.coords))
-
-
-def separation_exponent(model: AntennaModel) -> float:
-    """Least-squares slope of log d_min against log Q over SLOPE_Q at unit
-    amplitude.
-
-    Every Q's difference box is checked against the budget before any
-    distance is computed, so a refusal at a large Q costs no work.
-    """
-    return _slope(model, lambda r: min_abs_combination(model.gains, r, len(model.coords)))
-
-
-def _slope(model: AntennaModel, distance) -> float:
-    """separation_exponent with each unit-amplitude distance read from
-    distance(radii)."""
-    radii = [_distance_radii(model, q, DEFAULT_DECODE_BUDGET) for q in SLOPE_Q]
-    d = [distance(r) for r in radii]
-    if any(v <= 0 for v in d):
-        return float("nan")
-    slope = np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0]
-    return float(slope)
 
 
 def separation_floor(profile: ReceiverProfile) -> float:
@@ -343,7 +291,7 @@ class SimConfig:
     """Monte Carlo operating points.
 
     Total power rho splits equally across users (and antennas within a
-    user); amplitude_scale derives each point's amplitude.
+    user); _amplitudes derives each point's amplitude.
     """
 
     snr_points: tuple[float, ...]
@@ -414,8 +362,9 @@ class _Draw:
     noisy one, so a call refused by its budgets computes none of them.
     Decode tables are kept by (antenna, lattice radii), so a seed's noiseless
     and noisy runs sort each antenna's sums once.  Unit-amplitude distances
-    are kept by (antenna, box radii), so d_min and the slope solve a shared
-    box once; the slope is kept too.
+    (min_abs_combination over a _distance_radii box) are kept by (antenna,
+    box radii), so d_min and the slope solve a shared box once; the slope
+    is kept too.
     """
 
     def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
@@ -438,7 +387,9 @@ class _Draw:
 
     @cached_property
     def powers(self) -> list[float]:
-        return _stream_powers(self.plan, self.h)
+        """The unit-amplitude power of every transmit antenna, user-major."""
+        c = self.plan.config
+        return [stream_mean_power(self.plan, self.h, k, m) for (k, m) in _antennas(c.K, c.M)]
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -475,12 +426,19 @@ class _Draw:
 
     @cached_property
     def slope(self) -> float:
-        """separation_exponent of the first antenna, NaN when refused; the
-        refusal depends on the model alone, not on a call's budget."""
+        """Least-squares slope of log d_min against log Q over SLOPE_Q at
+        unit amplitude on the first antenna; NaN if a distance is zero or
+        any Q's box, all checked before any distance is computed, is
+        refused.  The refusal depends on the model alone, not on a call's
+        budget."""
         try:
-            return _slope(self.models[0], lambda r: self.distance(0, r))
+            radii = [_distance_radii(self.models[0], q, DEFAULT_DECODE_BUDGET) for q in SLOPE_Q]
         except DecodeBudgetError:
             return float("nan")
+        d = [self.distance(0, r) for r in radii]
+        if any(v <= 0 for v in d):
+            return float("nan")
+        return float(np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0])
 
 
 def simulate_plan(
@@ -536,7 +494,6 @@ def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
             total += trials
     ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
 
-    # the same product min_distance forms, on the draw's kept distances
     a0 = amplitudes[rhos[0]]
     try:
         d_min = min(

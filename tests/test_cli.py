@@ -299,11 +299,14 @@ def test_simulate_noiseless_ok(capsys):
 
 
 def test_simulate_bad_snr(capsys):
-    code, out, err = run(
-        ["simulate", "-K", "2", "-M", "1", "-N", "1", "--snr", "abc"], capsys
-    )
-    assert code == EXIT_USAGE
-    assert "--snr" in err
+    # an empty field is refused like any other, not skipped
+    for snr in ["abc", "1e2,", "1e2,,1e4"]:
+        code, out, err = run(
+            ["simulate", "-K", "2", "-M", "1", "-N", "1", "--snr", snr], capsys
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: cannot parse --snr {snr!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -457,6 +460,25 @@ def test_refusal_past_decimal_limit_exits_budget(command, default_digit_limit, c
         assert err == refusal
 
 
+def test_directions_json_past_decimal_limit_is_usage_error(default_digit_limit, tmp_path, capsys):
+    # at gamma = 10^3000 the counts pass the decimal limit: the text report
+    # prints them as "more than 2^B", which the JSON schema has no form for
+    argv = ["directions", "-K", "2", "-M", "1", "-N", "1", "--gamma", "1" + "0" * 3000]
+    out_file = tmp_path / "report.json"
+    for extra in (["--json"], ["--json", "--out", str(out_file)]):
+        code, out, err = run(argv + extra, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: --json cannot carry a count of more than 2^19931, past the limit"
+            " on int to decimal conversion; the text report prints it\n"
+        )
+    assert not out_file.exists()
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_OK
+    assert "L'_observed=more than 2^19931" in out
+
+
 def test_directions_refuses_before_any_box_is_formed(monkeypatch, default_digit_limit, capsys):
     # the same count as simulate's, from the config alone
     def formed(*args):
@@ -592,14 +614,15 @@ def test_public_names_resolve():
 
 
 def test_exports_are_their_defining_objects():
-    # bounds names load with the package, the rest through its table
+    # every public name loads through the package's one table
     import importlib
 
     import iadof
 
-    assert set(iadof._LAZY) <= set(iadof.__all__)
+    assert iadof.__all__ == sorted(iadof._LAZY)
+    assert len(iadof.__all__) == 29
     for name in iadof.__all__:
-        home = importlib.import_module(f"iadof.{iadof._LAZY.get(name, 'bounds')}")
+        home = importlib.import_module(f"iadof.{iadof._LAZY[name]}")
         assert getattr(iadof, name) is getattr(home, name), name
 
 
@@ -608,6 +631,33 @@ def test_unknown_export_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         iadof.no_such_name
+
+
+def test_readme_cites_only_names_that_exist():
+    # every `name(` the README cites, dotted or not, is an attribute of some
+    # iadof module, so the docs cannot keep naming a deleted function
+    import importlib
+    import pkgutil
+
+    import iadof
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(r"`([A-Za-z_][\w.]*)\(", readme)) - {"sorted", "searchsorted"}
+    modules = [iadof] + [
+        importlib.import_module(f"iadof.{m.name}") for m in pkgutil.iter_modules(iadof.__path__)
+    ]
+
+    def resolves(dotted):
+        for module in modules:
+            obj = module
+            for part in dotted.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return False
+
+    assert cited
+    assert sorted(name for name in cited if not resolves(name)) == []
 
 
 def test_readme_library_example():

@@ -22,20 +22,20 @@ from iadof.channel import SystemConfig, generate_channel
 from iadof.cli import main
 from iadof.directions import DirectionSet
 from iadof.simulate import (
+    DEFAULT_DECODE_BUDGET,
     MIN_AMPLITUDE,
     DecodeBudgetError,
     InconsistentPlanError,
     SimConfig,
     SimResult,
+    _distance_radii,
+    _Draw,
     _draw_noise,
     _draw_symbols,
     _forward,
-    amplitude_scale,
     antenna_model,
-    min_distance,
     plan_coordinates,
     run_link_sim,
-    separation_exponent,
     separation_floor,
     simulate_plan,
     stream_mean_power,
@@ -63,6 +63,12 @@ def transmit_oracle(plan, h):
         for (j, m, n) in sorted(plan.streams)
         for l, d in enumerate(members(plan.streams[(j, m, n)]))
     }
+
+
+def unit_distance(model, Q, budget=DEFAULT_DECODE_BUDGET):
+    """d_min of an antenna model at unit amplitude: min_abs_combination over
+    its difference box, refused as the simulator refuses it."""
+    return min_abs_combination(model.gains, _distance_radii(model, Q, budget), len(model.coords))
 
 
 def forward_oracle(plan, h):
@@ -196,17 +202,11 @@ def test_stream_mean_power_matches_monte_carlo():
 def test_amplitude_scale_binding():
     config, h, plan = make(3, seed=1, cap=1)
     rho = 100.0
-    A = amplitude_scale(plan, h, (rho,))[rho]
+    A = simulate_plan(plan, h, SimConfig(snr_points=(rho,), trials=10)).amplitudes[rho]
     cap = rho / (config.K * config.M)
     powers = [A**2 * stream_mean_power(plan, h, k, 1) for k in (1, 2, 3)]
     assert max(powers) == pytest.approx(cap, rel=1e-12)
     assert all(p <= cap * (1 + 1e-9) for p in powers)
-
-
-def test_amplitude_scale_rejects_bad_rho():
-    config, h, plan = make(2, seed=0)
-    with pytest.raises(ValueError):
-        amplitude_scale(plan, h, (0.0,))
 
 
 # ----------------------------------------------------------------- distance
@@ -215,27 +215,26 @@ def test_amplitude_scale_rejects_bad_rho():
 def test_min_distance_single_user_is_squared_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
-    model = antenna_model(plan, h, 1, 1)
-    d = min_distance(model, 2, amplitude=1.0)
+    d = unit_distance(antenna_model(plan, h, 1, 1), 2)
     assert d == H * H
     assert d == pytest.approx(1.7030326309839905, rel=1e-12)
-    assert min_distance(model, 2, amplitude=2.5) == pytest.approx(
-        2.5 * d, rel=1e-12
-    )
+    # the simulator's d_min is that distance at the first point's amplitude
+    result = simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4), trials=10))
+    assert result.d_min == result.amplitudes[1e2] * d
 
 
 def test_min_distance_positive_across_seeds():
     for seed in range(30):
         config, h, plan = make(3, seed=seed, cap=1)
         for Q in (2, 4):
-            d = min_distance(antenna_model(plan, h, 1, 1), Q, amplitude=1.0)
+            d = unit_distance(antenna_model(plan, h, 1, 1), Q)
             assert d > 1e-9
 
 
 def test_min_distance_rejects_large_direction_count():
     config, h, plan = make(3, seed=0)  # the full plan: 16 + 28 directions
     with pytest.raises(DecodeBudgetError) as exc:
-        min_distance(antenna_model(plan, h, 1, 1), config.Q)
+        unit_distance(antenna_model(plan, h, 1, 1), config.Q)
     assert exc.value.required == 44
     assert exc.value.budget == 12
 
@@ -243,7 +242,7 @@ def test_min_distance_rejects_large_direction_count():
 def test_min_distance_budget():
     config, h, plan = make(3, seed=0, cap=1)
     with pytest.raises(DecodeBudgetError):
-        min_distance(antenna_model(plan, h, 1, 1), 2, budget=10)
+        unit_distance(antenna_model(plan, h, 1, 1), 2, budget=10)
 
 
 def test_min_distance_box_past_int64_refused():
@@ -255,15 +254,9 @@ def test_min_distance_box_past_int64_refused():
     assert model.mults == (1,) * 12
     assert int(np.prod(np.full(12, 61, dtype=np.int64))) < 0
     with pytest.raises(DecodeBudgetError) as exc:
-        min_distance(model, 16)
+        unit_distance(model, 16)
     assert exc.value.required == 61**12
     assert exc.value.budget == 10**7
-
-
-def test_min_distance_rejects_small_q():
-    config, h, plan = make(1, seed=0)
-    with pytest.raises(ValueError):
-        min_distance(antenna_model(plan, h, 1, 1), 1)
 
 
 # --------------------------------------------------------------- separation
@@ -271,19 +264,23 @@ def test_min_distance_rejects_small_q():
 
 def test_separation_exponent_frozen_and_deterministic():
     config, h, plan = make(3, seed=1, cap=1)
-    s1 = separation_exponent(antenna_model(plan, h, 1, 1))
-    s2 = separation_exponent(antenna_model(plan, h, 1, 1))
+    s1 = _Draw(plan, h, 1).slope
+    s2 = _Draw(plan, h, 1).slope
     assert s1 == s2
     assert s1 == pytest.approx(-1.9371274729698718, rel=1e-9)
 
 
 def test_separation_exponent_refuses_before_any_distance(monkeypatch):
-    # at K=3, Q=4, cap=2 the q=8 box is 29**6, over budget: no distance at
-    # q=2 or q=4 is computed first only to be thrown away
+    # at K=3, Q=4, cap=2 the q=8 box is 29**6, over budget: the slope is
+    # NaN, and no distance at q=2 or q=4 is computed first only to be
+    # thrown away
     import iadof.simulate as sim
 
     config, h, plan = make(3, Q=4, seed=0, cap=2)
-    model = antenna_model(plan, h, 1, 1)
+    draw = _Draw(plan, h, 1)
+    with pytest.raises(DecodeBudgetError) as exc:
+        _distance_radii(draw.models[0], 8, DEFAULT_DECODE_BUDGET)
+    assert exc.value.required == 29**6
     calls = []
 
     def counted(*args):
@@ -291,9 +288,7 @@ def test_separation_exponent_refuses_before_any_distance(monkeypatch):
         return min_abs_combination(*args)
 
     monkeypatch.setattr(sim, "min_abs_combination", counted)
-    with pytest.raises(DecodeBudgetError) as exc:
-        separation_exponent(model)
-    assert exc.value.required == 29**6
+    assert math.isnan(draw.slope)
     assert calls == []
 
 
@@ -310,7 +305,7 @@ def test_separation_slope_near_floor():
     hits = 0
     for seed in range(20):
         config, h, plan = make(3, seed=seed, cap=1)
-        slope = separation_exponent(antenna_model(plan, h, 1, 1))
+        slope = _Draw(plan, h, 1).slope
         floor = separation_floor(expand_received(plan, 1, 1))
         assert floor == -3.1
         assert slope >= floor - 1.0
@@ -394,7 +389,7 @@ def test_sim_config_validation():
 
 def test_amplitude_near_float_min_rejected():
     # at rho = 5e-324 the derived amplitude underflows to 0, and Z / A
-    # would divide by zero; amplitude_scale refuses it before any draw,
+    # would divide by zero; the amplitudes refuse it before any draw,
     # and the CLI exits 2 with nothing on stdout
     with pytest.raises(ValueError, match="amplitude 0.0 at rho=5e-324"):
         run_link_sim(SystemConfig(K=2), SimConfig(snr_points=(5e-324,), trials=20), cap=1)
@@ -481,9 +476,14 @@ def test_noiseless_run_decodes_each_query_once(monkeypatch):
 
 def test_simulate_plan_expands_each_antenna_once(monkeypatch):
     # one symbolic expansion per receive antenna feeds the decoder, d_min,
-    # the separation slope and its floor, which equal the public functions
-    # run on antenna models built afresh
+    # the separation slope and its floor, which equal an oracle computed
+    # here on antenna models built afresh: min_abs_combination over each
+    # difference box of radii 2*mult*(Q-1), and a fit over Q = 2, 4, 8, 16
     import iadof.simulate as sim
+
+    def distance(model, Q):
+        radii = [2 * mult * (Q - 1) for mult in model.mults]
+        return min_abs_combination(model.gains, radii, len(model.coords))
 
     config, h, plan = make(3, seed=4, cap=1)
     calls = []
@@ -498,9 +498,11 @@ def test_simulate_plan_expands_each_antenna_once(monkeypatch):
     monkeypatch.undo()
     a0 = result.amplitudes[1e2]
     models = [antenna_model(plan, h, k, 1) for k in (1, 2, 3)]
-    d_min = [min_distance(model, config.Q, amplitude=a0) for model in models]
-    assert result.d_min == min(d_min)
-    assert result.separation_slope == separation_exponent(models[0])
+    assert result.d_min == min(a0 * distance(model, config.Q) for model in models)
+    qs = (2, 4, 8, 16)
+    d = [distance(models[0], q) for q in qs]
+    slope = np.polyfit(np.log(np.array(qs, dtype=float)), np.log(d), 1)[0]
+    assert result.separation_slope == float(slope)
     assert result.separation_floor == separation_floor(models[0].profile)
 
 
