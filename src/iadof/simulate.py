@@ -1,7 +1,8 @@
 """Link-level simulation: encode over direction sets, propagate, decode.
 
-One forward model (_forward) carries every plan coordinate to every receive
-antenna; the Monte Carlo loop is a product on it.
+Each antenna model (antenna_model) evaluates the antenna's own stream sets
+once, and a draw (_Draw) reads its forward map W and its transmit powers
+off those values.  The Monte Carlo loop is a product on W.
 Decoding is exact nearest-point search over the finite constellation each
 antenna can see: desired symbols jointly with bounded integer interference
 aggregates.  The constellation is never built: each antenna's distinct
@@ -17,7 +18,7 @@ config and cap.
 
 The channel is fixed and known at every node, so all a run derives from one
 draw, before its operating points, is a function of (config, seed, cap,
-trials): the channel, the forward map, the antenna models, the stream
+trials): the channel, the antenna models, the forward map, the stream
 powers, the symbols and noise, each antenna's decode table, each
 unit-amplitude distance and the separation slope.  A _Draw holds them, and
 run_link_sim keeps the last one (_kept_draw).  Each call checks its
@@ -51,7 +52,6 @@ from .alignment import (
 from .channel import ChannelRealization, SystemConfig, generate_channel
 from .directions import monomial_text
 
-MAX_DISTANCE_DIRECTIONS = 12
 DEFAULT_DECODE_BUDGET = 10**7
 # The fixed epsilon of the separation floor -(m + eps): real interference
 # alignment's Khintchine-Groshev bound holds for any fixed eps > 0.
@@ -114,15 +114,6 @@ def symbol_variance(Q: int) -> float:
         raise OverflowError(f"symbol variance at Q={Q} exceeds the float range") from None
 
 
-def plan_coordinates(plan: TransmitPlan) -> list[tuple[int, int, int, int]]:
-    """Every (k, m, n, l) coordinate of the plan in canonical order."""
-    return [
-        (k, m, n, l)
-        for (k, m, n) in sorted(plan.streams)
-        for l in range(len(plan.streams[(k, m, n)]))
-    ]
-
-
 def _antennas(K: int, per_user: int) -> list[tuple[int, int]]:
     """(user, antenna) pairs, user-major: the order of H's rows and columns."""
     return [(k, a) for k in range(1, K + 1) for a in range(1, per_user + 1)]
@@ -145,40 +136,6 @@ def _channel_matrix(h: ChannelRealization) -> np.ndarray:
     c = h.config
     g = np.array([h.gains[cid] for cid in c.coefficient_ids()])
     return g.reshape(c.K, c.K, c.N, c.M).transpose(1, 3, 0, 2).reshape(c.K * c.M, c.K * c.N)
-
-
-def _forward(plan: TransmitPlan, h: ChannelRealization):
-    """The linear map from plan coordinates to receive antennas, as
-    (coords, W).
-
-    coords are the plan coordinates; coordinate i leaves transmit antenna
-    tx[i] (a row of H) with weight pre[i], its direction value times the
-    direct gain to its destination antenna; W = pre[:, None] * H[tx] maps
-    unit-amplitude symbols to every receive antenna, so one trial receives
-    y = A * u @ W + z.
-    """
-    _check_pair(plan, h)
-    M = plan.config.M
-    coords = plan_coordinates(plan)
-    tx = np.array([(j - 1) * M + m - 1 for (j, m, _, _) in coords], dtype=np.intp)
-    pre = np.concatenate(
-        [
-            h.coefficient(j, j, n, m) * plan.streams[(j, m, n)].evaluate(h)
-            for (j, m, n) in sorted(plan.streams)
-        ]
-    )
-    return coords, pre[:, None] * _channel_matrix(h)[tx]
-
-
-def stream_mean_power(plan: TransmitPlan, h: ChannelRealization, k: int, m: int) -> float:
-    """Exact E[X_km^2] under independent uniform symbols at unit amplitude."""
-    _check_pair(plan, h)
-    c = plan.config
-    tot = 0.0
-    for n in range(1, c.N + 1):
-        s2 = sum(v**2 for v in plan.streams[(k, m, n)].evaluate(h).tolist())
-        tot += h.coefficient(k, k, n, m) ** 2 * s2
-    return tot * symbol_variance(c.Q)
 
 
 # Smallest amplitude.  The decoder divides the unit-variance noise by the
@@ -211,7 +168,9 @@ class AntennaModel:
     """What one receive antenna sees, numerically, at unit amplitude.
 
     coords lists the desired (m, l) stream coordinates in decode order.
-    gains holds their arrival gains, then one gain per distinct
+    values holds the desired stream sets' values at unit gain, {m: array in
+    member order}; a draw reads its forward map and transmit powers off them.
+    gains holds the desired arrival gains, then one gain per distinct
     interference direction; mults holds 1 per desired coordinate, then
     each direction's alignment multiplicity.  An axis of multiplicity mult
     carries symbol sums within mult*(Q-1) of zero, so the decode lattice
@@ -222,14 +181,13 @@ class AntennaModel:
     k: int
     n: int
     coords: tuple[tuple[int, int], ...]
+    values: dict[int, np.ndarray]
     gains: np.ndarray
     mults: tuple[int, ...]
     profile: ReceiverProfile
 
 
-def antenna_model(
-    plan: TransmitPlan, h: ChannelRealization, k: int, n: int
-) -> AntennaModel:
+def antenna_model(plan: TransmitPlan, h: ChannelRealization, k: int, n: int) -> AntennaModel:
     _check_pair(plan, h)
     prof = _profile(plan, k, n)
     if prof.desired_overlap is not None:
@@ -237,13 +195,14 @@ def antenna_model(
             f"desired direction {monomial_text(prof.desired_overlap)} aligned with "
             f"interference at antenna ({k},{n}); exhaustive decoding is ill-posed"
         )
-    own = {m: plan.streams[(k, m, n)] for m in range(1, plan.config.M + 1)}
-    coords = tuple((m, l) for m, ds in own.items() for l in range(len(ds)))
-    desired = [h.coefficient(k, k, n, m) ** 2 * ds.evaluate(h) for m, ds in own.items()]
+    values = {m: plan.streams[(k, m, n)].evaluate(h) for m in range(1, plan.config.M + 1)}
+    coords = tuple((m, l) for m, v in values.items() for l in range(len(v)))
+    desired = [h.coefficient(k, k, n, m) ** 2 * v for m, v in values.items()]
     return AntennaModel(
         k=k,
         n=n,
         coords=coords,
+        values=values,
         gains=np.concatenate(desired + [prof.interference.evaluate(h)]),
         mults=(1,) * len(coords) + tuple(prof.multiplicity.tolist()),
         profile=prof,
@@ -267,11 +226,8 @@ def _distance_radii(model: AntennaModel, Q: int, budget: int) -> list[int]:
     """Radii of the difference box behind d_min at Q, refused before any
     work when the box is over budget.  Desired differences range over
     -2(Q-1)..2(Q-1) and each aggregate's over twice its bound, so
-    min_abs_combination over the box is the unit-amplitude d_min."""
-    if len(model.mults) > MAX_DISTANCE_DIRECTIONS:
-        raise DecodeBudgetError(
-            len(model.mults), MAX_DISTANCE_DIRECTIONS, "distance enumeration directions"
-        )
+    min_abs_combination over the box is the unit-amplitude d_min.  Every
+    radius is at least 2, so the default budget refuses 11 axes or more."""
     radii = [2 * (Q - 1) * mult for mult in model.mults]
     # exact: a 12-axis box at Q=16 is 61**12, past int64
     box = math.prod(2 * r + 1 for r in radii)
@@ -356,8 +312,14 @@ class _Draw:
     """One channel draw's numeric model at a trials count: everything a run
     derives from (plan, channel, trials) before its operating points.
 
-    Built with the forward map (coords, W) and the antenna models.  The
-    unit-amplitude stream powers are computed, and the symbols U and
+    Built with the antenna models, and off their values the forward map:
+    coords, the plan coordinates (k, m, n, l) by sorted stream and member,
+    and W = pre[:, None] * H[tx].  Coordinate i leaves transmit antenna
+    tx[i] (a row of H) with weight pre[i], its direction value times the
+    direct gain to its destination antenna, so one trial receives
+    y = A * u @ W + z.
+
+    The unit-amplitude stream powers are computed, and the symbols U and
     y_unit = U @ W drawn, on the first decode, and the noise Z on the first
     noisy one, so a call refused by its budgets computes none of them.
     Decode tables are kept by (antenna, lattice radii), so a seed's noiseless
@@ -368,14 +330,21 @@ class _Draw:
     """
 
     def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
-        self.coords, self.W = _forward(plan, h)
         c = plan.config
         self.plan = plan
-        self.seed = h.config.seed
         self.trials = trials
         self.ants = _antennas(c.K, c.N)
         self.models = [antenna_model(plan, h, k, n) for (k, n) in self.ants]
         self.h = h
+        # stream (k, m, n) is desired at antenna (k, n) alone; sorted by stream
+        values = self.values = {
+            (k, m, n): self.models[(k - 1) * c.N + n - 1].values[m]
+            for k in range(1, c.K + 1) for m in range(1, c.M + 1) for n in range(1, c.N + 1)
+        }
+        self.coords = [(*s, l) for s, v in values.items() for l in range(len(v))]
+        tx = np.array([(k - 1) * c.M + m - 1 for (k, m, _, _) in self.coords], dtype=np.intp)
+        pre = np.concatenate([h.coefficient(k, k, n, m) * v for (k, m, n), v in values.items()])
+        self.W = pre[:, None] * _channel_matrix(h)[tx]
         col_of = {x: i for i, x in enumerate(self.coords)}
         # each antenna's desired symbols, as columns of U in decode order
         self.columns = [
@@ -387,13 +356,21 @@ class _Draw:
 
     @cached_property
     def powers(self) -> list[float]:
-        """The unit-amplitude power of every transmit antenna, user-major."""
+        """Exact E[X^2] of every transmit antenna (k, m), user-major, under
+        independent uniform symbols at unit amplitude."""
         c = self.plan.config
-        return [stream_mean_power(self.plan, self.h, k, m) for (k, m) in _antennas(c.K, c.M)]
+        powers = []
+        for k, m in _antennas(c.K, c.M):
+            tot = 0.0
+            for n in range(1, c.N + 1):
+                s2 = sum(v**2 for v in self.values[(k, m, n)].tolist())
+                tot += self.h.coefficient(k, k, n, m) ** 2 * s2
+            powers.append(tot * symbol_variance(c.Q))
+        return powers
 
     @cached_property
     def U(self) -> np.ndarray:
-        return _draw_symbols(self.seed, self.plan.config.Q, self.trials, len(self.coords))
+        return _draw_symbols(self.h.config.seed, self.plan.config.Q, self.trials, len(self.coords))
 
     @cached_property
     def y_unit(self) -> np.ndarray:
@@ -401,7 +378,7 @@ class _Draw:
 
     @cached_property
     def Z(self) -> np.ndarray:
-        return _draw_noise(self.seed, self.trials, len(self.ants))
+        return _draw_noise(self.h.config.seed, self.trials, len(self.ants))
 
     def table(self, ai: int, radii: list[int], queries: int) -> DecodeTable:
         """decode_table of antenna ai's lattice of radii, built for the

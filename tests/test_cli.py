@@ -634,8 +634,13 @@ def test_unknown_export_raises_attribute_error():
 
 
 def test_readme_cites_only_names_that_exist():
-    # every `name(` the README cites, dotted or not, is an attribute of some
-    # iadof module, so the docs cannot keep naming a deleted function
+    # every `name(` the README cites, dotted or not, and every code span that
+    # is a constant (`SLOPE_Q`), a private name (`_check_pair`) or a class
+    # attribute (`TransmitPlan.profiles`) is an attribute of some iadof
+    # module, so the docs cannot keep naming a deleted one.  A dataclass
+    # field counts, though a field with a default factory is no class
+    # attribute.
+    import dataclasses
     import importlib
     import pkgutil
 
@@ -643,6 +648,11 @@ def test_readme_cites_only_names_that_exist():
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     cited = set(re.findall(r"`([A-Za-z_][\w.]*)\(", readme)) - {"sorted", "searchsorted"}
+    named = {
+        span
+        for span in re.findall(r"`([A-Za-z_][\w.]*)`", readme)
+        if re.fullmatch(r"[A-Z][A-Z0-9_]+|_\w+|[A-Z]\w*\.\w+", span)
+    }
     modules = [iadof] + [
         importlib.import_module(f"iadof.{m.name}") for m in pkgutil.iter_modules(iadof.__path__)
     ]
@@ -651,13 +661,15 @@ def test_readme_cites_only_names_that_exist():
         for module in modules:
             obj = module
             for part in dotted.split("."):
-                obj = getattr(obj, part, None)
+                fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+                obj = next((f for f in fields if f.name == part), None) or getattr(obj, part, None)
             if obj is not None:
                 return True
         return False
 
     assert cited
-    assert sorted(name for name in cited if not resolves(name)) == []
+    assert {"SLOPE_Q", "_check_pair", "TransmitPlan.profiles"} <= named
+    assert sorted(name for name in cited | named if not resolves(name)) == []
 
 
 def test_readme_library_example():

@@ -32,13 +32,10 @@ from iadof.simulate import (
     _Draw,
     _draw_noise,
     _draw_symbols,
-    _forward,
     antenna_model,
-    plan_coordinates,
     run_link_sim,
     separation_floor,
     simulate_plan,
-    stream_mean_power,
     symbol_variance,
 )
 from conftest import full_plan
@@ -92,8 +89,8 @@ def test_symbol_variance_matches_uniform_grid():
 
 
 def test_draw_messages_deterministic_and_in_range():
-    _, _, plan = make(2, Q=4, seed=9)
-    width = len(plan_coordinates(plan))
+    _, h, plan = make(2, Q=4, seed=9)
+    width = len(_Draw(plan, h, 1).coords)
     a = _draw_symbols(3, 4, 5, width)
     assert a.shape == (5, width)
     assert np.array_equal(a, _draw_symbols(3, 4, 5, width))
@@ -108,17 +105,16 @@ def test_encode_single_direction_is_direct_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
     assert transmit_oracle(plan, h) == {(1, 1, 1, 0): H}
-    assert stream_mean_power(plan, h, 1, 1) == pytest.approx(
-        H * H * symbol_variance(config.Q), rel=1e-15
-    )
+    [power] = _Draw(plan, h, 1).powers
+    assert power == pytest.approx(H * H * symbol_variance(config.Q), rel=1e-15)
 
 
 def test_propagate_noiseless_single_user():
     config, h, plan = make(1, seed=5)
-    coords, W = _forward(plan, h)
+    draw = _Draw(plan, h, 1)
     H = h.coefficient(1, 1, 1, 1)
-    assert coords == [(1, 1, 1, 0)]
-    assert W[0, 0] == pytest.approx(H * H, rel=1e-15)
+    assert draw.coords == [(1, 1, 1, 0)]
+    assert draw.W[0, 0] == pytest.approx(H * H, rel=1e-15)
 
 
 def test_propagate_noise_statistics():
@@ -134,12 +130,14 @@ def test_propagate_noise_deterministic():
 
 
 def test_encode_rejects_mismatched_channel():
-    # a two-user plan on a three-user draw: the forward model, and so every
-    # path that encodes through it, refuses the pair
+    # a two-user plan on a three-user draw: the antenna model, and so the
+    # draw that builds its forward map from the models, refuses the pair
     _, _, plan = make(2, seed=0, cap=1)
     other = generate_channel(SystemConfig(K=3, seed=0))
     with pytest.raises(InconsistentPlanError):
-        _forward(plan, other)
+        antenna_model(plan, other, 1, 1)
+    with pytest.raises(InconsistentPlanError):
+        _Draw(plan, other, 1)
     with pytest.raises(InconsistentPlanError):
         simulate_plan(plan, other, SimConfig(snr_points=(1e2,), trials=10))
 
@@ -152,7 +150,8 @@ def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
     # every entry of W, and trial 0 of the matrix model simulate_plan
     # decodes, A*(U@W)[0] + Z[0], against sums over the gain oracle
     config, h, plan = make(K, M, N, gamma, Q=3, seed=7, cap=cap)
-    coords, W = _forward(plan, h)
+    draw = _Draw(plan, h, 5)
+    coords, W = draw.coords, draw.W
     oracle = forward_oracle(plan, h)
     assert list(oracle) == coords
     np.testing.assert_allclose(W, list(oracle.values()), rtol=1e-12)
@@ -176,8 +175,9 @@ def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
 
 def test_stream_mean_power_exact_identity():
     config, h, plan = make(2, gamma=2, Q=4, seed=3)
+    powers = _Draw(plan, h, 1).powers
     for k in (1, 2):
-        got = stream_mean_power(plan, h, k, 1)
+        got = powers[k - 1]
         want = (
             symbol_variance(4)
             * sum(
@@ -191,7 +191,7 @@ def test_stream_mean_power_exact_identity():
 
 def test_stream_mean_power_matches_monte_carlo():
     config, h, plan = make(2, seed=4, cap=2, gamma=2)
-    target = stream_mean_power(plan, h, 1, 1)
+    target = _Draw(plan, h, 1).powers[0]
     weights = transmit_oracle(plan, h)
     own = [t if coord[:2] == (1, 1) else 0.0 for coord, t in weights.items()]
     U = _draw_symbols(config.seed, config.Q, 4000, len(weights))
@@ -204,7 +204,8 @@ def test_amplitude_scale_binding():
     rho = 100.0
     A = simulate_plan(plan, h, SimConfig(snr_points=(rho,), trials=10)).amplitudes[rho]
     cap = rho / (config.K * config.M)
-    powers = [A**2 * stream_mean_power(plan, h, k, 1) for k in (1, 2, 3)]
+    powers = [A**2 * p for p in _Draw(plan, h, 10).powers]
+    assert len(powers) == 3
     assert max(powers) == pytest.approx(cap, rel=1e-12)
     assert all(p <= cap * (1 + 1e-9) for p in powers)
 
@@ -231,12 +232,28 @@ def test_min_distance_positive_across_seeds():
             assert d > 1e-9
 
 
-def test_min_distance_rejects_large_direction_count():
-    config, h, plan = make(3, seed=0)  # the full plan: 16 + 28 directions
+def test_min_distance_refuses_44_axis_box():
+    # the full plan: 16 + 28 directions, four of them of multiplicity 2, so
+    # at Q=2 the box is 5**40 * 9**4 points, refused by the box budget
+    config, h, plan = make(3, seed=0)
+    model = antenna_model(plan, h, 1, 1)
+    assert len(model.mults) == 44 and model.mults.count(2) == 4
     with pytest.raises(DecodeBudgetError) as exc:
-        unit_distance(antenna_model(plan, h, 1, 1), config.Q)
-    assert exc.value.required == 44
-    assert exc.value.budget == 12
+        unit_distance(model, config.Q)
+    assert exc.value.required == 5**40 * 9**4
+    assert exc.value.budget == DEFAULT_DECODE_BUDGET
+
+
+def test_distance_box_bounds_the_axis_count():
+    # every radius 2*mult*(Q-1) is at least 2, so a 13-axis box holds at
+    # least 5**13 points: the box budget alone refuses many axes, with no
+    # cap on the count.  _distance_radii reads only the multiplicities.
+    config, h, plan = make(3, seed=0, cap=1)
+    model = dataclasses.replace(antenna_model(plan, h, 1, 1), mults=(1,) * 13)
+    assert _distance_radii(model, 2, 5**13) == [2] * 13
+    with pytest.raises(DecodeBudgetError) as exc:
+        _distance_radii(model, 2, 5**13 - 1)
+    assert exc.value.required == 5**13
 
 
 def test_min_distance_budget():
@@ -507,20 +524,38 @@ def test_simulate_plan_expands_each_antenna_once(monkeypatch):
 
 
 def test_stream_powers_computed_once(monkeypatch):
-    # the unit-amplitude stream powers do not depend on rho: one per
-    # transmit antenna per run, however many SNR points
+    # the unit-amplitude stream powers do not depend on rho: one symbol
+    # variance per transmit antenna per run, however many SNR points
     import iadof.simulate as sim
 
     config, h, plan = make(3, seed=1, cap=1)
     calls = []
 
-    def counted(plan, h, k, m):
-        calls.append((k, m))
-        return stream_mean_power(plan, h, k, m)
+    def counted(Q):
+        calls.append(Q)
+        return symbol_variance(Q)
 
-    monkeypatch.setattr(sim, "stream_mean_power", counted)
+    monkeypatch.setattr(sim, "symbol_variance", counted)
     simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=50))
-    assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
+    assert calls == [config.Q] * 3
+
+
+@pytest.mark.parametrize("K,M,N,evaluations", [(3, 1, 1, 6), (2, 2, 2, 12)])
+def test_draw_evaluates_each_direction_set_once(monkeypatch, K, M, N, evaluations):
+    # the antenna models evaluate each stream set at its one destination and
+    # each antenna's interference set: K*M*N + K*N calls for a whole run,
+    # forward map and transmit powers included
+    config, h, plan = make(K, M, N, seed=1, cap=1)
+    evaluate = DirectionSet.evaluate
+    calls = []
+
+    def counted(self, h):
+        calls.append(self)
+        return evaluate(self, h)
+
+    monkeypatch.setattr(DirectionSet, "evaluate", counted)
+    simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4), trials=20))
+    assert len(calls) == K * M * N + K * N == evaluations
 
 
 def test_kept_plan_cache_replays_fresh():
