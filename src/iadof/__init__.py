@@ -29,12 +29,10 @@ _LAZY = {
     "generate_channel": "channel",
     "DirectionSet": "directions",
     "DecodeBudgetError": "simulate",
-    "InconsistentPlanError": "simulate",
     "SimConfig": "simulate",
     "SimResult": "simulate",
     "antenna_model": "simulate",
     "run_link_sim": "simulate",
-    "simulate_plan": "simulate",
 }
 
 __version__ = "0.1.0"

@@ -590,8 +590,9 @@ def verify_alignment(config: SystemConfig) -> AlignmentReport:
       arrivals (_union_size), once every pair of arrivals with different
       destinations has been checked to be disjoint (a RuntimeError if not).
     A failed check is reported, not raised; callers that need a hard
-    failure (the CLI verify path) inspect .passed.  A config refused by the
-    stack count at one row per stream (_check_stacks) forms no box.
+    failure (the CLI directions command) inspect .passed.  A config
+    refused by the stack count at one row per stream (_check_stacks)
+    forms no box.
     """
     _check_stacks(config, 1)
     K, M, N, gamma = config.K, config.M, config.N, config.gamma

@@ -281,7 +281,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "directions",
-        aliases=["verify"],
         parents=[common],
         help="count the direction sets and run alignment checks",
     )

@@ -74,17 +74,6 @@ class DecodeBudgetError(RuntimeError):
         self.budget = budget
 
 
-class InconsistentPlanError(ValueError):
-    """Plan, channel, and messages do not describe the same system."""
-
-
-def _check_pair(plan: TransmitPlan, h: ChannelRealization) -> None:
-    """A plan fits every channel draw of its system, whatever the seed."""
-    a, b = plan.config, h.config
-    if (a.K, a.M, a.N, a.gamma, a.Q) != (b.K, b.M, b.N, b.gamma, b.Q):
-        raise InconsistentPlanError("plan and channel were built from different configs")
-
-
 # One entry: a seed sweep runs one system over many draws (the sim_sweep
 # workload's 80 commands share one key), and a second entry would only hold
 # a finished system's plan and profiles.
@@ -188,10 +177,9 @@ class AntennaModel:
 
 
 def antenna_model(plan: TransmitPlan, h: ChannelRealization, k: int, n: int) -> AntennaModel:
-    _check_pair(plan, h)
     prof = _profile(plan, k, n)
     if prof.desired_overlap is not None:
-        raise InconsistentPlanError(
+        raise ValueError(
             f"desired direction {monomial_text(prof.desired_overlap)} aligned with "
             f"interference at antenna ({k},{n}); exhaustive decoding is ill-posed"
         )
@@ -322,8 +310,9 @@ class _Draw:
     The unit-amplitude stream powers are computed, and the symbols U and
     y_unit = U @ W drawn, on the first decode, and the noise Z on the first
     noisy one, so a call refused by its budgets computes none of them.
-    Decode tables are kept by (antenna, lattice radii), so a seed's noiseless
-    and noisy runs sort each antenna's sums once.  Unit-amplitude distances
+    Decode tables are kept by antenna, since a draw fixes Q and with it
+    each antenna's lattice radii mult*(Q-1), so a seed's noiseless and
+    noisy runs sort each antenna's sums once.  Unit-amplitude distances
     (min_abs_combination over a _distance_radii box) are kept by (antenna,
     box radii), so d_min and the slope solve a shared box once; the slope
     is kept too.
@@ -351,7 +340,7 @@ class _Draw:
             [col_of[(k, m, n, l)] for (m, l) in model.coords]
             for (k, n), model in zip(self.ants, self.models)
         ]
-        self.tables: dict[tuple[int, tuple[int, ...]], DecodeTable] = {}
+        self.tables: dict[int, DecodeTable] = {}
         self.distances: dict[tuple[int, tuple[int, ...]], float] = {}
 
     @cached_property
@@ -381,15 +370,15 @@ class _Draw:
         return _draw_noise(self.h.config.seed, self.trials, len(self.ants))
 
     def table(self, ai: int, radii: list[int], queries: int) -> DecodeTable:
-        """decode_table of antenna ai's lattice of radii, built for the
-        first call's queries count: either form decodes every query alike."""
-        key = (ai, tuple(radii))
-        t = self.tables.get(key)
+        """decode_table of antenna ai's lattice of radii, the same on every
+        call of a draw, built for the first call's queries count: either
+        form decodes every query alike."""
+        t = self.tables.get(ai)
         if t is None:
             gains, nd = self.models[ai].gains, len(self.models[ai].coords)
             d_sum = _block_sums(gains, radii, 0, nd)
             i_sum = _block_sums(gains, radii, nd, len(radii))
-            t = self.tables[key] = decode_table(d_sum, i_sum, queries)
+            t = self.tables[ai] = decode_table(d_sum, i_sum, queries)
         return t
 
     def distance(self, ai: int, radii: list[int]) -> float:
@@ -418,27 +407,15 @@ class _Draw:
         return float(np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0])
 
 
-def simulate_plan(
-    plan: TransmitPlan,
-    h: ChannelRealization,
-    sim_config: SimConfig,
-    budget: int = DEFAULT_DECODE_BUDGET,
-) -> SimResult:
-    """Monte Carlo SER over the SNR points for a prepared plan and channel.
-
-    Messages and noise are drawn once from the channel's seed and reused
-    across SNR points (common random numbers), so SER curves differ only
-    through the amplitude.  A noiseless run receives the same values at
-    every SNR point, so it decodes them once and counts the same errors at
-    each.
-    """
-    return _operate(_Draw(plan, h, sim_config.trials), sim_config, budget)
-
-
 def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
-    """The operating points of sim_config on a draw of its trials count.
+    """Monte Carlo SER over the SNR points of sim_config on a draw of its
+    trials count.
 
-    Every budget is checked here, on each call, before the work it guards.
+    The draw's messages and noise serve every SNR point (common random
+    numbers), so SER curves differ only through the amplitude.  A noiseless
+    run receives the same values at every SNR point, so it decodes them
+    once and counts the same errors at each.  Every budget is checked here,
+    on each call, before the work it guards.
     """
     Q = draw.plan.config.Q
     models = draw.models

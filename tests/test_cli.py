@@ -157,11 +157,10 @@ def test_directions_json(capsys):
     assert len(payload["per_antenna"]) == 2
 
 
-def test_verify_alias_matches_directions(capsys):
-    a = run(["directions", "-K", "2", "-M", "2", "-N", "1"], capsys)
-    b = run(["verify", "-K", "2", "-M", "2", "-N", "1"], capsys)
-    assert a == b
-    assert a[0] == EXIT_OK
+def test_verify_is_not_a_command(capsys):
+    code, out, err = run(["verify", "-K", "2", "-M", "2", "-N", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_directions_check_failure_exit(capsys, monkeypatch):
@@ -174,7 +173,7 @@ def test_directions_check_failure_exit(capsys, monkeypatch):
         return gamma if fam[:2] == stream[:2] else cap(stream, fam, gamma)
 
     monkeypatch.setattr(iadof.alignment, "stream_family_cap", own_to_gamma)
-    code, out, err = run(["verify", "-K", "3", "-M", "1", "-N", "1"], capsys)
+    code, out, err = run(["directions", "-K", "3", "-M", "1", "-N", "1"], capsys)
     assert code == EXIT_CHECK_FAILED
     lines = out.splitlines()
     assert lines[2] == "antenna (1,1): L_observed=64 L'_observed=112"
@@ -620,7 +619,7 @@ def test_exports_are_their_defining_objects():
     import iadof
 
     assert iadof.__all__ == sorted(iadof._LAZY)
-    assert len(iadof.__all__) == 29
+    assert len(iadof.__all__) == 27
     for name in iadof.__all__:
         home = importlib.import_module(f"iadof.{iadof._LAZY[name]}")
         assert getattr(iadof, name) is getattr(home, name), name
@@ -635,7 +634,7 @@ def test_unknown_export_raises_attribute_error():
 
 def test_readme_cites_only_names_that_exist():
     # every `name(` the README cites, dotted or not, and every code span that
-    # is a constant (`SLOPE_Q`), a private name (`_check_pair`) or a class
+    # is a constant (`SLOPE_Q`), a private name (`_kept_draw`) or a class
     # attribute (`TransmitPlan.profiles`) is an attribute of some iadof
     # module, so the docs cannot keep naming a deleted one.  A dataclass
     # field counts, though a field with a default factory is no class
@@ -668,7 +667,7 @@ def test_readme_cites_only_names_that_exist():
         return False
 
     assert cited
-    assert {"SLOPE_Q", "_check_pair", "TransmitPlan.profiles"} <= named
+    assert {"SLOPE_Q", "_kept_draw", "TransmitPlan.profiles"} <= named
     assert sorted(name for name in cited | named if not resolves(name)) == []
 
 

@@ -25,17 +25,16 @@ from iadof.simulate import (
     DEFAULT_DECODE_BUDGET,
     MIN_AMPLITUDE,
     DecodeBudgetError,
-    InconsistentPlanError,
     SimConfig,
     SimResult,
     _distance_radii,
     _Draw,
     _draw_noise,
     _draw_symbols,
+    _operate,
     antenna_model,
     run_link_sim,
     separation_floor,
-    simulate_plan,
     symbol_variance,
 )
 from conftest import full_plan
@@ -129,26 +128,13 @@ def test_propagate_noise_deterministic():
     assert not np.array_equal(_draw_noise(7, 3, 2), _draw_noise(8, 3, 2))
 
 
-def test_encode_rejects_mismatched_channel():
-    # a two-user plan on a three-user draw: the antenna model, and so the
-    # draw that builds its forward map from the models, refuses the pair
-    _, _, plan = make(2, seed=0, cap=1)
-    other = generate_channel(SystemConfig(K=3, seed=0))
-    with pytest.raises(InconsistentPlanError):
-        antenna_model(plan, other, 1, 1)
-    with pytest.raises(InconsistentPlanError):
-        _Draw(plan, other, 1)
-    with pytest.raises(InconsistentPlanError):
-        simulate_plan(plan, other, SimConfig(snr_points=(1e2,), trials=10))
-
-
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
 @pytest.mark.parametrize(
     "K,M,N,gamma,cap", [(3, 1, 1, 1, 1), (2, 2, 2, 1, 1), (2, 1, 2, 2, 2)]
 )
 def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
-    # every entry of W, and trial 0 of the matrix model simulate_plan
-    # decodes, A*(U@W)[0] + Z[0], against sums over the gain oracle
+    # every entry of W, and trial 0 of the matrix model _operate decodes,
+    # A*(U@W)[0] + Z[0], against sums over the gain oracle
     config, h, plan = make(K, M, N, gamma, Q=3, seed=7, cap=cap)
     draw = _Draw(plan, h, 5)
     coords, W = draw.coords, draw.W
@@ -202,7 +188,7 @@ def test_stream_mean_power_matches_monte_carlo():
 def test_amplitude_scale_binding():
     config, h, plan = make(3, seed=1, cap=1)
     rho = 100.0
-    A = simulate_plan(plan, h, SimConfig(snr_points=(rho,), trials=10)).amplitudes[rho]
+    A = run_link_sim(config, SimConfig(snr_points=(rho,), trials=10), 1).amplitudes[rho]
     cap = rho / (config.K * config.M)
     powers = [A**2 * p for p in _Draw(plan, h, 10).powers]
     assert len(powers) == 3
@@ -220,7 +206,8 @@ def test_min_distance_single_user_is_squared_gain():
     assert d == H * H
     assert d == pytest.approx(1.7030326309839905, rel=1e-12)
     # the simulator's d_min is that distance at the first point's amplitude
-    result = simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4), trials=10))
+    sim_config = SimConfig(snr_points=(1e2, 1e4), trials=10)
+    result = _operate(_Draw(plan, h, 10), sim_config, DEFAULT_DECODE_BUDGET)
     assert result.d_min == result.amplitudes[1e2] * d
 
 
@@ -352,11 +339,12 @@ def test_antenna_model_rejects_overlapping_plan():
         " interference at antenna (1,1); exhaustive decoding is ill-posed"
     )
     for _ in range(2):
-        with pytest.raises(InconsistentPlanError) as err:
+        with pytest.raises(ValueError) as err:
             antenna_model(fake, h, 1, 1)
         assert str(err.value) == refusal
-    with pytest.raises(InconsistentPlanError):
-        simulate_plan(fake, h, SimConfig(snr_points=(1e2,), trials=10))
+    with pytest.raises(ValueError) as err:
+        _Draw(fake, h, 10)
+    assert str(err.value) == refusal
 
 
 def test_replaced_plan_starts_without_profiles(overcounted_plan):
@@ -491,7 +479,7 @@ def test_noiseless_run_decodes_each_query_once(monkeypatch):
     assert exc.value.required == 9000
 
 
-def test_simulate_plan_expands_each_antenna_once(monkeypatch):
+def test_run_expands_each_antenna_once(monkeypatch):
     # one symbolic expansion per receive antenna feeds the decoder, d_min,
     # the separation slope and its floor, which equal an oracle computed
     # here on antenna models built afresh: min_abs_combination over each
@@ -509,8 +497,10 @@ def test_simulate_plan_expands_each_antenna_once(monkeypatch):
         calls.append((k, n))
         return expand_received(plan, k, n)
 
+    sim._kept_draw.cache_clear()
+    sim._kept_plan.cache_clear()
     monkeypatch.setattr(sim, "expand_received", counted)
-    result = simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4), trials=200))
+    result = run_link_sim(config, SimConfig(snr_points=(1e2, 1e4), trials=200), 1)
     assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
     monkeypatch.undo()
     a0 = result.amplitudes[1e2]
@@ -528,15 +518,16 @@ def test_stream_powers_computed_once(monkeypatch):
     # variance per transmit antenna per run, however many SNR points
     import iadof.simulate as sim
 
-    config, h, plan = make(3, seed=1, cap=1)
+    config = SystemConfig(K=3, seed=1)
     calls = []
 
     def counted(Q):
         calls.append(Q)
         return symbol_variance(Q)
 
+    sim._kept_draw.cache_clear()
     monkeypatch.setattr(sim, "symbol_variance", counted)
-    simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=50))
+    run_link_sim(config, SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=50), 1)
     assert calls == [config.Q] * 3
 
 
@@ -545,7 +536,9 @@ def test_draw_evaluates_each_direction_set_once(monkeypatch, K, M, N, evaluation
     # the antenna models evaluate each stream set at its one destination and
     # each antenna's interference set: K*M*N + K*N calls for a whole run,
     # forward map and transmit powers included
-    config, h, plan = make(K, M, N, seed=1, cap=1)
+    import iadof.simulate as sim
+
+    config = SystemConfig(K=K, M=M, N=N, seed=1)
     evaluate = DirectionSet.evaluate
     calls = []
 
@@ -553,8 +546,9 @@ def test_draw_evaluates_each_direction_set_once(monkeypatch, K, M, N, evaluation
         calls.append(self)
         return evaluate(self, h)
 
+    sim._kept_draw.cache_clear()
     monkeypatch.setattr(DirectionSet, "evaluate", counted)
-    simulate_plan(plan, h, SimConfig(snr_points=(1e2, 1e4), trials=20))
+    run_link_sim(config, SimConfig(snr_points=(1e2, 1e4), trials=20), 1)
     assert len(calls) == K * M * N + K * N == evaluations
 
 
@@ -685,13 +679,10 @@ def test_plan_serves_every_draw_of_its_system():
     _, _, plan = make(3, seed=0, cap=1)
     config = SystemConfig(K=3, seed=5)
     sim_config = SimConfig(snr_points=(1e2, 1e4), trials=300)
-    got = simulate_plan(plan, generate_channel(config), sim_config)
+    draw = _Draw(plan, generate_channel(config), sim_config.trials)
+    got = _operate(draw, sim_config, DEFAULT_DECODE_BUDGET)
     want = run_link_sim(config, sim_config, cap=1)
     assert got.to_json_dict() == want.to_json_dict()
-    # any other difference is still a different system
-    other = generate_channel(SystemConfig(K=3, Q=3, seed=5))
-    with pytest.raises(InconsistentPlanError):
-        simulate_plan(plan, other, sim_config)
 
 
 def test_kept_plans_bounded_and_read_only():
@@ -784,24 +775,29 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
     monkeypatch.setattr(sim, "decode_table", built)
     monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
     sim_config = SimConfig(snr_points=(1e2,), trials=10)
+    draw = _Draw(plan, h, sim_config.trials)
     with pytest.raises(DecodeBudgetError) as exc:
-        simulate_plan(plan, h, sim_config, budget=50)
+        _operate(draw, sim_config, 50)
     assert exc.value.required == 90
     assert calls == []
-    simulate_plan(plan, h, sim_config, budget=90)
+    _operate(draw, sim_config, 90)
     assert calls == [(3, 9), 10, (9, 3), 10]
 
 
 def test_sim_curve_decode_stays_small():
-    # tracemalloc peak of one simulate_plan on the sim_curve system, whose
-    # lattice has 117,649 points per antenna: the decoder holds the 2,401
-    # interference sums and the 400 queries, never the lattice (0.5 MiB;
-    # 5.5 MiB when the lattice was built)
-    config, h, plan = make(3, Q=4, seed=1, cap=2)
+    # tracemalloc peak of one new draw's run on the sim_curve system, its
+    # plan kept beforehand, whose lattice has 117,649 points per antenna:
+    # the decoder holds the 2,401 interference sums and the 400 queries,
+    # never the lattice (0.6 MiB; 5.5 MiB when the lattice was built)
+    import iadof.simulate as sim
+
+    config = SystemConfig(K=3, Q=4, seed=1)
     sim_config = SimConfig(snr_points=(1e2, 1e4, 1e6, 1e8), trials=100)
+    sim._kept_draw.cache_clear()
+    sim._kept_plan(dataclasses.replace(config, seed=0), 2)
     tracemalloc.start()
     try:
-        simulate_plan(plan, h, sim_config)
+        run_link_sim(config, sim_config, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -821,7 +817,8 @@ def test_decoder_matches_manual_search_single_user():
     plan = full_plan(config)
     trials = 400
     # at rho 2.5 over half of the symbols are wrong, at 123 two in 400
-    result = simulate_plan(plan, h, SimConfig(snr_points=(2.5, 123.0), trials=trials))
+    sim_config = SimConfig(snr_points=(2.5, 123.0), trials=trials)
+    result = _operate(_Draw(plan, h, trials), sim_config, DEFAULT_DECODE_BUDGET)
     H2 = h.coefficient(1, 1, 1, 1) ** 2
     U = np.random.default_rng((config.seed, 0xA1)).integers(-3, 4, size=(trials, 1))
     Z = np.random.default_rng((config.seed, 0xB2)).standard_normal((trials, 1))
