@@ -24,6 +24,8 @@ stream's box straight to its first cap rows in canonical order
 expand_received stacks every row arriving at a receive antenna, desired
 sets first, and reads the whole profile off one canonical sort of the stack
 (directions._runs), whose runs of equal rows are the distinct directions.
+A config has one column list, its coefficient ids (_columns), and a plan
+refuses a stream set over any other, so the stacks need no re-laying.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, compress, count, product
 from operator import le, ne
 from types import MappingProxyType
@@ -42,13 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import CoefficientId, SystemConfig
-from .directions import (
-    Columns,
-    DirectionSet,
-    _check_exponents,
-    _runs,
-    merge_columns,
-)
+from .directions import Columns, DirectionSet, _check_exponents, _runs
 
 # (k, m, n): stream of user k, transmit antenna m, destined receive antenna n
 Stream = tuple[int, int, int]
@@ -175,8 +171,11 @@ def achievable_dof_gamma(config: SystemConfig) -> Fraction:
 class TransmitPlan:
     """Direction sets for every stream of a config.
 
-    streams is a read-only copy of the mapping given, and direction sets
-    are immutable, so a plan never changes after it is built; profiles,
+    Every stream set's columns are the config's coefficient ids, the one
+    column list of its rows (_columns); a set over any other list is
+    refused with a ValueError naming the stream.  streams is a read-only
+    copy of the mapping given, and direction sets are immutable, so a plan
+    never changes after it is built; profiles,
     keyed by (k, n), keeps each receive antenna's ReceiverProfile once the
     simulator has expanded it.  Every plan starts with an empty memo of its
     own, including one made by dataclasses.replace.
@@ -189,6 +188,10 @@ class TransmitPlan:
     )
 
     def __post_init__(self) -> None:
+        cols = _columns(self.config)
+        for s, ds in self.streams.items():
+            if ds.columns != cols:
+                raise ValueError(f"stream {s}: set is not over the config's coefficient ids")
         object.__setattr__(self, "streams", MappingProxyType(dict(self.streams)))
 
 
@@ -318,35 +321,26 @@ def build_transmit_directions(config: SystemConfig, cap: int) -> TransmitPlan:
 
 @dataclass(frozen=True, eq=False)
 class ReceiverProfile:
-    """Everything one receive antenna observes under a plan.
+    """What the simulator reads of one receive antenna under a plan.
 
-    desired maps each own transmit antenna m to its arrived direction set
-    (stream set times the squared direct gain); interference is the union of
-    all other arrivals; multiplicity is a read-only count array aligned with
+    interference is the union of every arrival but the antenna's own
+    streams; multiplicity is a read-only count array aligned with
     interference's rows: the number of stream arrivals aligned onto each
-    interference direction.
-
-    desired_overlap is the first desired direction, by transmit antenna and
-    then in member order, that is also an interference direction, as its
-    {coefficient id: exponent} entries, or None when desired and
-    interference are disjoint; siblings_overlap says whether two desired
-    sets share a direction; distinct_directions counts the distinct
-    non-unit directions arriving, desired and interference together.
+    interference direction.  desired_overlap is the first desired
+    direction (an own stream's row times the squared direct gain), by
+    transmit antenna and then in member order, that is also an
+    interference direction, as its {coefficient id: exponent} entries, or
+    None when desired and interference are disjoint; distinct_directions
+    counts the distinct non-unit directions arriving, desired and
+    interference together.
     """
 
     k: int
     n: int
-    desired: dict[int, DirectionSet]
     interference: DirectionSet
     multiplicity: np.ndarray
     desired_overlap: Optional[dict[CoefficientId, int]]
-    siblings_overlap: bool
     distinct_directions: int
-
-    @property
-    def m_star(self) -> int:
-        """Observed interference dimension (honest union size)."""
-        return len(self.interference)
 
 
 def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
@@ -356,24 +350,22 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
     receive antenna and the gain from its transmit antenna into (k, n).
     For an own stream (k, m, n) the two are one gain, squared, and its rows
     are desired set m; every other stream's rows are arrivals, repeats
-    included.  The desired sets, then the arrivals, are stacked, held to
-    the exponent limits (_check_exponents), and sorted once into canonical
-    order (_runs), and each run of equal rows is one distinct direction.
-    The runs that hold an arrival are the interference set, one row each,
-    with their counts of arrivals as multiplicities; each desired set is
-    its rows in run order; desired_overlap is the first of them, by
-    transmit antenna, whose run holds an arrival.  A stream set has no
-    repeated row and the squared gain keeps its rows apart, so a run holds
-    at most one row of each desired set; every row carries two gains, so
-    none is the unit.
+    included.  Every stream's matrix is over the config's coefficient ids
+    (TransmitPlan refuses any other), so the desired sets, then the
+    arrivals, stack as they are.  The stack is held to the exponent limits
+    (_check_exponents) and sorted once into canonical order (_runs), and
+    each run of equal rows is one distinct direction.  The runs that hold
+    an arrival are the interference set, one row each, with their counts
+    of arrivals as multiplicities; desired_overlap is the first desired
+    row, by transmit antenna and then in run order, whose run holds an
+    arrival.  Every row carries two gains, so none is the unit.
     """
     config = plan.config
     if not 1 <= k <= config.K:
         raise IndexError(f"user {k} out of range (K={config.K})")
     if not 1 <= n <= config.N:
         raise IndexError(f"antenna {n} out of range (N={config.N})")
-    stream_cols = (ds.columns for ds in plan.streams.values())
-    cols = reduce(merge_columns, stream_cols, _columns(config))
+    cols = _columns(config)
     index = {cid: c for c, cid in enumerate(cols)}
     M = config.M
     sources = [(k, m, n) for m in range(1, M + 1)]
@@ -383,7 +375,7 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
         tags[s, index[(j, j, np_, mp)]] += 1
         tags[s, index[(k, j, n, mp)]] += 1
     lengths = [len(plan.streams[s]) for s in sources]
-    stack = np.concatenate([plan.streams[s].matrix_over(cols) for s in sources])
+    stack = np.concatenate([plan.streams[s].matrix for s in sources])
     stack += np.repeat(tags, lengths, axis=0)
     _check_exponents(stack)
     order, start = _runs(stack)
@@ -391,28 +383,24 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
     runs = int(np.count_nonzero(start))
     # each canonical position's source: desired set m is source m - 1
     source = np.repeat(np.arange(len(sources)), lengths)[order]
-    arrived = source >= M
-    arrivals = np.bincount(run[arrived], minlength=runs)
+    arrivals = np.bincount(run[source >= M], minlength=runs)
     hit = arrivals > 0
     counts = arrivals[hit]
     counts.flags.writeable = False
-    desired = {}
     overlap = None
     for m in range(1, M + 1):
         mine = source == m - 1
-        rows = stack[order[mine]]
-        desired[m] = DirectionSet._of(cols, rows)
         shared = np.flatnonzero(hit[run[mine]])
-        if overlap is None and shared.size:
-            overlap = {cid: e for cid, e in zip(cols, rows[shared[0]].tolist()) if e}
+        if shared.size:
+            row = stack[order[mine][shared[0]]].tolist()
+            overlap = {cid: e for cid, e in zip(cols, row) if e}
+            break
     return ReceiverProfile(
         k=k,
         n=n,
-        desired=desired,
         interference=DirectionSet._of(cols, stack[order[start][hit]]),
         multiplicity=counts,
         desired_overlap=overlap,
-        siblings_overlap=bool((np.bincount(run[~arrived], minlength=runs) > 1).any()),
         distinct_directions=runs,
     )
 

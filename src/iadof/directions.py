@@ -6,15 +6,17 @@ exact operations on exponent vectors, decided by one lexsort of per-column
 integer keys (_runs); nothing here ever compares floating-point products.
 
 A DirectionSet stores its members as an integer exponent matrix: one row
-per monomial, one column per coefficient id, columns in increasing id
-order.  The row is the only form a monomial takes: sorting and counting
-work on whole matrices, and a single monomial is given as a {coefficient
-id: exponent} mapping.
+per monomial, one column per coefficient id of its config, in
+SystemConfig.coefficient_ids() order.  Every set of one config has that
+one column list, so the rows of any two sets line up column for column.
+The row is the only form a monomial takes: sorting and counting work on
+whole matrices, and a single monomial is given as a {coefficient id:
+exponent} mapping.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -78,33 +80,20 @@ def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, start
 
 
-def _unique_rows(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an exponent matrix in canonical order, and how
-    many times each occurs."""
-    if exps.shape[0] < 2:
-        return exps.copy(), np.ones(exps.shape[0], dtype=np.int64)
-    order, start = _runs(exps)
-    return exps[order[start]], np.bincount(np.cumsum(start) - 1)
-
-
-def merge_columns(a: Columns, b: Columns) -> Columns:
-    """The increasing union of two column lists."""
-    return a if a == b else tuple(sorted(set(a).union(b)))
-
-
 class DirectionSet:
     """Finite ordered set of directions.
 
     The members are the rows of an exponent matrix, distinct and kept in
     the canonical order, which makes every downstream artifact (vectors,
-    JSON, candidate lattices) reproducible.  Build one with from_matrix or
-    tally.
+    JSON, candidate lattices) reproducible.  The library builds them:
+    build_transmit_directions for stream sets, expand_received for an
+    antenna's interference set.
     """
 
     __slots__ = ("_cols", "_exps")
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("build a DirectionSet with DirectionSet.from_matrix or tally")
+        raise TypeError("DirectionSets are built by build_transmit_directions and expand_received")
 
     @classmethod
     def _of(cls, cols: Columns, exps: np.ndarray) -> "DirectionSet":
@@ -115,12 +104,6 @@ class DirectionSet:
         ds._exps = exps
         return ds
 
-    @classmethod
-    def from_matrix(cls, columns: Iterable[CoefficientId], exps) -> "DirectionSet":
-        """The set of the rows of an exponent matrix whose columns belong to
-        the given coefficient ids, in increasing order."""
-        return tally(columns, exps)[0]
-
     @property
     def columns(self) -> Columns:
         return self._cols
@@ -130,27 +113,8 @@ class DirectionSet:
         """Read-only exponent matrix, one row per member in canonical order."""
         return self._exps
 
-    def matrix_over(self, columns: Columns) -> np.ndarray:
-        """The exponent matrix over a superset of this set's columns."""
-        if columns == self._cols:
-            return self._exps
-        out = np.zeros((self._exps.shape[0], len(columns)), dtype=np.int64)
-        index = {cid: c for c, cid in enumerate(columns)}
-        out[:, [index[cid] for cid in self._cols]] = self._exps
-        return out
-
-    def _aligned(self, other: "DirectionSet") -> tuple[Columns, np.ndarray, np.ndarray]:
-        cols = merge_columns(self._cols, other._cols)
-        return cols, self.matrix_over(cols), other.matrix_over(cols)
-
     def __len__(self) -> int:
         return self._exps.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DirectionSet):
-            return NotImplemented
-        _, a, b = self._aligned(other)
-        return bool(np.array_equal(a, b))
 
     def __repr__(self) -> str:
         return f"DirectionSet(<{len(self)} directions>)"
@@ -168,23 +132,3 @@ class DirectionSet:
                     v *= g**e
             out.append(v)
         return np.array(out, dtype=np.float64)
-
-
-def tally(columns: Iterable[CoefficientId], exps) -> tuple[DirectionSet, np.ndarray]:
-    """The distinct rows of an exponent matrix as a DirectionSet, and how
-    many times each member occurs among the rows.
-
-    columns gives the coefficient id of each matrix column, increasing.
-    Every row is held to the exponent limits (see _check_exponents).
-    """
-    cols = tuple(columns)
-    if list(cols) != sorted(set(cols)):
-        raise ValueError("columns must be distinct coefficient ids in increasing order")
-    exps = np.asarray(exps, dtype=np.int64)
-    if exps.ndim != 2 or exps.shape[1] != len(cols):
-        raise ValueError(
-            f"need an exponent matrix with {len(cols)} columns, got shape {exps.shape}"
-        )
-    _check_exponents(exps)
-    rows, counts = _unique_rows(exps)
-    return DirectionSet._of(cols, rows), counts

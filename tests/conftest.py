@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, settings
 from iadof import alignment
 from iadof.alignment import TransmitPlan, families, family_pair
 from iadof.channel import SystemConfig
-from iadof.directions import DirectionSet
+from iadof.directions import DirectionSet, _check_exponents, _runs
 
 settings.register_profile(
     "default",
@@ -37,11 +37,20 @@ if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
+def direction_set(cols, exps):
+    """The distinct rows of an exponent matrix over cols, held to the
+    exponent limits, as a DirectionSet in canonical order (_runs)."""
+    exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), len(cols))
+    _check_exponents(exps)
+    order, start = _runs(exps)
+    return DirectionSet._of(tuple(cols), exps[order[start]])
+
+
 def full_box(config, dest, caps):
     """Every product of the given pair families at dest, family f raised to
     each power 0..caps[f], in canonical order: the box of family exponents
     times the incidence matrix of families and coefficient ids, by numpy's
-    int64 product, sorted by DirectionSet.from_matrix."""
+    int64 product, sorted by direction_set."""
     cols = tuple(config.coefficient_ids())
     incidence = np.zeros((len(caps), len(cols)), dtype=np.int64)
     for f, fam in enumerate(caps):
@@ -49,7 +58,7 @@ def full_box(config, dest, caps):
             incidence[f, cols.index(cid)] += 1
     shape = [cap + 1 for cap in caps.values()]
     choices = np.indices(shape).reshape(len(shape), math.prod(shape))
-    return DirectionSet.from_matrix(cols, choices.T @ incidence)
+    return direction_set(cols, choices.T @ incidence)
 
 
 def full_plan(config):
@@ -82,7 +91,5 @@ def overcounted_plan():
     extra = np.zeros((1, len(base.columns)), dtype=np.int64)
     extra[0, [base.columns.index(cid) for cid in family_pair((2, 1, 1, 3), 1)]] = 1
     streams = dict(plan.streams)
-    streams[(2, 1, 1)] = DirectionSet.from_matrix(
-        base.columns, np.concatenate([base.matrix, extra])
-    )
+    streams[(2, 1, 1)] = direction_set(base.columns, np.concatenate([base.matrix, extra]))
     return dataclasses.replace(plan, streams=streams)

@@ -17,9 +17,11 @@ straight to those rows, and the walk is pinned against the first rows of
 the full construction (full_plan, in conftest.py) at every lattice config
 and on random cap rules.  expand_received reads each antenna off one
 canonical sort of its stacked rows, and expand_oracle rebuilds a profile
-from pairwise set operations (scale, tally, intersect, union) and is
-pinned against it field by field, on full plans, kept prefixes and plans
-built by hand.  verify_oracle reads the report off those profiles, with
+from pairwise set operations (scale, intersect, union) and is pinned
+against it field by field, on full plans, kept prefixes and plans built
+by hand.  Every set is over its config's coefficient ids, and a plan
+refuses any other column list.  verify_oracle reads the report off the
+oracle's profiles, desired sets and sibling overlap included, with
 reference membership as int64 column sums (within_oracle, pinned against
 the enumerated reference), and is pinned against verify_alignment at
 every lattice config and on random cap rules, failing checks included.
@@ -62,10 +64,10 @@ from iadof.alignment import (
 )
 from iadof.bounds import achievable_dof
 from iadof.channel import SystemConfig
-from iadof.directions import MAX_TOTAL_DEGREE, DirectionSet, merge_columns, tally
-from conftest import full_box, full_plan
+from iadof.directions import MAX_TOTAL_DEGREE, DirectionSet, _check_exponents, _runs
+from conftest import direction_set, full_box, full_plan
 from test_acceptance import lattice_configs
-from test_directions import assert_runs_match_oracle, intersect, scale, union
+from test_directions import assert_runs_match_oracle, intersect, monomials, scale, union
 
 CHECKS = (
     "desired_pairwise_disjoint",
@@ -282,6 +284,20 @@ def test_build_keeps_first_cap_rows():
         build_transmit_directions(config, 0)
 
 
+def test_plan_refuses_sets_over_other_columns():
+    # a plan's rows are read over its config's coefficient ids, so a set
+    # over a subset of them, or over another config's four ids, is refused
+    config = cfg(2)
+    streams = build_transmit_directions(config, 2).streams
+    cols = tuple(config.coefficient_ids())
+    other = tuple(cfg(1, 2, 2).coefficient_ids())
+    assert len(other) == len(cols) and other != cols
+    for foreign in (cols[1:], other):
+        bad = {**streams, (2, 1, 1): direction_set(foreign, [[0] * len(foreign)])}
+        with pytest.raises(ValueError, match=r"^stream \(2, 1, 1\): "):
+            TransmitPlan(config=config, streams=bad)
+
+
 # Past this many rows a whole stream set takes a while to walk: 0.04 s at
 # (2,2,2,2), L = 5,832, and 0.4 s at (3,2,1,2), L = 26,244 (best of 3).
 SLOW_WALK = 1024
@@ -364,9 +380,9 @@ def test_reference_materialize_matches_contains():
     # push every exponent of the last member past its cap: no longer
     # factorizable
     last = members.matrix[-1]
-    bumped = DirectionSet.from_matrix(members.columns, [last + 3 * (last > 0)])
+    bumped = last + 3 * (last > 0)
     assert last.any()
-    assert not within_oracle(config, bumped.columns, bumped.matrix, (1,))[0, 0]
+    assert not within_oracle(config, members.columns, [bumped], (1,))[0, 0]
 
 
 @pytest.mark.parametrize("K,M,N,gamma", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
@@ -376,13 +392,13 @@ def test_reference_within_matches_materialized(K, M, N, gamma):
     config = cfg(K, M, N, gamma)
     cols = tuple(config.coefficient_ids())
     grid = list(itertools.product(range(gamma + 2), repeat=len(cols)))
-    ds = DirectionSet.from_matrix(cols, grid)
+    ds = direction_set(cols, grid)
     dests = range(1, N + 1)
     inside = within_oracle(config, ds.columns, ds.matrix, dests)
     for i, dest in enumerate(dests):
         members = materialize(config, dest)
         assert within_oracle(config, members.columns, members.matrix, [dest]).all()
-        members = {tuple(row) for row in members.matrix_over(cols).tolist()}
+        members = {tuple(row) for row in members.matrix.tolist()}
         assert [tuple(row) in members for row in ds.matrix.tolist()] == inside[:, i].tolist()
     assert within(config, ds).tolist() == inside.any(axis=1).tolist()
 
@@ -402,9 +418,8 @@ def test_expand_received_single_user():
     # interference is the user's own off-antenna leakage
     plan = full_plan(cfg(1, 2, 2, 2))
     prof = expand_received(plan, 1, 1)
-    assert prof.m_star == 4
+    assert len(prof.interference) == 4
     assert closed_form_counts(plan.config)[1] == 4  # the union, exactly
-    assert set(prof.desired) == {1, 2}
     assert prof.multiplicity.tolist() == [1] * 4
 
 
@@ -422,12 +437,11 @@ def test_multiplicity_counts_every_arrival():
     assert len(counts) == len(prof.interference)
     assert counts.max() > 1
     # each arrival is its stream's set times the two gains it crossed
-    cols = prof.interference.columns
     arrived = Counter()
     for (j, mp, np_), base in plan.streams.items():
         if (j, np_) != (2, 1):
             tag = {(j, j, np_, mp): 1, (2, j, 1, mp): 1}
-            arrived.update(map(tuple, scale(base, tag).matrix_over(cols).tolist()))
+            arrived.update(map(tuple, scale(base, tag).matrix.tolist()))
     rows = map(tuple, prof.interference.matrix.tolist())
     assert dict(zip(rows, counts.tolist())) == arrived
 
@@ -437,7 +451,9 @@ def test_expand_received_no_cross_terms_when_alone():
     prof = expand_received(plan, 1, 1)
     assert len(prof.interference) == 0
     assert closed_form_counts(plan.config)[0] == 1
-    assert prof.desired[1] == DirectionSet.from_matrix([(1, 1, 1, 1)], [[2]])
+    # the one direction arriving is the desired H[1,1](1,1)^2
+    assert prof.distinct_directions == 1
+    assert prof.desired_overlap is None
 
 
 @pytest.mark.parametrize(
@@ -539,14 +555,14 @@ def expand_oracle(plan, k, n):
     expand_received built it before its single sorted pass: each desired
     set scaled by the squared direct gain, the arrivals tallied, then one
     intersection per desired set and a union of everything.  The fields
-    come back as a dict keyed by ReceiverProfile's field names."""
+    come back as a dict keyed by ReceiverProfile's field names, with the
+    desired sets and whether two of them share a direction beside them."""
     config = plan.config
     desired = {
         m: scale(plan.streams[(k, m, n)], {(k, k, n, m): 2})
         for m in range(1, config.M + 1)
     }
-    stream_cols = (ds.columns for ds in plan.streams.values())
-    cols = reduce(merge_columns, stream_cols, tuple(config.coefficient_ids()))
+    cols = tuple(config.coefficient_ids())
     index = {cid: c for c, cid in enumerate(cols)}
     arrivals = [np.zeros((0, len(cols)), dtype=np.int64)]
     for (j, mp, np_), base in plan.streams.items():
@@ -554,8 +570,12 @@ def expand_oracle(plan, k, n):
             continue
         tag = np.zeros(len(cols), dtype=np.int64)
         tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
-        arrivals.append(base.matrix_over(cols) + tag)
-    interference, counts = tally(cols, np.concatenate(arrivals))
+        arrivals.append(base.matrix + tag)
+    stack = np.concatenate(arrivals)
+    _check_exponents(stack)
+    order, start = _runs(stack)
+    interference = DirectionSet._of(cols, stack[order[start]])
+    counts = np.bincount(np.cumsum(start) - 1)
     overlap = None
     for dset in desired.values():
         shared = intersect(dset, interference)
@@ -590,27 +610,19 @@ def assert_profiles_match_oracle(plan):
             assert prof.multiplicity.dtype == np.int64
             assert not prof.multiplicity.flags.writeable
             assert prof.multiplicity.tolist() == want["multiplicity"].tolist()
-            assert list(prof.desired) == list(want["desired"])
-            for m, dset in want["desired"].items():
-                # equality aligns the columns and compares rows in order
-                assert prof.desired[m] == dset
-                assert len(prof.desired[m]) == len(dset)
             assert prof.desired_overlap == want["desired_overlap"]
-            assert prof.siblings_overlap == want["siblings_overlap"]
             assert prof.distinct_directions == want["distinct_directions"]
 
 
 def with_rows(plan, added):
     """The plan with extra rows, given as {coefficient id: exponent}
-    mappings, on the named streams."""
+    mappings over the config's ids, on the named streams."""
     streams = dict(plan.streams)
+    cols = tuple(plan.config.coefficient_ids())
     for stream, rows in added.items():
-        base = streams[stream]
-        cols = merge_columns(base.columns, tuple(sorted({c for r in rows for c in r})))
-        extra = np.array([[r.get(c, 0) for c in cols] for r in rows], dtype=np.int64)
-        streams[stream] = DirectionSet.from_matrix(
-            cols, np.concatenate([base.matrix_over(cols), extra])
-        )
+        assert all(set(row) <= set(cols) for row in rows)
+        extra = [[row.get(cid, 0) for cid in cols] for row in rows]
+        streams[stream] = direction_set(cols, [*streams[stream].matrix.tolist(), *extra])
     return dataclasses.replace(plan, streams=streams)
 
 
@@ -634,7 +646,7 @@ def test_expand_received_index_guard():
 
 def test_profile_equals_oracle_on_overcounted_plan(overcounted_plan):
     assert_profiles_match_oracle(overcounted_plan)
-    assert expand_received(overcounted_plan, 1, 1).m_star == 29
+    assert len(expand_received(overcounted_plan, 1, 1).interference) == 29
 
 
 def test_profile_equals_oracle_when_desired_is_interference():
@@ -644,16 +656,13 @@ def test_profile_equals_oracle_when_desired_is_interference():
     plan = TransmitPlan(
         config=cfg(2),
         streams={
-            (1, 1, 1): DirectionSet.from_matrix(
-                [H11, H12, H22], [[0, 0, 0], [1, 1, 1], [0, 1, 1]]
-            ),
-            (2, 1, 1): DirectionSet.from_matrix([H11], [[3], [2]]),
+            (1, 1, 1): monomials({}, {H11: 1, H12: 1, H22: 1}, {H12: 1, H22: 1}),
+            (2, 1, 1): monomials({H11: 3}, {H11: 2}),
         },
     )
     assert_profiles_match_oracle(plan)
     prof = expand_received(plan, 1, 1)
     assert prof.desired_overlap == {H11: 2, H12: 1, H22: 1}
-    assert not prof.siblings_overlap
     checks = verify_oracle(plan).antennas[0].checks
     assert not checks["desired_disjoint_from_interference"]
     assert checks["desired_pairwise_disjoint"]
@@ -675,7 +684,6 @@ def test_profile_equals_oracle_when_siblings_overlap():
     )
     assert_profiles_match_oracle(plan)
     prof = expand_received(plan, 1, 1)
-    assert prof.siblings_overlap
     assert prof.desired_overlap == {H111: 2, H112: 5, H12: 1, H22: 1}
     checks = verify_oracle(plan).antennas[0].checks
     assert not checks["desired_pairwise_disjoint"]
@@ -687,8 +695,9 @@ def test_profile_equals_oracle_when_siblings_overlap():
 
 def verify_oracle(plan, cap=None):
     """The alignment report of a plan, read off each antenna's rows: its
-    profile (expand_received, pinned against expand_oracle), then
-    reference membership of the whole interference set (within_oracle).
+    profile, desired sets and sibling overlap from pairwise set operations
+    (expand_oracle, pinned against expand_received), then reference
+    membership of the whole interference set (within_oracle).
     This is verify_alignment as it was before it decided on boxes, and it
     takes any plan, a kept prefix or built by hand: cap is the number of
     rows each stream was kept to, or None for the full construction."""
@@ -698,25 +707,26 @@ def verify_oracle(plan, cap=None):
     verdicts = []
     for k in range(1, config.K + 1):
         for n in range(1, config.N + 1):
-            prof = expand_received(plan, k, n)
-            ms = list(prof.desired)
-            inside = bool(within(config, prof.interference).all())
-            counts_ok = all(len(prof.desired[m]) == expected for m in ms) and all(
-                len(plan.streams[(k, m, n)]) == expected for m in ms
+            prof = expand_oracle(plan, k, n)
+            desired = prof["desired"]
+            m_star = len(prof["interference"])
+            inside = bool(within(config, prof["interference"]).all())
+            counts_ok = all(len(ds) == expected for ds in desired.values()) and all(
+                len(plan.streams[(k, m, n)]) == expected for m in desired
             )
             checks = {
-                "desired_pairwise_disjoint": not prof.siblings_overlap,
-                "desired_disjoint_from_interference": prof.desired_overlap is None,
+                "desired_pairwise_disjoint": not prof["siblings_overlap"],
+                "desired_disjoint_from_interference": prof["desired_overlap"] is None,
                 "interference_within_reference": inside,
-                "l_prime_within_bound": prof.m_star <= l_prime,
+                "l_prime_within_bound": m_star <= l_prime,
                 "stream_counts_match": counts_ok,
             }
             verdicts.append(
                 AntennaVerdict(
                     k=k,
                     n=n,
-                    l_observed=sum(len(ds) for ds in prof.desired.values()),
-                    l_prime_observed=prof.m_star,
+                    l_observed=sum(len(ds) for ds in desired.values()),
+                    l_prime_observed=m_star,
                     checks=checks,
                 )
             )

@@ -37,7 +37,7 @@ from iadof.simulate import (
     separation_floor,
     symbol_variance,
 )
-from conftest import full_plan
+from conftest import direction_set, full_plan
 from test_directions import members, mono_eval
 
 SNR3 = (1e2, 1e4, 1e6)
@@ -159,7 +159,7 @@ def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
 # -------------------------------------------------------------------- power
 
 
-def test_stream_mean_power_exact_identity():
+def test_draw_powers_exact_identity():
     config, h, plan = make(2, gamma=2, Q=4, seed=3)
     powers = _Draw(plan, h, 1).powers
     for k in (1, 2):
@@ -175,7 +175,7 @@ def test_stream_mean_power_exact_identity():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_stream_mean_power_matches_monte_carlo():
+def test_draw_powers_match_monte_carlo():
     config, h, plan = make(2, seed=4, cap=2, gamma=2)
     target = _Draw(plan, h, 1).powers[0]
     weights = transmit_oracle(plan, h)
@@ -185,7 +185,7 @@ def test_stream_mean_power_matches_monte_carlo():
     assert np.mean(X**2) == pytest.approx(target, rel=0.1)
 
 
-def test_amplitude_scale_binding():
+def test_run_amplitude_binds_the_strongest_antenna():
     config, h, plan = make(3, seed=1, cap=1)
     rho = 100.0
     A = run_link_sim(config, SimConfig(snr_points=(rho,), trials=10), 1).amplitudes[rho]
@@ -327,11 +327,12 @@ def test_antenna_model_rejects_overlapping_plan():
     config = SystemConfig(K=2, seed=0)
     run_link_sim(config, SimConfig(snr_points=(1e2,), trials=10), cap=1)
     h = generate_channel(config)
+    cols = tuple(config.coefficient_ids())
     fake = TransmitPlan(
         config=config,
         streams={
-            (1, 1, 1): DirectionSet.from_matrix([(1, 2, 1, 1), (2, 2, 1, 1)], [[1, 1]]),
-            (2, 1, 1): DirectionSet.from_matrix([(1, 1, 1, 1)], [[2]]),
+            (1, 1, 1): direction_set(cols, [[0, 1, 0, 1]]),
+            (2, 1, 1): direction_set(cols, [[2, 0, 0, 0]]),
         },
     )
     refusal = (
@@ -354,12 +355,12 @@ def test_replaced_plan_starts_without_profiles(overcounted_plan):
     config = SystemConfig(K=3)
     h = generate_channel(config)
     plan = full_plan(config)
-    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
     assert list(plan.profiles) == [(1, 1)]
     extra = dataclasses.replace(plan, streams=overcounted_plan.streams)
     assert extra.profiles == {}
-    assert antenna_model(extra, h, 1, 1).profile.m_star == 29
-    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    assert len(antenna_model(extra, h, 1, 1).profile.interference) == 29
+    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
 
 
 def test_plan_streams_cannot_change_under_its_profiles(overcounted_plan):
@@ -369,12 +370,12 @@ def test_plan_streams_cannot_change_under_its_profiles(overcounted_plan):
     h = generate_channel(config)
     streams = dict(full_plan(config).streams)
     plan = TransmitPlan(config=config, streams=streams)
-    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
+    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
     streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
     with pytest.raises(TypeError):
         plan.streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
-    assert antenna_model(plan, h, 1, 1).profile.m_star == 28
-    assert expand_received(plan, 1, 1).m_star == 28
+    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
+    assert len(expand_received(plan, 1, 1).interference) == 28
 
 
 # ------------------------------------------------------------------ end to end
@@ -701,7 +702,7 @@ def test_kept_plans_bounded_and_read_only():
     assert sorted(plan.profiles) == [(1, 1), (2, 1), (3, 1)]
     sets = list(plan.streams.values())
     for prof in plan.profiles.values():
-        sets += [*prof.desired.values(), prof.interference]
+        sets.append(prof.interference)
     for ds in sets:
         assert not ds.matrix.flags.writeable
     # kept rows own their memory: the cache holds no view of a larger array
@@ -758,7 +759,7 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
 
     config, h, full = make(2, seed=0)
     streams = {
-        s: DirectionSet.from_matrix(ds.columns, ds.matrix[: 1 if s[0] == 1 else 3])
+        s: direction_set(ds.columns, ds.matrix[: 1 if s[0] == 1 else 3])
         for s, ds in full.streams.items()
     }
     plan = TransmitPlan(config=config, streams=streams)
