@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
@@ -40,19 +39,14 @@ SWEEP_COLUMNS = (
 )
 
 
-def _denan(obj):
-    """JSON-safe copy: NaN floats become null."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _denan(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_denan(v) for v in obj]
-    return obj
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(_denan(payload), sort_keys=True) + "\n"
+    """payload as one line of JSON with sorted keys, in one pass.
+
+    Only simulate's d_min and slope can be NaN, and SimResult.to_json_dict
+    writes those as None; any non-finite float left raises ValueError, a
+    usage error, rather than print a token JSON does not have.
+    """
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -254,7 +248,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first command of the process, not at import."""
+    """The parser, built on the first command of the process, not at import.
+
+    Its `commands` maps each subcommand's name to that subcommand's parser,
+    the same objects the top-level parser dispatches to, so _parse can hand
+    a command's arguments straight to its own parser.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
@@ -305,12 +304,34 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--noiseless", action="store_true", help="zero noise; assert SER = 0")
     p.set_defaults(func=cmd_simulate)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's Namespace, as the top-level parser gives it but for `command`.
+
+    A line that starts with a subcommand's name is parsed once, by that
+    subcommand's parser; leftover tokens are reported by the top-level
+    parser, in the words and with the usage line argparse prints for them.
+    Any other line (none, -h, an unknown name, an option before the
+    command) goes through the top-level parser.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command line (default sys.argv[1:]) and return its exit
+    code; each command is parsed once (_parse)."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

@@ -275,16 +275,20 @@ class SimResult:
                 raise ValueError(f"ser {s} at rho={rho} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
+        """The result's JSON fields; a NaN d_min or slope (a refused box or
+        a zero distance) is None, so every float left is a number."""
         return {
             "q": self.q,
             "cap": self.cap,
             "trials": self.trials,
-            "d_min": self.d_min,
+            "d_min": None if math.isnan(self.d_min) else self.d_min,
             "ser": [
                 {"rho": rho, "ser": self.ser[rho], "amplitude": self.amplitudes[rho]}
                 for rho in sorted(self.ser)
             ],
-            "separation_slope": self.separation_slope,
+            "separation_slope": (
+                None if math.isnan(self.separation_slope) else self.separation_slope
+            ),
             "separation_floor": self.separation_floor,
             "decoded_rate": self.decoded_rate,
         }

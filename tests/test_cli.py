@@ -5,6 +5,7 @@ JSON renderings; golden values here were produced by the library and
 cross-checked against the module-level tests.
 """
 
+import argparse
 import hashlib
 import json
 import re
@@ -589,6 +590,86 @@ def test_cached_parser_matches_fresh_parser(capsys):
     assert _parser() is parser
     assert shared == fresh
     assert [code for code, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_direct_parse_matches_top_level_parser():
+    # _parse hands a command straight to its subcommand's parser; on every
+    # benchmark command that gives the top-level parser's Namespace, less
+    # the subcommand name it records
+    from iadof.cli import _parse, _parser
+
+    table = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert sorted(table) == ["align_lattice", "bounds_sweep", "sim_curve", "sim_sweep"]
+    commands = [c.split(" ") for rows in table.values() for c in rows]
+    for argv in commands:
+        assert argv[0] in _parser().commands
+        want = vars(_parser().parse_args(argv))
+        assert want.pop("command") == argv[0]
+        assert vars(_parse(argv)) == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["directions", "-K", "2", "-M", "1", "-N", "1", "--bogus"],
+        ["sweep", "-M", "1", "-N", "1", "--k-min", "1", "--k-max", "2", "extra"],
+        ["simulate", "-K", "3", "-M", "1", "-N", "1", "--q", "x"],
+        ["bogus"],
+        [],
+        ["--json", "bounds", "-M", "1", "-N", "1", "-K", "1"],
+        ["simulate", "-h"],
+    ],
+)
+def test_usage_errors_match_top_level_parser(argv, capsys):
+    # main()'s exit code, stdout and stderr on a line that stops at parsing
+    # are the top-level parser's, byte for byte
+    from iadof.cli import _parser
+
+    with pytest.raises(SystemExit) as exc:
+        _parser().parse_args(argv)
+    want = (exc.value.code, *capsys.readouterr())
+    assert run(argv, capsys) == want
+    assert want[0] == (EXIT_OK if "-h" in argv else EXIT_USAGE)
+
+
+def test_main_parses_a_command_once(monkeypatch, capsys):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, out, _ = run(["directions", "-K", "2", "-M", "1", "-N", "1", "--json"], capsys)
+    assert code == EXIT_OK and json.loads(out)["pass"]
+    assert calls == ["iadof directions"]
+
+
+def test_json_nan_is_null_at_the_source():
+    # SimResult writes a NaN d_min or slope as None, and _json_text refuses
+    # any non-finite float left rather than print Infinity or NaN
+    from iadof.cli import _json_text
+    from iadof.simulate import SimResult
+
+    nan = float("nan")
+    result = SimResult(
+        q=2, cap=1, trials=10, d_min=nan, ser={1e2: 0.5},
+        separation_slope=nan, separation_floor=-1.5, decoded_rate=0.0,
+        amplitudes={1e2: 3.0},
+    )
+    payload = result.to_json_dict()
+    assert payload["d_min"] is None and payload["separation_slope"] is None
+    text = _json_text(payload)
+    assert '"d_min": null' in text and '"separation_slope": null' in text
+    for bad in (float("inf"), -float("inf"), nan):
+        with pytest.raises(ValueError):
+            _json_text({"x": bad})
+        with pytest.raises(ValueError):
+            _json_text({"rows": [{"x": bad}]})
 
 
 def test_entry_raises_system_exit(capsys):

@@ -199,7 +199,7 @@ def test_run_amplitude_binds_the_strongest_antenna():
 # ----------------------------------------------------------------- distance
 
 
-def test_min_distance_single_user_is_squared_gain():
+def test_unit_distance_single_user_is_squared_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
     d = unit_distance(antenna_model(plan, h, 1, 1), 2)
@@ -266,7 +266,7 @@ def test_min_distance_box_past_int64_refused():
 # --------------------------------------------------------------- separation
 
 
-def test_separation_exponent_frozen_and_deterministic():
+def test_draw_slope_frozen_and_deterministic():
     config, h, plan = make(3, seed=1, cap=1)
     s1 = _Draw(plan, h, 1).slope
     s2 = _Draw(plan, h, 1).slope
@@ -274,7 +274,7 @@ def test_separation_exponent_frozen_and_deterministic():
     assert s1 == pytest.approx(-1.9371274729698718, rel=1e-9)
 
 
-def test_separation_exponent_refuses_before_any_distance(monkeypatch):
+def test_draw_slope_refuses_before_any_distance(monkeypatch):
     # at K=3, Q=4, cap=2 the q=8 box is 29**6, over budget: the slope is
     # NaN, and no distance at q=2 or q=4 is computed first only to be
     # thrown away
