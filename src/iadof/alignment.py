@@ -335,8 +335,6 @@ class ReceiverProfile:
     interference together.
     """
 
-    k: int
-    n: int
     interference: DirectionSet
     multiplicity: np.ndarray
     desired_overlap: Optional[dict[CoefficientId, int]]
@@ -396,8 +394,6 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
             overlap = {cid: e for cid, e in zip(cols, row) if e}
             break
     return ReceiverProfile(
-        k=k,
-        n=n,
         interference=DirectionSet._of(cols, stack[order[start][hit]]),
         multiplicity=counts,
         desired_overlap=overlap,

@@ -190,12 +190,7 @@ def cmd_directions(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .alignment import EnumerationBudgetError
     from .channel import SystemConfig
-    from .simulate import (
-        DEFAULT_DECODE_BUDGET,
-        DecodeBudgetError,
-        SimConfig,
-        run_link_sim,
-    )
+    from .simulate import DecodeBudgetError, SimConfig, run_link_sim
 
     config = SystemConfig(
         K=args.K, M=args.M, N=args.N, gamma=args.gamma, Q=args.q, seed=args.seed
@@ -207,11 +202,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim_config = SimConfig(
         snr_points=snr_points, trials=args.trials, noiseless=args.noiseless
     )
-    budget = DEFAULT_DECODE_BUDGET if args.budget is None else args.budget
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     try:
-        result = run_link_sim(config, sim_config, args.cap, budget=budget)
+        result = run_link_sim(config, sim_config, args.cap)
     except (EnumerationBudgetError, DecodeBudgetError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_BUDGET
@@ -288,10 +280,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo link simulation")
     _add_config_flags(p)
-    p.add_argument(
-        "--budget", type=int, default=None,
-        help="decode budget: interference sums, desired sums x queries, d_min box (default 10^7)",
-    )
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     p.add_argument("--q", type=int, default=2, help="symbol alphabet half-width (default 2)")
     p.add_argument("--cap", type=int, default=1, help="directions kept per stream (default 1)")

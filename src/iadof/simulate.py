@@ -19,12 +19,14 @@ config and cap.
 The channel is fixed and known at every node, so all a run derives from one
 draw, before its operating points, is a function of (config, seed, cap,
 trials): the channel, the antenna models, the forward map, the stream
-powers, the symbols and noise, each antenna's decode table, each
-unit-amplitude distance and the separation slope.  A _Draw holds them, and
+powers, the symbols and noise, each antenna's decode table, the
+unit-amplitude d_min and the separation slope.  A _Draw holds them, and
 run_link_sim keeps the last one (_kept_draw).  Each call checks its
-budgets, then derives its amplitudes, decode, SER and d_min from the draw,
+decode budget, then derives its amplitudes, decode and SER from the draw,
 whether the draw is new or kept.  No other function computes d_min, the
-slope or the amplitudes.
+slope or the amplitudes.  The decode budget is the module constant
+DEFAULT_DECODE_BUDGET, so a call is refused on its draw and its query
+count alone.
 """
 
 from __future__ import annotations
@@ -95,12 +97,10 @@ def _profile(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
 
 
 def symbol_variance(Q: int) -> float:
-    """Variance of a uniform integer symbol on -(Q-1)..(Q-1); an OverflowError
-    when it passes the float range."""
-    try:
-        return Q * (Q - 1) / 3.0
-    except OverflowError:
-        raise OverflowError(f"symbol variance at Q={Q} exceeds the float range") from None
+    """Variance of a uniform integer symbol on -(Q-1)..(Q-1).  The decode
+    budget admits only Q <= 5 * 10**6 (every antenna decodes 2Q - 1 sums
+    on a desired axis), far inside the float range."""
+    return Q * (Q - 1) / 3.0
 
 
 def _antennas(K: int, per_user: int) -> list[tuple[int, int]]:
@@ -167,8 +167,6 @@ class AntennaModel:
     profile is the symbolic view the model was built from.
     """
 
-    k: int
-    n: int
     coords: tuple[tuple[int, int], ...]
     values: dict[int, np.ndarray]
     gains: np.ndarray
@@ -187,8 +185,6 @@ def antenna_model(plan: TransmitPlan, h: ChannelRealization, k: int, n: int) -> 
     coords = tuple((m, l) for m, v in values.items() for l in range(len(v)))
     desired = [h.coefficient(k, k, n, m) ** 2 * v for m, v in values.items()]
     return AntennaModel(
-        k=k,
-        n=n,
         coords=coords,
         values=values,
         gains=np.concatenate(desired + [prof.interference.evaluate(h)]),
@@ -197,9 +193,11 @@ def antenna_model(plan: TransmitPlan, h: ChannelRealization, k: int, n: int) -> 
     )
 
 
-def _decode_radii(model: AntennaModel, Q: int, queries: int, budget: int) -> list[int]:
+def _decode_radii(model: AntennaModel, Q: int, queries: int) -> list[int]:
     """Radii of the decode lattice at Q, refused before any work when its
-    interference sums or its desired sums times the queries exceed budget."""
+    interference sums or its desired sums times the queries exceed the
+    decode budget."""
+    budget = DEFAULT_DECODE_BUDGET
     radii = [mult * (Q - 1) for mult in model.mults]
     n_i = math.prod(2 * r + 1 for r in radii[len(model.coords) :])
     if n_i > budget:
@@ -210,12 +208,13 @@ def _decode_radii(model: AntennaModel, Q: int, queries: int, budget: int) -> lis
     return radii
 
 
-def _distance_radii(model: AntennaModel, Q: int, budget: int) -> list[int]:
+def _distance_radii(model: AntennaModel, Q: int) -> list[int]:
     """Radii of the difference box behind d_min at Q, refused before any
-    work when the box is over budget.  Desired differences range over
-    -2(Q-1)..2(Q-1) and each aggregate's over twice its bound, so
+    work when the box is over the decode budget.  Desired differences range
+    over -2(Q-1)..2(Q-1) and each aggregate's over twice its bound, so
     min_abs_combination over the box is the unit-amplitude d_min.  Every
-    radius is at least 2, so the default budget refuses 11 axes or more."""
+    radius is at least 2, so the budget of 10**7 refuses 11 axes or more."""
+    budget = DEFAULT_DECODE_BUDGET
     radii = [2 * (Q - 1) * mult for mult in model.mults]
     # exact: a 12-axis box at Q=16 is 61**12, past int64
     box = math.prod(2 * r + 1 for r in radii)
@@ -316,10 +315,10 @@ class _Draw:
     noisy one, so a call refused by its budgets computes none of them.
     Decode tables are kept by antenna, since a draw fixes Q and with it
     each antenna's lattice radii mult*(Q-1), so a seed's noiseless and
-    noisy runs sort each antenna's sums once.  Unit-amplitude distances
-    (min_abs_combination over a _distance_radii box) are kept by (antenna,
-    box radii), so d_min and the slope solve a shared box once; the slope
-    is kept too.
+    noisy runs sort each antenna's sums once.  d_min and the slope are
+    kept, and so are the unit-amplitude distances behind them
+    (min_abs_combination over a _distance_radii box) by (antenna, Q), so
+    the two solve a shared box once.
     """
 
     def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
@@ -345,7 +344,7 @@ class _Draw:
             for (k, n), model in zip(self.ants, self.models)
         ]
         self.tables: dict[int, DecodeTable] = {}
-        self.distances: dict[tuple[int, tuple[int, ...]], float] = {}
+        self.distances: dict[tuple[int, int], float] = {}
 
     @cached_property
     def powers(self) -> list[float]:
@@ -385,41 +384,51 @@ class _Draw:
             t = self.tables[ai] = decode_table(d_sum, i_sum, queries)
         return t
 
-    def distance(self, ai: int, radii: list[int]) -> float:
-        """min_abs_combination of antenna ai's model over the box radii."""
-        key = (ai, tuple(radii))
-        d = self.distances.get(key)
-        if d is None:
-            model = self.models[ai]
-            d = self.distances[key] = min_abs_combination(model.gains, radii, len(model.coords))
-        return d
+    def _distances(self, boxes: list[tuple[int, int]]) -> list[float] | None:
+        """min_abs_combination of each (antenna, Q) difference box, or None
+        if the decode budget refuses any of them: every box is checked
+        before any is solved."""
+        try:
+            radii = [_distance_radii(self.models[ai], q) for ai, q in boxes]
+        except DecodeBudgetError:
+            return None
+        for (ai, q), r in zip(boxes, radii):
+            if (ai, q) not in self.distances:
+                model = self.models[ai]
+                self.distances[ai, q] = min_abs_combination(model.gains, r, len(model.coords))
+        return [self.distances[box] for box in boxes]
+
+    @cached_property
+    def d_min(self) -> float:
+        """Unit-amplitude d_min at the draw's Q: the least distance over
+        the antennas, NaN if any antenna's box is refused."""
+        Q = self.plan.config.Q
+        d = self._distances([(ai, Q) for ai in range(len(self.models))])
+        return float("nan") if d is None else min(d)
 
     @cached_property
     def slope(self) -> float:
         """Least-squares slope of log d_min against log Q over SLOPE_Q at
         unit amplitude on the first antenna; NaN if a distance is zero or
-        any Q's box, all checked before any distance is computed, is
-        refused.  The refusal depends on the model alone, not on a call's
-        budget."""
-        try:
-            radii = [_distance_radii(self.models[0], q, DEFAULT_DECODE_BUDGET) for q in SLOPE_Q]
-        except DecodeBudgetError:
-            return float("nan")
-        d = [self.distance(0, r) for r in radii]
-        if any(v <= 0 for v in d):
+        any Q's box is refused."""
+        d = self._distances([(0, q) for q in SLOPE_Q])
+        if d is None or any(v <= 0 for v in d):
             return float("nan")
         return float(np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0])
 
 
-def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
+def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
     """Monte Carlo SER over the SNR points of sim_config on a draw of its
     trials count.
 
     The draw's messages and noise serve every SNR point (common random
     numbers), so SER curves differ only through the amplitude.  A noiseless
     run receives the same values at every SNR point, so it decodes them
-    once and counts the same errors at each.  Every budget is checked here,
-    on each call, before the work it guards.
+    once and counts the same errors at each.  The decode budget is checked
+    here, on each call, before any antenna is decoded; d_min and the slope
+    are the draw's, held to the same budget.  A0 > 0 and rounding is
+    monotone, so A0 * d_min is the least of A0 times each antenna's
+    distance.
     """
     Q = draw.plan.config.Q
     models = draw.models
@@ -427,7 +436,7 @@ def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
     rhos = sim_config.snr_points
     passes = 1 if sim_config.noiseless else len(rhos)
     # every antenna is checked before any is decoded
-    radii = [_decode_radii(m, Q, trials * passes, budget) for m in models]
+    radii = [_decode_radii(m, Q, trials * passes) for m in models]
     amplitudes = _amplitudes(draw.powers, rhos)
     U, y_unit = draw.U, draw.y_unit
 
@@ -452,15 +461,6 @@ def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
             total += trials
     ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
 
-    a0 = amplitudes[rhos[0]]
-    try:
-        d_min = min(
-            a0 * draw.distance(ai, _distance_radii(model, Q, budget))
-            for ai, model in enumerate(models)
-        )
-    except DecodeBudgetError:
-        d_min = float("nan")
-
     n_streams = len(models[0].coords)
     hit = [rho for rho in rhos if ser[rho] < 1e-3]
     rate = n_streams * math.log2(2 * Q - 1) if hit else 0.0
@@ -469,7 +469,7 @@ def _operate(draw: _Draw, sim_config: SimConfig, budget: int) -> SimResult:
         q=Q,
         cap=max(len(ds) for ds in draw.plan.streams.values()),
         trials=trials,
-        d_min=d_min,
+        d_min=amplitudes[rhos[0]] * draw.d_min,
         ser=ser,
         separation_slope=draw.slope,
         separation_floor=separation_floor(models[0].profile),
@@ -487,12 +487,7 @@ def _kept_draw(config: SystemConfig, cap: int, trials: int) -> _Draw:
     return _Draw(_kept_plan(replace(config, seed=0), cap), generate_channel(config), trials)
 
 
-def run_link_sim(
-    config: SystemConfig,
-    sim_config: SimConfig,
-    cap: int,
-    budget: int = DEFAULT_DECODE_BUDGET,
-) -> SimResult:
+def run_link_sim(config: SystemConfig, sim_config: SimConfig, cap: int) -> SimResult:
     """Simulate a bare config: its channel draw on the system's kept plan,
     both built on the first call that asks for them."""
-    return _operate(_kept_draw(config, cap, sim_config.trials), sim_config, budget)
+    return _operate(_kept_draw(config, cap, sim_config.trials), sim_config)

@@ -7,8 +7,10 @@ cross-checked against the module-level tests.
 
 import argparse
 import hashlib
+import itertools
 import json
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -228,17 +230,14 @@ def test_directions_past_enumeration(capsys):
         assert all(row["checks"].values())
 
 
-@pytest.mark.parametrize("command", ["simulate"])
-def test_negative_budget_is_usage_error(command, capsys):
-    # -5 used to be refused as an exceeded budget (exit 4); 0 still is
-    argv = [command, "-K", "2", "-M", "1", "-N", "1", "--budget"]
-    code, out, err = run(argv + ["-5"], capsys)
+def test_simulate_takes_no_budget(capsys):
+    # the decode budget is a constant: --budget is an unknown option, as
+    # it is for directions
+    argv = "simulate -K 3 -M 1 -N 1 --seed 1 --snr 1e2 --budget 5000".split()
+    code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: budget must be >= 0, got -5\n"
-    code, out, err = run(argv + ["0"], capsys)
-    assert code == EXIT_BUDGET
-    assert out == ""
+    assert err.endswith("unrecognized arguments: --budget 5000\n")
 
 
 def test_simulate_negative_seed_is_usage_error(capsys):
@@ -508,8 +507,7 @@ def test_simulate_past_the_old_degree_limit_runs(capsys):
 
 def test_simulate_huge_q_refused_before_stream_powers(capsys):
     # Q = 10^160: the decode budget refuses it before the stream powers
-    # are computed, whose symbol variance passes the float range; with the
-    # budget raised past the decoder's count, that variance is refused
+    # are computed, whose symbol variance would pass the float range
     q = str(10**160)
     argv = ["simulate", "-K", "3", "-M", "1", "-N", "1", "--q", q]
     code, out, err = run(argv, capsys)
@@ -517,10 +515,16 @@ def test_simulate_huge_q_refused_before_stream_powers(capsys):
     assert out == ""
     assert err.startswith("error: interference block needs 3999")
     assert err.endswith(", budget is 10000000\n")
-    code, out, err = run(argv + ["--budget", str(10**1000)], capsys)
-    assert code == EXIT_USAGE
+
+
+def test_decode_budget_bounds_q(capsys):
+    # a desired axis carries 2Q - 1 sums, so even one query at K = 1 is
+    # refused past Q = 5 * 10^6, where the symbol variance is below 10^13
+    argv = "simulate -K 1 -M 1 -N 1 --q 5000001 --trials 1 --snr 1e2".split()
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_BUDGET
     assert out == ""
-    assert err == f"error: symbol variance at Q={q} exceeds the float range\n"
+    assert err == "error: desired sums times queries needs 10000001, budget is 10000000\n"
 
 
 # ----------------------------------------------------------- output routing
@@ -750,6 +754,24 @@ def test_readme_cites_only_names_that_exist():
     assert cited
     assert {"SLOPE_Q", "_kept_draw", "TransmitPlan.profiles"} <= named
     assert sorted(name for name in cited | named if not resolves(name)) == []
+
+
+def test_readme_cli_transcripts(capsys):
+    # every ```text block of the README that opens with `$ iadof ...` runs
+    # as written: its other lines are the leading lines of the command's
+    # stdout, up to a line that is just "..."
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [
+        b.splitlines()
+        for b in re.findall(r"```text\n(.*?)```", readme, re.S)
+        if b.startswith("$ iadof ")
+    ]
+    assert len(blocks) == 4
+    for command, *lines in blocks:
+        main(shlex.split(command[len("$ iadof ") :]))
+        shown = list(itertools.takewhile(lambda line: line.strip() != "...", lines))
+        out = capsys.readouterr().out.splitlines()
+        assert out[: len(shown)] == shown, command
 
 
 def test_readme_library_example():

@@ -10,6 +10,7 @@ gains alone.
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import tracemalloc
 
@@ -61,10 +62,20 @@ def transmit_oracle(plan, h):
     }
 
 
-def unit_distance(model, Q, budget=DEFAULT_DECODE_BUDGET):
+@pytest.fixture
+def decode_budget(monkeypatch):
+    """Sets the decode budget for one test.  A draw kept under it holds a
+    d_min and slope held to it, so the kept draw is dropped afterwards."""
+    import iadof.simulate as sim
+
+    yield lambda budget: monkeypatch.setattr(sim, "DEFAULT_DECODE_BUDGET", budget)
+    sim._kept_draw.cache_clear()
+
+
+def unit_distance(model, Q):
     """d_min of an antenna model at unit amplitude: min_abs_combination over
     its difference box, refused as the simulator refuses it."""
-    return min_abs_combination(model.gains, _distance_radii(model, Q, budget), len(model.coords))
+    return min_abs_combination(model.gains, _distance_radii(model, Q), len(model.coords))
 
 
 def forward_oracle(plan, h):
@@ -207,11 +218,11 @@ def test_unit_distance_single_user_is_squared_gain():
     assert d == pytest.approx(1.7030326309839905, rel=1e-12)
     # the simulator's d_min is that distance at the first point's amplitude
     sim_config = SimConfig(snr_points=(1e2, 1e4), trials=10)
-    result = _operate(_Draw(plan, h, 10), sim_config, DEFAULT_DECODE_BUDGET)
+    result = _operate(_Draw(plan, h, 10), sim_config)
     assert result.d_min == result.amplitudes[1e2] * d
 
 
-def test_min_distance_positive_across_seeds():
+def test_unit_distance_positive_across_seeds():
     for seed in range(30):
         config, h, plan = make(3, seed=seed, cap=1)
         for Q in (2, 4):
@@ -219,7 +230,7 @@ def test_min_distance_positive_across_seeds():
             assert d > 1e-9
 
 
-def test_min_distance_refuses_44_axis_box():
+def test_distance_radii_refuses_44_axis_box():
     # the full plan: 16 + 28 directions, four of them of multiplicity 2, so
     # at Q=2 the box is 5**40 * 9**4 points, refused by the box budget
     config, h, plan = make(3, seed=0)
@@ -231,25 +242,28 @@ def test_min_distance_refuses_44_axis_box():
     assert exc.value.budget == DEFAULT_DECODE_BUDGET
 
 
-def test_distance_box_bounds_the_axis_count():
+def test_distance_box_bounds_the_axis_count(decode_budget):
     # every radius 2*mult*(Q-1) is at least 2, so a 13-axis box holds at
     # least 5**13 points: the box budget alone refuses many axes, with no
     # cap on the count.  _distance_radii reads only the multiplicities.
     config, h, plan = make(3, seed=0, cap=1)
     model = dataclasses.replace(antenna_model(plan, h, 1, 1), mults=(1,) * 13)
-    assert _distance_radii(model, 2, 5**13) == [2] * 13
+    decode_budget(5**13)
+    assert _distance_radii(model, 2) == [2] * 13
+    decode_budget(5**13 - 1)
     with pytest.raises(DecodeBudgetError) as exc:
-        _distance_radii(model, 2, 5**13 - 1)
+        _distance_radii(model, 2)
     assert exc.value.required == 5**13
 
 
-def test_min_distance_budget():
+def test_distance_radii_budget(decode_budget):
     config, h, plan = make(3, seed=0, cap=1)
+    decode_budget(10)
     with pytest.raises(DecodeBudgetError):
-        unit_distance(antenna_model(plan, h, 1, 1), 2, budget=10)
+        unit_distance(antenna_model(plan, h, 1, 1), 2)
 
 
-def test_min_distance_box_past_int64_refused():
+def test_distance_radii_box_past_int64_refused():
     # antenna (1,1) of K=4, cap=3 has 12 axes of multiplicity 1, so at
     # Q=16 the difference box is 61**12, which an int64 product wraps to a
     # negative number that would pass the budget check
@@ -283,7 +297,7 @@ def test_draw_slope_refuses_before_any_distance(monkeypatch):
     config, h, plan = make(3, Q=4, seed=0, cap=2)
     draw = _Draw(plan, h, 1)
     with pytest.raises(DecodeBudgetError) as exc:
-        _distance_radii(draw.models[0], 8, DEFAULT_DECODE_BUDGET)
+        _distance_radii(draw.models[0], 8)
     assert exc.value.required == 29**6
     calls = []
 
@@ -450,17 +464,19 @@ def test_noisy_run_frozen_values():
     assert result.decoded_rate > 0
 
 
-def test_noiseless_run_decodes_each_query_once(monkeypatch):
+def test_noiseless_run_decodes_each_query_once(monkeypatch, decode_budget):
     # a noiseless run receives the same values at every rho: each antenna's
     # table is built for the 1,000 trials and queried with them once, and
     # the |D|*T budget is charged 3 * 1,000, not 3 * 3,000, so a budget of
-    # 5,000 runs
+    # 5,000 runs.  The slope's q=8 box of 29**3 points is over that budget,
+    # so its slope, and only its slope, is null.
     import iadof.simulate as sim
 
     config = SystemConfig(K=3, seed=1)
     sim_config = SimConfig(snr_points=SNR3, noiseless=True)
     want = _cold_run(config, sim_config)
     sim._kept_draw.cache_clear()
+    decode_budget(5000)
     calls = []
 
     def counted(*args):
@@ -473,10 +489,12 @@ def test_noiseless_run_decodes_each_query_once(monkeypatch):
 
     monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
     monkeypatch.setattr(sim, "decode_table", built)
-    assert run_link_sim(config, sim_config, cap=1, budget=5000).to_json_dict() == want
+    got = run_link_sim(config, sim_config, cap=1).to_json_dict()
+    assert got == {**want, "separation_slope": None}
+    assert want["separation_slope"] is not None
     assert calls == [("table", 1000), 1000] * 3
     with pytest.raises(DecodeBudgetError) as exc:
-        run_link_sim(config, SimConfig(snr_points=SNR3), cap=1, budget=5000)
+        run_link_sim(config, SimConfig(snr_points=SNR3), cap=1)
     assert exc.value.required == 9000
 
 
@@ -597,7 +615,7 @@ def test_kept_draw_replays_cold():
             assert runs == cold
 
 
-def test_kept_draw_checks_budgets_on_every_call(capsys):
+def test_kept_draw_checks_budgets_on_every_call(decode_budget, capsys):
     # the noiseless call keeps the draw; the noisy call on it charges its
     # 3 * 3,000 queries against the budget all the same
     import iadof.simulate as sim
@@ -605,12 +623,13 @@ def test_kept_draw_checks_budgets_on_every_call(capsys):
     config = SystemConfig(K=3, seed=1)
     run_link_sim(config, SimConfig(snr_points=SNR3, noiseless=True), cap=1)
     hits = sim._kept_draw.cache_info().hits
+    decode_budget(5000)
     with pytest.raises(DecodeBudgetError) as exc:
-        run_link_sim(config, SimConfig(snr_points=SNR3), cap=1, budget=5000)
+        run_link_sim(config, SimConfig(snr_points=SNR3), cap=1)
     assert exc.value.required == 9000
     base = ["simulate", "-K", "3", "-M", "1", "-N", "1", "--seed", "1", "--snr", "1e2,1e4,1e6"]
     assert main(base + ["--noiseless"]) == 0
-    assert main(base + ["--budget", "5000"]) == 4
+    assert main(base) == 4
     assert "needs 9000" in capsys.readouterr().err
     assert sim._kept_draw.cache_info().hits == hits + 3
 
@@ -642,6 +661,30 @@ def test_draw_solves_each_distance_box_once(monkeypatch):
     assert calls == {"min_abs": 6, "table": 3, "nearest": 3}
     assert run_link_sim(config, sim_config, cap=1).to_json_dict() == want
     assert calls == {"min_abs": 6, "table": 3, "nearest": 6}
+
+
+def test_d_min_and_slope_held_to_one_budget(monkeypatch, decode_budget, capsys):
+    # at a budget of 200 the three 125-point d_min boxes are solved and the
+    # slope's boxes (125 to 226,981 points) are refused, all of them before
+    # any is solved: d_min is a number, the slope null, and no box over 200
+    # points reaches min_abs_combination
+    import iadof.simulate as sim
+
+    boxes = []
+
+    def counted(gains, radii, nd):
+        boxes.append(math.prod(2 * r + 1 for r in radii))
+        return min_abs_combination(gains, radii, nd)
+
+    sim._kept_draw.cache_clear()
+    decode_budget(200)
+    monkeypatch.setattr(sim, "min_abs_combination", counted)
+    argv = "simulate -K 3 -M 1 -N 1 --cap 1 --trials 1 --snr 1e2 --seed 1 --json".split()
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["d_min"] == 0.14100875690158676  # as at the budget of 10**7
+    assert doc["separation_slope"] is None
+    assert boxes == [125] * 3
 
 
 def test_noisy_run_queries_the_kept_tables(monkeypatch):
@@ -681,7 +724,7 @@ def test_plan_serves_every_draw_of_its_system():
     config = SystemConfig(K=3, seed=5)
     sim_config = SimConfig(snr_points=(1e2, 1e4), trials=300)
     draw = _Draw(plan, generate_channel(config), sim_config.trials)
-    got = _operate(draw, sim_config, DEFAULT_DECODE_BUDGET)
+    got = _operate(draw, sim_config)
     want = run_link_sim(config, sim_config, cap=1)
     assert got.to_json_dict() == want.to_json_dict()
 
@@ -750,7 +793,7 @@ def test_simulate_budget_error_bubbles_up():
         run_link_sim(config, SimConfig(snr_points=(1e2,)), cap=16)
 
 
-def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
+def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch, decode_budget):
     # user 1 keeps one direction and user 2 three: antenna (1,1) decodes 3
     # desired sums against 9 interference sums, antenna (2,1) 9 against 3.
     # With 10 queries and a budget of 50, antenna (1,1) fits (30 <= 50) and
@@ -777,11 +820,13 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch):
     monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
     sim_config = SimConfig(snr_points=(1e2,), trials=10)
     draw = _Draw(plan, h, sim_config.trials)
+    decode_budget(50)
     with pytest.raises(DecodeBudgetError) as exc:
-        _operate(draw, sim_config, 50)
+        _operate(draw, sim_config)
     assert exc.value.required == 90
     assert calls == []
-    _operate(draw, sim_config, 90)
+    decode_budget(90)
+    _operate(draw, sim_config)
     assert calls == [(3, 9), 10, (9, 3), 10]
 
 
@@ -819,7 +864,7 @@ def test_decoder_matches_manual_search_single_user():
     trials = 400
     # at rho 2.5 over half of the symbols are wrong, at 123 two in 400
     sim_config = SimConfig(snr_points=(2.5, 123.0), trials=trials)
-    result = _operate(_Draw(plan, h, trials), sim_config, DEFAULT_DECODE_BUDGET)
+    result = _operate(_Draw(plan, h, trials), sim_config)
     H2 = h.coefficient(1, 1, 1, 1) ** 2
     U = np.random.default_rng((config.seed, 0xA1)).integers(-3, 4, size=(trials, 1))
     Z = np.random.default_rng((config.seed, 0xB2)).standard_normal((trials, 1))
