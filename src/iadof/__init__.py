@@ -27,7 +27,6 @@ _LAZY = {
     "ChannelRealization": "channel",
     "SystemConfig": "channel",
     "generate_channel": "channel",
-    "DirectionSet": "directions",
     "DecodeBudgetError": "simulate",
     "SimConfig": "simulate",
     "SimResult": "simulate",

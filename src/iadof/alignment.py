@@ -25,7 +25,8 @@ expand_received stacks every row arriving at a receive antenna, desired
 sets first, and reads the whole profile off one canonical sort of the stack
 (directions._runs), whose runs of equal rows are the distinct directions.
 A config has one column list, its coefficient ids (_columns), and a plan
-refuses a stream set over any other, so the stacks need no re-laying.
+refuses a stream matrix of any other width, so the stacks need no
+re-laying.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, product
@@ -44,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import CoefficientId, SystemConfig
-from .directions import Columns, DirectionSet, _check_exponents, _runs
+from .directions import _check_exponents, _columns, _runs
 
 # (k, m, n): stream of user k, transmit antenna m, destined receive antenna n
 Stream = tuple[int, int, int]
@@ -171,36 +172,33 @@ def achievable_dof_gamma(config: SystemConfig) -> Fraction:
 class TransmitPlan:
     """Direction sets for every stream of a config.
 
-    Every stream set's columns are the config's coefficient ids, the one
-    column list of its rows (_columns); a set over any other list is
-    refused with a ValueError naming the stream.  streams is a read-only
-    copy of the mapping given, and direction sets are immutable, so a plan
-    never changes after it is built; profiles,
-    keyed by (k, n), keeps each receive antenna's ReceiverProfile once the
-    simulator has expanded it.  Every plan starts with an empty memo of its
-    own, including one made by dataclasses.replace.
+    streams maps each stream to its set: an int64 exponent matrix over the
+    config's coefficient ids (_columns), its rows distinct and in canonical
+    order (directions._runs).  A matrix of another width, or with repeated
+    or out-of-order rows, is refused with a ValueError naming the stream.
+    The plan keeps a read-only copy of each matrix in a read-only mapping,
+    so it never changes after it is built, whatever the caller does to
+    what it passed in.
     """
 
     config: SystemConfig
-    streams: Mapping[Stream, DirectionSet]
-    profiles: dict[tuple[int, int], ReceiverProfile] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    streams: Mapping[Stream, np.ndarray]
 
     def __post_init__(self) -> None:
-        cols = _columns(self.config)
-        for s, ds in self.streams.items():
-            if ds.columns != cols:
+        streams = {}
+        for s, exps in self.streams.items():
+            exps = np.array(exps, dtype=np.int64)
+            if exps.shape[1:] != (self.config.coefficient_count,):
                 raise ValueError(f"stream {s}: set is not over the config's coefficient ids")
-        object.__setattr__(self, "streams", MappingProxyType(dict(self.streams)))
+            order, start = _runs(exps)
+            if not start.all() or (order != np.arange(len(order))).any():
+                raise ValueError(f"stream {s}: rows are not distinct and in canonical order")
+            exps.flags.writeable = False
+            streams[s] = exps
+        object.__setattr__(self, "streams", MappingProxyType(streams))
 
 
-@lru_cache(maxsize=64)
-def _columns(config: SystemConfig) -> Columns:
-    return tuple(config.coefficient_ids())
-
-
-def _stream_rows(config: SystemConfig, stream: Stream, cap: int) -> DirectionSet:
+def _stream_rows(config: SystemConfig, stream: Stream, cap: int) -> np.ndarray:
     """The first cap rows of a stream set, or all of them, in canonical
     order, walked without forming the set.
 
@@ -287,7 +285,7 @@ def _stream_rows(config: SystemConfig, stream: Stream, cap: int) -> DirectionSet
             rows.append(row.copy())
         if c + 1 < len(cols):
             frames.append(frame(c + 1))
-    return DirectionSet._of(cols, np.array(rows, dtype=np.int64))
+    return np.array(rows, dtype=np.int64)
 
 
 def _check_stacks(config: SystemConfig, rows: int) -> None:
@@ -324,8 +322,9 @@ class ReceiverProfile:
     """What the simulator reads of one receive antenna under a plan.
 
     interference is the union of every arrival but the antenna's own
-    streams; multiplicity is a read-only count array aligned with
-    interference's rows: the number of stream arrivals aligned onto each
+    streams, a read-only exponent matrix over the config's coefficient ids
+    in canonical order; multiplicity is a read-only count array aligned
+    with its rows: the number of stream arrivals aligned onto each
     interference direction.  desired_overlap is the first desired
     direction (an own stream's row times the squared direct gain), by
     transmit antenna and then in member order, that is also an
@@ -335,7 +334,7 @@ class ReceiverProfile:
     interference together.
     """
 
-    interference: DirectionSet
+    interference: np.ndarray
     multiplicity: np.ndarray
     desired_overlap: Optional[dict[CoefficientId, int]]
     distinct_directions: int
@@ -349,7 +348,7 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
     For an own stream (k, m, n) the two are one gain, squared, and its rows
     are desired set m; every other stream's rows are arrivals, repeats
     included.  Every stream's matrix is over the config's coefficient ids
-    (TransmitPlan refuses any other), so the desired sets, then the
+    (TransmitPlan refuses any other width), so the desired sets, then the
     arrivals, stack as they are.  The stack is held to the exponent limits
     (_check_exponents) and sorted once into canonical order (_runs), and
     each run of equal rows is one distinct direction.  The runs that hold
@@ -373,7 +372,7 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
         tags[s, index[(j, j, np_, mp)]] += 1
         tags[s, index[(k, j, n, mp)]] += 1
     lengths = [len(plan.streams[s]) for s in sources]
-    stack = np.concatenate([plan.streams[s].matrix for s in sources])
+    stack = np.concatenate([plan.streams[s] for s in sources])
     stack += np.repeat(tags, lengths, axis=0)
     _check_exponents(stack)
     order, start = _runs(stack)
@@ -385,6 +384,8 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
     hit = arrivals > 0
     counts = arrivals[hit]
     counts.flags.writeable = False
+    interference = stack[order[start][hit]]
+    interference.flags.writeable = False
     overlap = None
     for m in range(1, M + 1):
         mine = source == m - 1
@@ -394,7 +395,7 @@ def expand_received(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
             overlap = {cid: e for cid, e in zip(cols, row) if e}
             break
     return ReceiverProfile(
-        interference=DirectionSet._of(cols, stack[order[start][hit]]),
+        interference=interference,
         multiplicity=counts,
         desired_overlap=overlap,
         distinct_directions=runs,

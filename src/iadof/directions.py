@@ -5,28 +5,35 @@ integer powers.  Equality, order and the counting of repeated rows are
 exact operations on exponent vectors, decided by one lexsort of per-column
 integer keys (_runs); nothing here ever compares floating-point products.
 
-A DirectionSet stores its members as an integer exponent matrix: one row
-per monomial, one column per coefficient id of its config, in
-SystemConfig.coefficient_ids() order.  Every set of one config has that
-one column list, so the rows of any two sets line up column for column.
-The row is the only form a monomial takes: sorting and counting work on
-whole matrices, and a single monomial is given as a {coefficient id:
-exponent} mapping.
+A set of directions is a read-only int64 exponent matrix: one row per
+monomial, distinct and in canonical order, one column per coefficient id
+of its config, in SystemConfig.coefficient_ids() order.  Every set of one
+config has that one column list, so the rows of any two sets line up
+column for column.  The row is the only form a monomial takes: sorting
+and counting work on whole matrices, and a single monomial is given as a
+{coefficient id: exponent} mapping.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .channel import ChannelRealization, CoefficientId
+from .channel import ChannelRealization, CoefficientId, SystemConfig
 
 MAX_EXPONENT = 2**31 - 1
 MAX_TOTAL_DEGREE = 1_000_000
 
 # Coefficient ids of the columns of an exponent matrix, increasing.
 Columns = tuple[CoefficientId, ...]
+
+
+@lru_cache(maxsize=64)
+def _columns(config: SystemConfig) -> Columns:
+    """The one column list of a config's exponent matrices: its coefficient ids."""
+    return tuple(config.coefficient_ids())
 
 
 def monomial_text(exponents: Mapping[CoefficientId, int]) -> str:
@@ -80,55 +87,20 @@ def _runs(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, start
 
 
-class DirectionSet:
-    """Finite ordered set of directions.
-
-    The members are the rows of an exponent matrix, distinct and kept in
-    the canonical order, which makes every downstream artifact (vectors,
-    JSON, candidate lattices) reproducible.  The library builds them:
-    build_transmit_directions for stream sets, expand_received for an
-    antenna's interference set.
-    """
-
-    __slots__ = ("_cols", "_exps")
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("DirectionSets are built by build_transmit_directions and expand_received")
-
-    @classmethod
-    def _of(cls, cols: Columns, exps: np.ndarray) -> "DirectionSet":
-        """Wrap a matrix whose rows are already distinct and in order."""
-        ds = cls.__new__(cls)
-        exps.flags.writeable = False
-        ds._cols = cols
-        ds._exps = exps
-        return ds
-
-    @property
-    def columns(self) -> Columns:
-        return self._cols
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only exponent matrix, one row per member in canonical order."""
-        return self._exps
-
-    def __len__(self) -> int:
-        return self._exps.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DirectionSet(<{len(self)} directions>)"
-
-    def evaluate(self, h: ChannelRealization) -> np.ndarray:
-        """Numeric value of every member under a channel draw, in member
-        order: the product of each non-zero column's gain to its power,
-        taken in column order."""
-        gains = [h.gains[cid] for cid in self._cols]
-        out = []
-        for row in self._exps.tolist():
-            v = 1.0
-            for g, e in zip(gains, row):
-                if e:
-                    v *= g**e
-            out.append(v)
-        return np.array(out, dtype=np.float64)
+def evaluate(exps: np.ndarray, h: ChannelRealization) -> np.ndarray:
+    """Numeric value of every row of an exponent matrix over h's config's
+    coefficient ids, in row order: the product of each non-zero column's
+    gain to its power, taken in column order.  A matrix of another width
+    is refused."""
+    cols = _columns(h.config)
+    if exps.shape[1:] != (len(cols),):
+        raise ValueError(f"matrix of shape {exps.shape}: the channel has {len(cols)} gains")
+    gains = [h.gains[cid] for cid in cols]
+    out = []
+    for row in exps.tolist():
+        v = 1.0
+        for g, e in zip(gains, row):
+            if e:
+                v *= g**e
+        out.append(v)
+    return np.array(out, dtype=np.float64)

@@ -13,8 +13,10 @@ sum, query) pair is bisected in it (_kernels).  All randomness is keyed by
 The plan is symbolic: every direction is a monomial in the channel gains,
 so one plan, and each antenna's expansion of it, serves every channel draw
 of a system.  The seed belongs to the draw, not to the plan; run_link_sim
-builds the kept plan, each stream's first cap directions, once per seedless
-config and cap.
+builds the kept plan, each stream's first cap directions, and expands it
+at every receive antenna once per seedless config and cap (_kept_plan).
+The plan is a plain immutable value: its profiles are kept beside it, not
+in it.
 
 The channel is fixed and known at every node, so all a run derives from one
 draw, before its operating points, is a function of (config, seed, cap,
@@ -52,7 +54,7 @@ from .alignment import (
     expand_received,
 )
 from .channel import ChannelRealization, SystemConfig, generate_channel
-from .directions import monomial_text
+from .directions import evaluate, monomial_text
 
 DEFAULT_DECODE_BUDGET = 10**7
 # The fixed epsilon of the separation floor -(m + eps): real interference
@@ -80,20 +82,14 @@ class DecodeBudgetError(RuntimeError):
 # workload's 80 commands share one key), and a second entry would only hold
 # a finished system's plan and profiles.
 @lru_cache(maxsize=1)
-def _kept_plan(system: SystemConfig, cap: int) -> TransmitPlan:
+def _kept_plan(
+    system: SystemConfig, cap: int
+) -> tuple[TransmitPlan, tuple[ReceiverProfile, ...]]:
     """The first cap directions of every stream of a seedless config, built
-    without the rest of the construction.  Shared by every draw of the
-    system, with the antenna profiles its simulations fill in."""
-    return build_transmit_directions(system, cap)
-
-
-def _profile(plan: TransmitPlan, k: int, n: int) -> ReceiverProfile:
-    """Antenna (k, n)'s view of the plan, expanded on the plan's first
-    request for it."""
-    prof = plan.profiles.get((k, n))
-    if prof is None:
-        prof = plan.profiles[(k, n)] = expand_received(plan, k, n)
-    return prof
+    without the rest of the construction, and every receive antenna's
+    profile of them, user-major.  Shared by every draw of the system."""
+    plan = build_transmit_directions(system, cap)
+    return plan, tuple(expand_received(plan, k, n) for k, n in _antennas(system.K, system.N))
 
 
 def symbol_variance(Q: int) -> float:
@@ -164,7 +160,8 @@ class AntennaModel:
     each direction's alignment multiplicity.  An axis of multiplicity mult
     carries symbol sums within mult*(Q-1) of zero, so the decode lattice
     has radius mult*(Q-1) on it and the difference box 2*mult*(Q-1).
-    profile is the symbolic view the model was built from.
+    profile is the symbolic view the model was built from, the antenna's
+    expansion of the plan (expand_received).
     """
 
     coords: tuple[tuple[int, int], ...]
@@ -174,20 +171,23 @@ class AntennaModel:
     profile: ReceiverProfile
 
 
-def antenna_model(plan: TransmitPlan, h: ChannelRealization, k: int, n: int) -> AntennaModel:
-    prof = _profile(plan, k, n)
+def antenna_model(
+    plan: TransmitPlan, prof: ReceiverProfile, h: ChannelRealization, k: int, n: int
+) -> AntennaModel:
+    """Antenna (k, n)'s model under a draw, from the plan and the antenna's
+    profile of it; refused when a desired direction is also interference."""
     if prof.desired_overlap is not None:
         raise ValueError(
             f"desired direction {monomial_text(prof.desired_overlap)} aligned with "
             f"interference at antenna ({k},{n}); exhaustive decoding is ill-posed"
         )
-    values = {m: plan.streams[(k, m, n)].evaluate(h) for m in range(1, plan.config.M + 1)}
+    values = {m: evaluate(plan.streams[(k, m, n)], h) for m in range(1, plan.config.M + 1)}
     coords = tuple((m, l) for m, v in values.items() for l in range(len(v)))
     desired = [h.coefficient(k, k, n, m) ** 2 * v for m, v in values.items()]
     return AntennaModel(
         coords=coords,
         values=values,
-        gains=np.concatenate(desired + [prof.interference.evaluate(h)]),
+        gains=np.concatenate(desired + [evaluate(prof.interference, h)]),
         mults=(1,) * len(coords) + tuple(prof.multiplicity.tolist()),
         profile=prof,
     )
@@ -303,7 +303,9 @@ class _Draw:
     """One channel draw's numeric model at a trials count: everything a run
     derives from (plan, channel, trials) before its operating points.
 
-    Built with the antenna models, and off their values the forward map:
+    Built from a plan and its profiles at every receive antenna, user-major
+    as _kept_plan returns them, into the antenna models, and off their
+    values the forward map:
     coords, the plan coordinates (k, m, n, l) by sorted stream and member,
     and W = pre[:, None] * H[tx].  Coordinate i leaves transmit antenna
     tx[i] (a row of H) with weight pre[i], its direction value times the
@@ -321,12 +323,20 @@ class _Draw:
     the two solve a shared box once.
     """
 
-    def __init__(self, plan: TransmitPlan, h: ChannelRealization, trials: int):
+    def __init__(
+        self,
+        plan: TransmitPlan,
+        profiles: tuple[ReceiverProfile, ...],
+        h: ChannelRealization,
+        trials: int,
+    ):
         c = plan.config
         self.plan = plan
         self.trials = trials
         self.ants = _antennas(c.K, c.N)
-        self.models = [antenna_model(plan, h, k, n) for (k, n) in self.ants]
+        self.models = [
+            antenna_model(plan, prof, h, k, n) for (k, n), prof in zip(self.ants, profiles)
+        ]
         self.h = h
         # stream (k, m, n) is desired at antenna (k, n) alone; sorted by stream
         values = self.values = {
@@ -484,7 +494,7 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
 @lru_cache(maxsize=1)
 def _kept_draw(config: SystemConfig, cap: int, trials: int) -> _Draw:
     """The draw of a config, seed included, on its system's kept plan."""
-    return _Draw(_kept_plan(replace(config, seed=0), cap), generate_channel(config), trials)
+    return _Draw(*_kept_plan(replace(config, seed=0), cap), generate_channel(config), trials)
 
 
 def run_link_sim(config: SystemConfig, sim_config: SimConfig, cap: int) -> SimResult:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, settings
 from iadof import alignment
 from iadof.alignment import TransmitPlan, families, family_pair
 from iadof.channel import SystemConfig
-from iadof.directions import DirectionSet, _check_exponents, _runs
+from iadof.directions import _check_exponents, _runs
 
 settings.register_profile(
     "default",
@@ -37,13 +37,13 @@ if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
-def direction_set(cols, exps):
-    """The distinct rows of an exponent matrix over cols, held to the
-    exponent limits, as a DirectionSet in canonical order (_runs)."""
-    exps = np.asarray(exps, dtype=np.int64).reshape(len(exps), len(cols))
+def direction_set(exps):
+    """The distinct rows of an exponent matrix, held to the exponent
+    limits, in canonical order (_runs)."""
+    exps = np.asarray(exps, dtype=np.int64)
     _check_exponents(exps)
     order, start = _runs(exps)
-    return DirectionSet._of(tuple(cols), exps[order[start]])
+    return exps[order[start]]
 
 
 def full_box(config, dest, caps):
@@ -58,7 +58,7 @@ def full_box(config, dest, caps):
             incidence[f, cols.index(cid)] += 1
     shape = [cap + 1 for cap in caps.values()]
     choices = np.indices(shape).reshape(len(shape), math.prod(shape))
-    return direction_set(cols, choices.T @ incidence)
+    return direction_set(choices.T @ incidence)
 
 
 def full_plan(config):
@@ -87,9 +87,9 @@ def overcounted_plan():
     sees 29 interference dimensions against the exact count of 28.
     """
     plan = full_plan(SystemConfig(K=3))
-    base = plan.streams[(2, 1, 1)]
-    extra = np.zeros((1, len(base.columns)), dtype=np.int64)
-    extra[0, [base.columns.index(cid) for cid in family_pair((2, 1, 1, 3), 1)]] = 1
+    cols = tuple(plan.config.coefficient_ids())
+    extra = np.zeros((1, len(cols)), dtype=np.int64)
+    extra[0, [cols.index(cid) for cid in family_pair((2, 1, 1, 3), 1)]] = 1
     streams = dict(plan.streams)
-    streams[(2, 1, 1)] = direction_set(base.columns, np.concatenate([base.matrix, extra]))
+    streams[(2, 1, 1)] = direction_set(np.concatenate([streams[(2, 1, 1)], extra]))
     return dataclasses.replace(plan, streams=streams)

@@ -19,8 +19,8 @@ and on random cap rules.  expand_received reads each antenna off one
 canonical sort of its stacked rows, and expand_oracle rebuilds a profile
 from pairwise set operations (scale, intersect, union) and is pinned
 against it field by field, on full plans, kept prefixes and plans built
-by hand.  Every set is over its config's coefficient ids, and a plan
-refuses any other column list.  verify_oracle reads the report off the
+by hand.  Every set is a matrix over its config's coefficient ids, and a
+plan refuses any other width, and repeated or out-of-order rows.  verify_oracle reads the report off the
 oracle's profiles, desired sets and sibling overlap included, with
 reference membership as int64 column sums (within_oracle, pinned against
 the enumerated reference), and is pinned against verify_alignment at
@@ -64,7 +64,7 @@ from iadof.alignment import (
 )
 from iadof.bounds import achievable_dof
 from iadof.channel import SystemConfig
-from iadof.directions import MAX_TOTAL_DEGREE, DirectionSet, _check_exponents, _runs
+from iadof.directions import MAX_TOTAL_DEGREE, _check_exponents, _runs
 from conftest import direction_set, full_box, full_plan
 from test_acceptance import lattice_configs
 from test_directions import assert_runs_match_oracle, intersect, monomials, scale, union
@@ -229,24 +229,25 @@ def test_build_matches_manual_enumeration(K, M, N, gamma):
     plan = full_plan(config)
     L, _ = closed_form_counts(config)
     walked = build_transmit_directions(config, L)
+    cols = tuple(config.coefficient_ids())
     for k in range(1, K + 1):
         for m in range(1, M + 1):
             for n in range(1, N + 1):
                 ds = plan.streams[(k, m, n)]
                 assert len(ds) == L
                 got = {
-                    tuple((cid, e) for cid, e in zip(ds.columns, row) if e)
-                    for row in ds.matrix.tolist()
+                    tuple((cid, e) for cid, e in zip(cols, row) if e)
+                    for row in ds.tolist()
                 }
                 assert got == manual_stream(config, k, m, n)
-                assert np.array_equal(walked.streams[(k, m, n)].matrix, ds.matrix)
+                assert np.array_equal(walked.streams[(k, m, n)], ds)
 
 
 def test_build_contains_unit():
     for cap in (1, 16):
         for ds in build_transmit_directions(cfg(3), cap).streams.values():
             # the unit, the all-zero row, sorts first
-            assert not ds.matrix[0].any()
+            assert not ds[0].any()
 
 
 def test_build_budget_error(monkeypatch):
@@ -278,24 +279,44 @@ def test_build_keeps_first_cap_rows():
         plan = build_transmit_directions(config, cap)
         assert list(plan.streams) == list(full.streams)
         for key, ds in plan.streams.items():
-            assert np.array_equal(ds.matrix, full.streams[key].matrix[:cap])
-            assert ds.columns == full.streams[key].columns
+            assert np.array_equal(ds, full.streams[key][:cap])
     with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
         build_transmit_directions(config, 0)
 
 
-def test_plan_refuses_sets_over_other_columns():
-    # a plan's rows are read over its config's coefficient ids, so a set
-    # over a subset of them, or over another config's four ids, is refused
-    config = cfg(2)
-    streams = build_transmit_directions(config, 2).streams
-    cols = tuple(config.coefficient_ids())
-    other = tuple(cfg(1, 2, 2).coefficient_ids())
-    assert len(other) == len(cols) and other != cols
-    for foreign in (cols[1:], other):
-        bad = {**streams, (2, 1, 1): direction_set(foreign, [[0] * len(foreign)])}
-        with pytest.raises(ValueError, match=r"^stream \(2, 1, 1\): "):
+def test_plan_refuses_malformed_stream_sets():
+    # a plan's rows are read over its config's coefficient ids, and
+    # expand_received reads its runs off rows that are distinct and in
+    # canonical order: a matrix one column short, a repeated row, or two
+    # rows swapped is refused, naming the stream
+    config = cfg(3)
+    streams = build_transmit_directions(config, 3).streams
+    rows = streams[(2, 1, 1)]
+    assert len(rows) == 3
+    cases = [
+        (rows[:, :-1], "set is not over the config's coefficient ids"),
+        (rows[[0, 1, 1, 2]], "rows are not distinct and in canonical order"),
+        (rows[[0, 2, 1]], "rows are not distinct and in canonical order"),
+    ]
+    for bad_rows, message in cases:
+        bad = {**streams, (2, 1, 1): bad_rows}
+        with pytest.raises(ValueError, match=rf"^stream \(2, 1, 1\): {message}$"):
             TransmitPlan(config=config, streams=bad)
+
+
+def test_plan_keeps_its_own_read_only_rows():
+    # the plan copies each matrix it is given: changing the caller's array
+    # afterwards changes nothing in the plan, and its own is read-only
+    config = cfg(3)
+    rows = build_transmit_directions(config, 3).streams[(1, 1, 1)].copy()
+    plan = TransmitPlan(config=config, streams={(1, 1, 1): rows})
+    kept = plan.streams[(1, 1, 1)]
+    want = rows.tolist()
+    rows[2] = 7
+    assert kept.tolist() == want
+    assert not kept.flags.writeable and kept.base is None
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 1
 
 
 # Past this many rows a whole stream set takes a while to walk: 0.04 s at
@@ -320,8 +341,8 @@ def test_walk_equals_full_plan_prefix_at_every_lattice_config(config):
         elif i == len(streams) - 1:
             caps.append(L + 1)
         for cap in caps:
-            rows = iadof.alignment._stream_rows(config, stream, cap).matrix
-            assert np.array_equal(rows, ds.matrix[:cap])
+            rows = iadof.alignment._stream_rows(config, stream, cap)
+            assert np.array_equal(rows, ds[:cap])
 
 
 # -------------------------------------------------------------- reference
@@ -368,21 +389,22 @@ def within(config, ds):
     """For each member of ds, whether some receive antenna's superset
     holds it."""
     dests = range(1, config.N + 1)
-    return within_oracle(config, ds.columns, ds.matrix, dests).any(axis=1)
+    return within_oracle(config, tuple(config.coefficient_ids()), ds, dests).any(axis=1)
 
 
 def test_reference_materialize_matches_contains():
     config = cfg(2, 1, 1, 2)
+    cols = tuple(config.coefficient_ids())
     members = materialize(config, 1)
     assert len(members) == 9
-    assert within_oracle(config, members.columns, members.matrix, (1,)).all()
+    assert within_oracle(config, cols, members, (1,)).all()
     assert within(config, members).all()
     # push every exponent of the last member past its cap: no longer
     # factorizable
-    last = members.matrix[-1]
+    last = members[-1]
     bumped = last + 3 * (last > 0)
     assert last.any()
-    assert not within_oracle(config, members.columns, [bumped], (1,))[0, 0]
+    assert not within_oracle(config, cols, [bumped], (1,))[0, 0]
 
 
 @pytest.mark.parametrize("K,M,N,gamma", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
@@ -392,14 +414,14 @@ def test_reference_within_matches_materialized(K, M, N, gamma):
     config = cfg(K, M, N, gamma)
     cols = tuple(config.coefficient_ids())
     grid = list(itertools.product(range(gamma + 2), repeat=len(cols)))
-    ds = direction_set(cols, grid)
+    ds = direction_set(grid)
     dests = range(1, N + 1)
-    inside = within_oracle(config, ds.columns, ds.matrix, dests)
+    inside = within_oracle(config, cols, ds, dests)
     for i, dest in enumerate(dests):
         members = materialize(config, dest)
-        assert within_oracle(config, members.columns, members.matrix, [dest]).all()
-        members = {tuple(row) for row in members.matrix.tolist()}
-        assert [tuple(row) in members for row in ds.matrix.tolist()] == inside[:, i].tolist()
+        assert within_oracle(config, cols, members, [dest]).all()
+        members = {tuple(row) for row in members.tolist()}
+        assert [tuple(row) in members for row in ds.tolist()] == inside[:, i].tolist()
     assert within(config, ds).tolist() == inside.any(axis=1).tolist()
 
 
@@ -428,6 +450,7 @@ def test_multiplicity_counts_every_arrival():
     # all L of its directions, and the interference set keeps one count per
     # distinct arrival, in its own order
     config = cfg(3, 1, 2, 1)
+    cols = tuple(config.coefficient_ids())
     plan = full_plan(config)
     L, _ = closed_form_counts(config)
     prof = expand_received(plan, 2, 1)
@@ -441,8 +464,8 @@ def test_multiplicity_counts_every_arrival():
     for (j, mp, np_), base in plan.streams.items():
         if (j, np_) != (2, 1):
             tag = {(j, j, np_, mp): 1, (2, j, 1, mp): 1}
-            arrived.update(map(tuple, scale(base, tag).matrix.tolist()))
-    rows = map(tuple, prof.interference.matrix.tolist())
+            arrived.update(map(tuple, scale(base, tag, cols).tolist()))
+    rows = map(tuple, prof.interference.tolist())
     assert dict(zip(rows, counts.tolist())) == arrived
 
 
@@ -558,11 +581,11 @@ def expand_oracle(plan, k, n):
     come back as a dict keyed by ReceiverProfile's field names, with the
     desired sets and whether two of them share a direction beside them."""
     config = plan.config
+    cols = tuple(config.coefficient_ids())
     desired = {
-        m: scale(plan.streams[(k, m, n)], {(k, k, n, m): 2})
+        m: scale(plan.streams[(k, m, n)], {(k, k, n, m): 2}, cols)
         for m in range(1, config.M + 1)
     }
-    cols = tuple(config.coefficient_ids())
     index = {cid: c for c, cid in enumerate(cols)}
     arrivals = [np.zeros((0, len(cols)), dtype=np.int64)]
     for (j, mp, np_), base in plan.streams.items():
@@ -570,25 +593,25 @@ def expand_oracle(plan, k, n):
             continue
         tag = np.zeros(len(cols), dtype=np.int64)
         tag[[index[(j, j, np_, mp)], index[(k, j, n, mp)]]] = 1
-        arrivals.append(base.matrix + tag)
+        arrivals.append(base + tag)
     stack = np.concatenate(arrivals)
     _check_exponents(stack)
     order, start = _runs(stack)
-    interference = DirectionSet._of(cols, stack[order[start]])
+    interference = stack[order[start]]
     counts = np.bincount(np.cumsum(start) - 1)
     overlap = None
     for dset in desired.values():
         shared = intersect(dset, interference)
         if len(shared):
-            row = shared.matrix[0].tolist()
-            overlap = {cid: e for cid, e in zip(shared.columns, row) if e}
+            row = shared[0].tolist()
+            overlap = {cid: e for cid, e in zip(cols, row) if e}
             break
     siblings = any(
         len(intersect(desired[a], desired[b]))
         for a, b in itertools.combinations(desired, 2)
     )
     seen = reduce(union, desired.values(), interference)
-    has_unit = bool((seen.matrix == 0).all(axis=1).any())
+    has_unit = bool((seen == 0).all(axis=1).any())
     return {
         "desired": desired,
         "interference": interference,
@@ -605,8 +628,9 @@ def assert_profiles_match_oracle(plan):
         for n in range(1, config.N + 1):
             prof = expand_received(plan, k, n)
             want = expand_oracle(plan, k, n)
-            assert prof.interference.columns == want["interference"].columns
-            assert np.array_equal(prof.interference.matrix, want["interference"].matrix)
+            assert prof.interference.dtype == np.int64
+            assert not prof.interference.flags.writeable
+            assert np.array_equal(prof.interference, want["interference"])
             assert prof.multiplicity.dtype == np.int64
             assert not prof.multiplicity.flags.writeable
             assert prof.multiplicity.tolist() == want["multiplicity"].tolist()
@@ -622,7 +646,7 @@ def with_rows(plan, added):
     for stream, rows in added.items():
         assert all(set(row) <= set(cols) for row in rows)
         extra = [[row.get(cid, 0) for cid in cols] for row in rows]
-        streams[stream] = direction_set(cols, [*streams[stream].matrix.tolist(), *extra])
+        streams[stream] = direction_set([*streams[stream].tolist(), *extra])
     return dataclasses.replace(plan, streams=streams)
 
 
@@ -796,8 +820,8 @@ def test_walk_equals_full_plan_prefix_on_random_cap_rules(rule, data):
         top = max(len(ds) for ds in full.streams.values())
         cap = data.draw(st.integers(1, top + 1))
         for stream, ds in full.streams.items():
-            rows = iadof.alignment._stream_rows(config, stream, cap).matrix
-            assert np.array_equal(rows, ds.matrix[:cap])
+            rows = iadof.alignment._stream_rows(config, stream, cap)
+            assert np.array_equal(rows, ds[:cap])
 
 
 def test_union_walk_skips_empty_intersections():

@@ -704,7 +704,7 @@ def test_exports_are_their_defining_objects():
     import iadof
 
     assert iadof.__all__ == sorted(iadof._LAZY)
-    assert len(iadof.__all__) == 27
+    assert len(iadof.__all__) == 26
     for name in iadof.__all__:
         home = importlib.import_module(f"iadof.{iadof._LAZY[name]}")
         assert getattr(iadof, name) is getattr(home, name), name
@@ -720,10 +720,9 @@ def test_unknown_export_raises_attribute_error():
 def test_readme_cites_only_names_that_exist():
     # every `name(` the README cites, dotted or not, and every code span that
     # is a constant (`SLOPE_Q`), a private name (`_kept_draw`) or a class
-    # attribute (`TransmitPlan.profiles`) is an attribute of some iadof
+    # attribute (`AntennaModel.values`) is an attribute of some iadof
     # module, so the docs cannot keep naming a deleted one.  A dataclass
-    # field counts, though a field with a default factory is no class
-    # attribute.
+    # field counts, though a field without a default is no class attribute.
     import dataclasses
     import importlib
     import pkgutil
@@ -752,7 +751,7 @@ def test_readme_cites_only_names_that_exist():
         return False
 
     assert cited
-    assert {"SLOPE_Q", "_kept_draw", "TransmitPlan.profiles"} <= named
+    assert {"SLOPE_Q", "_kept_draw", "AntennaModel.values"} <= named
     assert sorted(name for name in cited | named if not resolves(name)) == []
 
 

@@ -1,8 +1,8 @@
 """Monomial direction tests.
 
-DirectionSet keeps its members as an exponent matrix over its config's
-coefficient ids.  The tests check the canonical order (_runs), the
-exponent limits (_check_exponents) and evaluate against plain oracles on
+A set of directions is an exponent matrix over its config's coefficient
+ids.  The tests check the canonical order (_runs), the exponent limits
+(_check_exponents) and evaluate against plain oracles on
 flat (k, j, n, m, e, ...) tuples of each row's non-zero entries: Python's
 sorted() for the canonical order, frozenset algebra for the set
 operations, dict addition for scale and a float product of the gains for
@@ -15,6 +15,7 @@ that the single-pass profile is pinned against (expand_oracle in
 test_alignment.py).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,9 +28,9 @@ from iadof.channel import SystemConfig, generate_channel
 from iadof.directions import (
     MAX_EXPONENT,
     MAX_TOTAL_DEGREE,
-    DirectionSet,
     _check_exponents,
     _runs,
+    evaluate,
     monomial_text,
 )
 from conftest import direction_set, full_plan
@@ -48,8 +49,7 @@ exponent_maps = st.dictionaries(
 
 def union(a, b):
     """The members of either set."""
-    assert a.columns == b.columns
-    return direction_set(a.columns, np.concatenate([a.matrix, b.matrix]))
+    return direction_set(np.concatenate([a, b]))
 
 
 def _rows_in(a, b):
@@ -64,20 +64,19 @@ def _rows_in(a, b):
 
 def intersect(a, b):
     """The members of a that are also members of b, in a's order."""
-    assert a.columns == b.columns
-    return DirectionSet._of(a.columns, a.matrix[_rows_in(a.matrix, b.matrix)])
+    return a[_rows_in(a, b)]
 
 
-def scale(ds, factor):
-    """Every member times a fixed monomial, given as {coefficient id:
-    exponent} over the set's columns: one row added to all."""
-    index = {cid: c for c, cid in enumerate(ds.columns)}
+def scale(ds, factor, cols=CIDS):
+    """Every member of a set over cols times a fixed monomial, given as
+    {coefficient id: exponent}: one row added to all."""
+    index = {cid: c for c, cid in enumerate(cols)}
     row = np.zeros((1, len(index)), dtype=np.int64)
     for cid, e in factor.items():
         row[0, index[cid]] = e
     _check_exponents(row)
     # a common factor never merges members but can reorder them
-    return direction_set(ds.columns, ds.matrix + row)
+    return direction_set(ds + row)
 
 
 def flat(cols, row):
@@ -90,15 +89,16 @@ def row_directions(cols, exps):
     return [flat(cols, row) for row in np.asarray(exps).tolist()]
 
 
-def members(ds):
-    """The members of a set as flat tuples, in member order."""
-    return row_directions(ds.columns, ds.matrix)
+def members(ds, cols=CIDS):
+    """The members of a set over cols as flat tuples, in member order."""
+    return row_directions(cols, ds)
 
 
 def monomials(*maps):
     """The set of the given {coefficient id: exponent} mappings, over the
     columns CIDS."""
-    return direction_set(CIDS, [[m.get(cid, 0) for cid in CIDS] for m in maps])
+    rows = [[m.get(cid, 0) for cid in CIDS] for m in maps]
+    return direction_set(np.array(rows, dtype=np.int64).reshape(len(maps), len(CIDS)))
 
 
 def mono_mul(d, factor):
@@ -126,7 +126,7 @@ def test_direction_canonicalization():
     exps = np.array([[0, 1, 3, 0]])
     assert row_directions(CIDS, exps) == [(1, 2, 1, 1, 1, 2, 1, 1, 1, 3)]
     ds = monomials({(2, 1, 1, 1): 3, (1, 1, 1, 1): 0, (1, 2, 1, 1): 1})
-    assert ds.matrix.tolist() == exps.tolist()
+    assert ds.tolist() == exps.tolist()
 
 
 def test_direction_rejects_negative():
@@ -155,7 +155,7 @@ def test_unit_behaviour():
     # the unit is the all-zero row: it sorts first and scales to the factor
     s = monomials({}, B, A)
     assert members(s)[0] == UNIT
-    assert not s.matrix[0].any()
+    assert not s[0].any()
     assert members(scale(monomials({}), B)) == [(1, 1, 1, 1, 2)]
 
 
@@ -194,20 +194,30 @@ def test_direction_set_scale_injective():
 def test_direction_set_evaluate():
     h = generate_channel(SystemConfig(K=2, seed=4))
     s = monomials({(1, 1, 1, 1): 2, (2, 2, 1, 1): 3}, {})
-    vals = s.evaluate(h)
+    vals = evaluate(s, h)
     assert vals.dtype == np.float64
     assert vals.tolist() == [1.0, h.gains[(1, 1, 1, 1)] ** 2 * h.gains[(2, 2, 1, 1)] ** 3]
     assert all(math.isfinite(v) for v in vals)
-    assert monomials().evaluate(h).shape == (0,)
+    assert evaluate(monomials(), h).shape == (0,)
+
+
+def test_evaluate_refuses_other_widths():
+    # the gains are read over the channel's four coefficient ids: a matrix
+    # of three or five columns, or a single row, would be misread
+    h = generate_channel(SystemConfig(K=2, seed=4))
+    for exps in (np.zeros((1, 3), np.int64), np.zeros((2, 5), np.int64), np.zeros(4, np.int64)):
+        with pytest.raises(ValueError, match="the channel has 4 gains"):
+            evaluate(exps, h)
 
 
 # ------------------------------------------------------- exponent matrices
 
-# the column lists of configs of 1, 2, 4 and 8 coefficient ids; every id
-# is one of the (K,M,N) = (2,1,2) config, whose channel evaluates them all
-MATRIX_COLUMNS = [
-    tuple(SystemConfig(K=K, N=N).coefficient_ids()) for K, N in [(1, 1), (1, 2), (2, 1), (2, 2)]
-]
+# the configs of 1, 2, 4 and 8 coefficient ids, by their column lists
+MATRIX_CONFIGS = {
+    tuple(c.coefficient_ids()): c
+    for c in (SystemConfig(K=K, N=N) for K, N in [(1, 1), (1, 2), (2, 1), (2, 2)])
+}
+MATRIX_COLUMNS = list(MATRIX_CONFIGS)
 
 # mostly small exponents; a large one widens every key, so that four
 # columns need two of the oracle's packed words
@@ -225,17 +235,17 @@ def exponent_matrices(draw, values=exponents, columns=st.sampled_from(MATRIX_COL
 @given(exponent_matrices())
 def test_matrix_order_is_sorted_directions(m):
     cols, exps = m
-    ds = direction_set(cols, exps)
+    ds = direction_set(exps)
     expected = sorted(set(row_directions(cols, exps)))
-    assert members(ds) == expected
+    assert members(ds, cols) == expected
     assert len(ds) == len(expected)
     # the same rows in reverse order make the same set
-    assert np.array_equal(direction_set(cols, exps[::-1]).matrix, ds.matrix)
+    assert np.array_equal(direction_set(exps[::-1]), ds)
 
 
 @given(exponent_matrices(columns=st.just(CIDS)), exponent_matrices(columns=st.just(CIDS)))
 def test_set_operations_match_frozensets(m1, m2):
-    a, b = direction_set(*m1), direction_set(*m2)
+    a, b = direction_set(m1[1]), direction_set(m2[1])
     fa, fb = frozenset(members(a)), frozenset(members(b))
     assert members(union(a, b)) == sorted(fa | fb)
     assert members(intersect(a, b)) == sorted(fa & fb)
@@ -243,7 +253,7 @@ def test_set_operations_match_frozensets(m1, m2):
 
 @given(exponent_matrices(columns=st.just(CIDS)), exponent_maps)
 def test_scale_matches_mono_mul(m, factor):
-    a = direction_set(*m)
+    a = direction_set(m[1])
     assert members(scale(a, factor)) == sorted({mono_mul(x, factor) for x in members(a)})
 
 
@@ -255,8 +265,8 @@ def test_keys_span_several_words():
     exps[::7, 39] = 500_000
     exps[::11, 0] = 400_000
     exps = np.concatenate([exps, exps[:50]])
-    ds = direction_set(cols, exps)
-    assert members(ds) == sorted(set(row_directions(cols, exps)))
+    ds = direction_set(exps)
+    assert members(ds, cols) == sorted(set(row_directions(cols, exps)))
 
 
 def order_keys_oracle(exps):
@@ -335,8 +345,6 @@ def test_runs_equal_uint64_keys_at_degree_limit():
 
 def test_set_guards():
     cid = (1, 1, 1, 1)
-    with pytest.raises(TypeError, match="build_transmit_directions"):
-        DirectionSet()
     with pytest.raises(OverflowError):
         _check_exponents(np.array([[MAX_TOTAL_DEGREE, 1]]))
     with pytest.raises(OverflowError):
@@ -352,9 +360,10 @@ small_exponents = st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 200))
 
 @given(exponent_matrices(small_exponents), st.integers(0, 2**32 - 1))
 def test_evaluate_equals_mono_eval_on_random_matrices(m, seed):
-    h = generate_channel(SystemConfig(K=2, N=2, seed=seed))
-    ds = direction_set(*m)
-    assert ds.evaluate(h).tolist() == [mono_eval(d, h) for d in members(ds)]
+    cols, exps = m
+    h = generate_channel(dataclasses.replace(MATRIX_CONFIGS[cols], seed=seed))
+    ds = direction_set(exps)
+    assert evaluate(ds, h).tolist() == [mono_eval(d, h) for d in members(ds, cols)]
 
 
 @pytest.mark.parametrize(
@@ -367,10 +376,11 @@ def test_evaluate_equals_mono_eval(config):
     # most the (3,1,2,1) stream count L = 1024, bit for bit
     plan = full_plan(config)
     h = generate_channel(config)
+    cols = tuple(config.coefficient_ids())
     sets = list(plan.streams.values()) + [
         expand_received(plan, k, n).interference
         for k in range(1, config.K + 1)
         for n in range(1, config.N + 1)
     ]
     for ds in sets:
-        assert ds.evaluate(h).tolist() == [mono_eval(d, h) for d in members(ds)]
+        assert evaluate(ds, h).tolist() == [mono_eval(d, h) for d in members(ds, cols)]

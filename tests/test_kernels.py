@@ -23,7 +23,7 @@ from iadof._kernels import (
     min_abs_combination,
     nearest_candidate_indices,
 )
-from iadof.alignment import build_transmit_directions
+from iadof.alignment import build_transmit_directions, expand_received
 from iadof.channel import SystemConfig, generate_channel
 from iadof.simulate import antenna_model
 
@@ -314,7 +314,7 @@ def test_kernels_equal_scan_on_decode_lattice():
     config = SystemConfig(K=3, Q=4, seed=0)
     h = generate_channel(config)
     plan = build_transmit_directions(config, 2)
-    model = antenna_model(plan, h, 1, 1)
+    model = antenna_model(plan, expand_received(plan, 1, 1), h, 1, 1)
     radii = [3 * m for m in model.mults]
     d_sum = _block_sums(model.gains, radii, 0, 2)
     i_sum = _block_sums(model.gains, radii, 2, len(radii))

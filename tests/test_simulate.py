@@ -21,13 +21,14 @@ from iadof._kernels import decode_table, min_abs_combination, nearest_candidate_
 from iadof.alignment import TransmitPlan, build_transmit_directions, expand_received
 from iadof.channel import SystemConfig, generate_channel
 from iadof.cli import main
-from iadof.directions import DirectionSet
+from iadof.directions import evaluate
 from iadof.simulate import (
     DEFAULT_DECODE_BUDGET,
     MIN_AMPLITUDE,
     DecodeBudgetError,
     SimConfig,
     SimResult,
+    _antennas,
     _distance_radii,
     _Draw,
     _draw_noise,
@@ -38,7 +39,7 @@ from iadof.simulate import (
     separation_floor,
     symbol_variance,
 )
-from conftest import direction_set, full_plan
+from conftest import full_plan
 from test_directions import members, mono_eval
 
 SNR3 = (1e2, 1e4, 1e6)
@@ -51,14 +52,26 @@ def make(K, M=1, N=1, gamma=1, Q=2, seed=0, cap=None):
     return config, h, plan
 
 
+def model_of(plan, h, k, n):
+    """antenna_model of antenna (k, n) on a fresh expansion of the plan."""
+    return antenna_model(plan, expand_received(plan, k, n), h, k, n)
+
+
+def draw_of(plan, h, trials):
+    """_Draw of a plan expanded afresh at every receive antenna, user-major."""
+    ants = _antennas(plan.config.K, plan.config.N)
+    return _Draw(plan, tuple(expand_received(plan, k, n) for k, n in ants), h, trials)
+
+
 def transmit_oracle(plan, h):
     """{(j, m, n', l): h(j,j,n',m) * dir_l}: each plan coordinate's weight
     on its transmit antenna (j, m), from the gains alone, in stream and
     then member order."""
+    cols = tuple(plan.config.coefficient_ids())
     return {
         (j, m, n, l): h.coefficient(j, j, n, m) * mono_eval(d, h)
         for (j, m, n) in sorted(plan.streams)
-        for l, d in enumerate(members(plan.streams[(j, m, n)]))
+        for l, d in enumerate(members(plan.streams[(j, m, n)], cols))
     }
 
 
@@ -100,7 +113,7 @@ def test_symbol_variance_matches_uniform_grid():
 
 def test_draw_messages_deterministic_and_in_range():
     _, h, plan = make(2, Q=4, seed=9)
-    width = len(_Draw(plan, h, 1).coords)
+    width = len(draw_of(plan, h, 1).coords)
     a = _draw_symbols(3, 4, 5, width)
     assert a.shape == (5, width)
     assert np.array_equal(a, _draw_symbols(3, 4, 5, width))
@@ -115,13 +128,13 @@ def test_encode_single_direction_is_direct_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
     assert transmit_oracle(plan, h) == {(1, 1, 1, 0): H}
-    [power] = _Draw(plan, h, 1).powers
+    [power] = draw_of(plan, h, 1).powers
     assert power == pytest.approx(H * H * symbol_variance(config.Q), rel=1e-15)
 
 
 def test_propagate_noiseless_single_user():
     config, h, plan = make(1, seed=5)
-    draw = _Draw(plan, h, 1)
+    draw = draw_of(plan, h, 1)
     H = h.coefficient(1, 1, 1, 1)
     assert draw.coords == [(1, 1, 1, 0)]
     assert draw.W[0, 0] == pytest.approx(H * H, rel=1e-15)
@@ -147,7 +160,7 @@ def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
     # every entry of W, and trial 0 of the matrix model _operate decodes,
     # A*(U@W)[0] + Z[0], against sums over the gain oracle
     config, h, plan = make(K, M, N, gamma, Q=3, seed=7, cap=cap)
-    draw = _Draw(plan, h, 5)
+    draw = draw_of(plan, h, 5)
     coords, W = draw.coords, draw.W
     oracle = forward_oracle(plan, h)
     assert list(oracle) == coords
@@ -172,14 +185,15 @@ def test_forward_model_matches_coordinate_oracle(K, M, N, gamma, cap, noisy):
 
 def test_draw_powers_exact_identity():
     config, h, plan = make(2, gamma=2, Q=4, seed=3)
-    powers = _Draw(plan, h, 1).powers
+    powers = draw_of(plan, h, 1).powers
+    cols = tuple(config.coefficient_ids())
     for k in (1, 2):
         got = powers[k - 1]
         want = (
             symbol_variance(4)
             * sum(
                 h.coefficient(k, k, n, 1) ** 2
-                * sum(mono_eval(d, h) ** 2 for d in members(plan.streams[(k, 1, n)]))
+                * sum(mono_eval(d, h) ** 2 for d in members(plan.streams[(k, 1, n)], cols))
                 for n in (1,)
             )
         )
@@ -188,7 +202,7 @@ def test_draw_powers_exact_identity():
 
 def test_draw_powers_match_monte_carlo():
     config, h, plan = make(2, seed=4, cap=2, gamma=2)
-    target = _Draw(plan, h, 1).powers[0]
+    target = draw_of(plan, h, 1).powers[0]
     weights = transmit_oracle(plan, h)
     own = [t if coord[:2] == (1, 1) else 0.0 for coord, t in weights.items()]
     U = _draw_symbols(config.seed, config.Q, 4000, len(weights))
@@ -201,7 +215,7 @@ def test_run_amplitude_binds_the_strongest_antenna():
     rho = 100.0
     A = run_link_sim(config, SimConfig(snr_points=(rho,), trials=10), 1).amplitudes[rho]
     cap = rho / (config.K * config.M)
-    powers = [A**2 * p for p in _Draw(plan, h, 10).powers]
+    powers = [A**2 * p for p in draw_of(plan, h, 10).powers]
     assert len(powers) == 3
     assert max(powers) == pytest.approx(cap, rel=1e-12)
     assert all(p <= cap * (1 + 1e-9) for p in powers)
@@ -213,12 +227,12 @@ def test_run_amplitude_binds_the_strongest_antenna():
 def test_unit_distance_single_user_is_squared_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
-    d = unit_distance(antenna_model(plan, h, 1, 1), 2)
+    d = unit_distance(model_of(plan, h, 1, 1), 2)
     assert d == H * H
     assert d == pytest.approx(1.7030326309839905, rel=1e-12)
     # the simulator's d_min is that distance at the first point's amplitude
     sim_config = SimConfig(snr_points=(1e2, 1e4), trials=10)
-    result = _operate(_Draw(plan, h, 10), sim_config)
+    result = _operate(draw_of(plan, h, 10), sim_config)
     assert result.d_min == result.amplitudes[1e2] * d
 
 
@@ -226,7 +240,7 @@ def test_unit_distance_positive_across_seeds():
     for seed in range(30):
         config, h, plan = make(3, seed=seed, cap=1)
         for Q in (2, 4):
-            d = unit_distance(antenna_model(plan, h, 1, 1), Q)
+            d = unit_distance(model_of(plan, h, 1, 1), Q)
             assert d > 1e-9
 
 
@@ -234,7 +248,7 @@ def test_distance_radii_refuses_44_axis_box():
     # the full plan: 16 + 28 directions, four of them of multiplicity 2, so
     # at Q=2 the box is 5**40 * 9**4 points, refused by the box budget
     config, h, plan = make(3, seed=0)
-    model = antenna_model(plan, h, 1, 1)
+    model = model_of(plan, h, 1, 1)
     assert len(model.mults) == 44 and model.mults.count(2) == 4
     with pytest.raises(DecodeBudgetError) as exc:
         unit_distance(model, config.Q)
@@ -247,7 +261,7 @@ def test_distance_box_bounds_the_axis_count(decode_budget):
     # least 5**13 points: the box budget alone refuses many axes, with no
     # cap on the count.  _distance_radii reads only the multiplicities.
     config, h, plan = make(3, seed=0, cap=1)
-    model = dataclasses.replace(antenna_model(plan, h, 1, 1), mults=(1,) * 13)
+    model = dataclasses.replace(model_of(plan, h, 1, 1), mults=(1,) * 13)
     decode_budget(5**13)
     assert _distance_radii(model, 2) == [2] * 13
     decode_budget(5**13 - 1)
@@ -260,7 +274,7 @@ def test_distance_radii_budget(decode_budget):
     config, h, plan = make(3, seed=0, cap=1)
     decode_budget(10)
     with pytest.raises(DecodeBudgetError):
-        unit_distance(antenna_model(plan, h, 1, 1), 2)
+        unit_distance(model_of(plan, h, 1, 1), 2)
 
 
 def test_distance_radii_box_past_int64_refused():
@@ -268,7 +282,7 @@ def test_distance_radii_box_past_int64_refused():
     # Q=16 the difference box is 61**12, which an int64 product wraps to a
     # negative number that would pass the budget check
     config, h, plan = make(4, Q=16, seed=0, cap=3)
-    model = antenna_model(plan, h, 1, 1)
+    model = model_of(plan, h, 1, 1)
     assert model.mults == (1,) * 12
     assert int(np.prod(np.full(12, 61, dtype=np.int64))) < 0
     with pytest.raises(DecodeBudgetError) as exc:
@@ -282,8 +296,8 @@ def test_distance_radii_box_past_int64_refused():
 
 def test_draw_slope_frozen_and_deterministic():
     config, h, plan = make(3, seed=1, cap=1)
-    s1 = _Draw(plan, h, 1).slope
-    s2 = _Draw(plan, h, 1).slope
+    s1 = draw_of(plan, h, 1).slope
+    s2 = draw_of(plan, h, 1).slope
     assert s1 == s2
     assert s1 == pytest.approx(-1.9371274729698718, rel=1e-9)
 
@@ -295,7 +309,7 @@ def test_draw_slope_refuses_before_any_distance(monkeypatch):
     import iadof.simulate as sim
 
     config, h, plan = make(3, Q=4, seed=0, cap=2)
-    draw = _Draw(plan, h, 1)
+    draw = draw_of(plan, h, 1)
     with pytest.raises(DecodeBudgetError) as exc:
         _distance_radii(draw.models[0], 8)
     assert exc.value.required == 29**6
@@ -323,7 +337,7 @@ def test_separation_slope_near_floor():
     hits = 0
     for seed in range(20):
         config, h, plan = make(3, seed=seed, cap=1)
-        slope = _Draw(plan, h, 1).slope
+        slope = draw_of(plan, h, 1).slope
         floor = separation_floor(expand_received(plan, 1, 1))
         assert floor == -3.1
         assert slope >= floor - 1.0
@@ -341,13 +355,9 @@ def test_antenna_model_rejects_overlapping_plan():
     config = SystemConfig(K=2, seed=0)
     run_link_sim(config, SimConfig(snr_points=(1e2,), trials=10), cap=1)
     h = generate_channel(config)
-    cols = tuple(config.coefficient_ids())
     fake = TransmitPlan(
         config=config,
-        streams={
-            (1, 1, 1): direction_set(cols, [[0, 1, 0, 1]]),
-            (2, 1, 1): direction_set(cols, [[2, 0, 0, 0]]),
-        },
+        streams={(1, 1, 1): np.array([[0, 1, 0, 1]]), (2, 1, 1): np.array([[2, 0, 0, 0]])},
     )
     refusal = (
         "desired direction H[1,1](1,1)^2 * H[1,2](1,1) * H[2,2](1,1) aligned with"
@@ -355,41 +365,28 @@ def test_antenna_model_rejects_overlapping_plan():
     )
     for _ in range(2):
         with pytest.raises(ValueError) as err:
-            antenna_model(fake, h, 1, 1)
+            model_of(fake, h, 1, 1)
         assert str(err.value) == refusal
     with pytest.raises(ValueError) as err:
-        _Draw(fake, h, 10)
+        draw_of(fake, h, 10)
     assert str(err.value) == refusal
 
 
-def test_replaced_plan_starts_without_profiles(overcounted_plan):
-    # a plan made by dataclasses.replace of a warm plan expands its own
-    # streams: the overcounted one sees 29 interference directions at
-    # antenna (1,1), its source the exact 28
-    config = SystemConfig(K=3)
+def test_plan_streams_are_read_only_and_its_own():
+    # a plan never changes: its streams are a read-only copy of the mapping
+    # it was built from, so a run on it ignores later edits to that dict
+    config = SystemConfig(K=3, seed=2)
     h = generate_channel(config)
-    plan = full_plan(config)
-    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
-    assert list(plan.profiles) == [(1, 1)]
-    extra = dataclasses.replace(plan, streams=overcounted_plan.streams)
-    assert extra.profiles == {}
-    assert len(antenna_model(extra, h, 1, 1).profile.interference) == 29
-    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
-
-
-def test_plan_streams_cannot_change_under_its_profiles(overcounted_plan):
-    # the profile memo is sound only because a plan never changes: its
-    # streams are a read-only copy of the mapping it was built from
-    config = SystemConfig(K=3)
-    h = generate_channel(config)
-    streams = dict(full_plan(config).streams)
+    streams = dict(build_transmit_directions(config, 1).streams)
     plan = TransmitPlan(config=config, streams=streams)
-    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
-    streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
+    sim_config = SimConfig(snr_points=(1e2, 1e4), trials=50)
+    want = _operate(draw_of(plan, h, 50), sim_config).to_json_dict()
+    other = build_transmit_directions(config, 2).streams[(2, 1, 1)]
+    streams[(2, 1, 1)] = other
     with pytest.raises(TypeError):
-        plan.streams[(2, 1, 1)] = overcounted_plan.streams[(2, 1, 1)]
-    assert len(antenna_model(plan, h, 1, 1).profile.interference) == 28
-    assert len(expand_received(plan, 1, 1).interference) == 28
+        plan.streams[(2, 1, 1)] = other
+    assert len(plan.streams[(2, 1, 1)]) == 1
+    assert _operate(draw_of(plan, h, 50), sim_config).to_json_dict() == want
 
 
 # ------------------------------------------------------------------ end to end
@@ -520,10 +517,13 @@ def test_run_expands_each_antenna_once(monkeypatch):
     sim._kept_plan.cache_clear()
     monkeypatch.setattr(sim, "expand_received", counted)
     result = run_link_sim(config, SimConfig(snr_points=(1e2, 1e4), trials=200), 1)
+    # more seeds of the system run on the kept plan and its profiles
+    for seed in (5, 6):
+        run_link_sim(dataclasses.replace(config, seed=seed), SimConfig(snr_points=(1e2,)), 1)
     assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
     monkeypatch.undo()
     a0 = result.amplitudes[1e2]
-    models = [antenna_model(plan, h, k, 1) for k in (1, 2, 3)]
+    models = [model_of(plan, h, k, 1) for k in (1, 2, 3)]
     assert result.d_min == min(a0 * distance(model, config.Q) for model in models)
     qs = (2, 4, 8, 16)
     d = [distance(models[0], q) for q in qs]
@@ -558,15 +558,14 @@ def test_draw_evaluates_each_direction_set_once(monkeypatch, K, M, N, evaluation
     import iadof.simulate as sim
 
     config = SystemConfig(K=K, M=M, N=N, seed=1)
-    evaluate = DirectionSet.evaluate
     calls = []
 
-    def counted(self, h):
-        calls.append(self)
-        return evaluate(self, h)
+    def counted(exps, h):
+        calls.append(exps)
+        return evaluate(exps, h)
 
     sim._kept_draw.cache_clear()
-    monkeypatch.setattr(DirectionSet, "evaluate", counted)
+    monkeypatch.setattr(sim, "evaluate", counted)
     run_link_sim(config, SimConfig(snr_points=(1e2, 1e4), trials=20), 1)
     assert len(calls) == K * M * N + K * N == evaluations
 
@@ -723,7 +722,7 @@ def test_plan_serves_every_draw_of_its_system():
     _, _, plan = make(3, seed=0, cap=1)
     config = SystemConfig(K=3, seed=5)
     sim_config = SimConfig(snr_points=(1e2, 1e4), trials=300)
-    draw = _Draw(plan, generate_channel(config), sim_config.trials)
+    draw = draw_of(plan, generate_channel(config), sim_config.trials)
     got = _operate(draw, sim_config)
     want = run_link_sim(config, sim_config, cap=1)
     assert got.to_json_dict() == want.to_json_dict()
@@ -741,15 +740,22 @@ def test_kept_plans_bounded_and_read_only():
     assert sim._kept_plan.cache_info().currsize == maxsize
 
     run_link_sim(SystemConfig(K=3, seed=7), SimConfig(snr_points=(1e2,), trials=10), cap=1)
-    plan = sim._kept_plan(SystemConfig(K=3), 1)
-    assert sorted(plan.profiles) == [(1, 1), (2, 1), (3, 1)]
+    hits = sim._kept_plan.cache_info().hits
+    plan, profiles = sim._kept_plan(SystemConfig(K=3), 1)
+    assert sim._kept_plan.cache_info().hits == hits + 1
+    # every antenna's profile, user-major, kept with the plan
+    assert len(profiles) == 3
+    for k, prof in enumerate(profiles, 1):
+        fresh = expand_received(plan, k, 1)
+        assert np.array_equal(prof.interference, fresh.interference)
+        assert prof.multiplicity.tolist() == fresh.multiplicity.tolist()
     sets = list(plan.streams.values())
-    for prof in plan.profiles.values():
-        sets.append(prof.interference)
+    for prof in profiles:
+        sets += [prof.interference, prof.multiplicity]
     for ds in sets:
-        assert not ds.matrix.flags.writeable
+        assert not ds.flags.writeable
     # kept rows own their memory: the cache holds no view of a larger array
-    assert all(ds.matrix.base is None for ds in plan.streams.values())
+    assert all(ds.base is None for ds in plan.streams.values())
 
 
 def test_run_determinism():
@@ -801,10 +807,7 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch, decode
     import iadof.simulate as sim
 
     config, h, full = make(2, seed=0)
-    streams = {
-        s: direction_set(ds.columns, ds.matrix[: 1 if s[0] == 1 else 3])
-        for s, ds in full.streams.items()
-    }
+    streams = {s: ds[: 1 if s[0] == 1 else 3] for s, ds in full.streams.items()}
     plan = TransmitPlan(config=config, streams=streams)
     calls = []
 
@@ -819,7 +822,7 @@ def test_decode_budget_refuses_before_any_antenna_is_decoded(monkeypatch, decode
     monkeypatch.setattr(sim, "decode_table", built)
     monkeypatch.setattr(sim, "nearest_candidate_indices", counted)
     sim_config = SimConfig(snr_points=(1e2,), trials=10)
-    draw = _Draw(plan, h, sim_config.trials)
+    draw = draw_of(plan, h, sim_config.trials)
     decode_budget(50)
     with pytest.raises(DecodeBudgetError) as exc:
         _operate(draw, sim_config)
@@ -864,7 +867,7 @@ def test_decoder_matches_manual_search_single_user():
     trials = 400
     # at rho 2.5 over half of the symbols are wrong, at 123 two in 400
     sim_config = SimConfig(snr_points=(2.5, 123.0), trials=trials)
-    result = _operate(_Draw(plan, h, trials), sim_config)
+    result = _operate(draw_of(plan, h, trials), sim_config)
     H2 = h.coefficient(1, 1, 1, 1) ** 2
     U = np.random.default_rng((config.seed, 0xA1)).integers(-3, 4, size=(trials, 1))
     Z = np.random.default_rng((config.seed, 0xB2)).standard_normal((trials, 1))
