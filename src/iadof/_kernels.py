@@ -12,6 +12,13 @@ next to the insertion point of the query.
 A table of |D| desired and |I| interference sums for T queries sorts at
 most max(|I|, |D| * T) sums, and a query costs O(|D| * T * log |I|).  The
 decode budget bounds |I| and |D| * T, so it bounds both.
+
+A query sorts its T values once, O(T log T), and bisects them in that
+order: numpy's searchsorted on fresh unsorted keys mispredicts nearly every
+branch and costs several times what it does on sorted ones (README,
+"Decoding kernels").  Each index depends only
+on its own query and the table, so the indices are scattered back to the
+caller's order unchanged.
 """
 
 from __future__ import annotations
@@ -132,30 +139,43 @@ def nearest_candidate_indices(y: np.ndarray, table: DecodeTable) -> np.ndarray:
     to the lowest index, as argmin(abs(y[t] - values)) over the candidates
     in index order would give.
 
-    In a one-row table each query is one bisection.  With more rows every
-    (desired sum, query) pair is bisected, and each query keeps its first
-    row at the least distance.  In that row the distance falls up to the
-    insertion point and rises after it, so the entries at the least
-    distance form one run there; the two next to the insertion point
-    resolve the query, unless the next entry past one of them ties too.
-    That takes rounding, as at |y| = 1e17 where fl(|y - v|) collapses, or
-    a row where fl(d + x) collapses.  A one-row table's entries are at
-    least gap apart, and two reals that far apart round to one float F
-    only if spacing(F) >= gap, so below that no query walks.  Otherwise
-    the run is walked past each edge that ties.
+    The queries are sorted once and searched in that order, and the indices
+    are scattered back to the caller's: a query's index depends only on its
+    own value and the table, so this is exact, and bisecting sorted keys
+    saves the branch mispredictions that fresh unsorted keys cost.
+
+    In a one-row table each query is one bisection of distinct itself: the
+    row is d = 0, y - 0 = y and fl(0 + x) = x, so no zero row is formed.
+    With more rows every (desired sum, query) pair is bisected, and each
+    query keeps its first row at the least distance.  In that row the
+    distance falls up to the insertion point and rises after it, so the
+    entries at the least distance form one run there; the two next to the
+    insertion point resolve the query, unless the next entry past one of
+    them ties too.  That takes rounding, as at |y| = 1e17 where
+    fl(|y - v|) collapses, or a row where fl(d + x) collapses.  A one-row
+    table's entries are at least gap apart, and two reals that far apart
+    round to one float F only if spacing(F) >= gap, so below that no query
+    walks.  Otherwise the run is walked past each edge that ties.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
+    order = np.argsort(y)
+    y = y[order]
     d_sum, distinct, first, width, gap = table
     n = distinct.shape[0]
     if d_sum.shape[0] == 1:
-        # the row is d = 0: y - 0 = y and fl(0 + x) = x, so searchsorted is exact
-        row, pos, d = None, np.searchsorted(distinct, y), np.zeros(y.shape[0])
+        row, pos = None, np.searchsorted(distinct, y)
     else:
         row, pos = _nearest_rows(y, d_sum, distinct)
         d = d_sum[row]
+
+    def value(j, t=slice(None)):
+        """Row entries at j (clipped) of the queries t."""
+        v = distinct.take(j, mode="clip")
+        return v if row is None else d[t] + v
+
     lo, hi = pos - 1, pos
-    below = np.abs(y - (d + distinct.take(lo, mode="clip")))
-    above = np.abs(y - (d + distinct.take(hi, mode="clip")))
+    below = np.abs(y - value(lo))
+    above = np.abs(y - value(hi))
     best = np.minimum(below, above)
     out = np.where(below == best, first.take(lo, mode="clip"), width)
     np.minimum(out, np.where(above == best, first.take(hi, mode="clip"), width), out=out)
@@ -165,13 +185,17 @@ def nearest_candidate_indices(y: np.ndarray, table: DecodeTable) -> np.ndarray:
             t = np.flatnonzero((dist == best) & (j >= 0) & (j < n))
             j = j[t]
             while t.shape[0]:
-                tie = np.abs(y[t] - (d[t] + distinct[j])) == best[t]
+                tie = np.abs(y[t] - value(j, t)) == best[t]
                 t, j = t[tie], j[tie]
                 out[t] = np.minimum(out[t], first[j])
                 j = j + step
                 inside = (j >= 0) & (j < n)
                 t, j = t[inside], j[inside]
-    return out if row is None else row * width + out
+    if row is not None:
+        out += row * width
+    res = np.empty_like(out)
+    res[order] = out
+    return res
 
 
 def min_abs_combination(
@@ -197,7 +221,7 @@ def min_abs_combination(
     zero_idx = 0
     for i in range(n_desired):
         zero_idx = zero_idx * (2 * int(radii[i]) + 1) + int(radii[i])
-    d_sum = np.delete(d_sum, zero_idx)
+    d_sum = np.concatenate((d_sum[:zero_idx], d_sum[zero_idx + 1 :]))
     if d_sum.shape[0] == 0:
         return float("inf")
     i_sum = np.sort(_block_sums(gains, radii, n_desired, gains.shape[0]))

@@ -434,7 +434,11 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
     The draw's messages and noise serve every SNR point (common random
     numbers), so SER curves differ only through the amplitude.  A noiseless
     run receives the same values at every SNR point, so it decodes them
-    once and counts the same errors at each.  The decode budget is checked
+    once and counts the same errors at each.  A noisy run builds an
+    antenna's queries of every SNR point with one broadcast,
+    y + Z / A, pass-major, and searches them in one call; the desired
+    symbols are read off each index's desired part, index // |I|, without
+    unravelling the interference axes.  The decode budget is checked
     here, on each call, before any antenna is decoded; d_min and the slope
     are the draw's, held to the same budget.  A0 > 0 and rounding is
     monotone, so A0 * d_min is the least of A0 times each antenna's
@@ -451,19 +455,21 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
     U, y_unit = draw.U, draw.y_unit
 
     # One antenna at a time, each searched once with the queries of every
-    # pass stacked: the queries are independent, so the indices are those
-    # of one search per pass.
+    # pass stacked, pass-major: the queries are independent, so the indices
+    # are those of one search per pass.  A candidate's index is its desired
+    # index times |I| plus its interference index.
+    A = np.array([amplitudes[rho] for rho in rhos])
     wrong = np.zeros(len(rhos), dtype=np.int64)
     total = 0
     for ai, (r, cols) in enumerate(zip(radii, draw.columns)):
         y = y_unit[:, ai]
-        if sim_config.noiseless:
-            ys = [y]
-        else:
-            ys = [y + draw.Z[:, ai] / amplitudes[rho] for rho in rhos]
+        if not sim_config.noiseless:
+            y = (y + draw.Z[:, ai] / A[:, None]).ravel()
         table = draw.table(ai, r, trials * passes)
-        idx = nearest_candidate_indices(np.concatenate(ys), table)
-        pos = np.unravel_index(idx, [2 * x + 1 for x in r])
+        nd = len(cols)
+        n_i = math.prod(2 * x + 1 for x in r[nd:])
+        idx = nearest_candidate_indices(y, table) // n_i
+        pos = np.unravel_index(idx, [2 * x + 1 for x in r[:nd]])
         for d, col in enumerate(cols):
             decoded = (pos[d] - (Q - 1)).reshape(passes, trials)
             # a noiseless pass counts at every rho

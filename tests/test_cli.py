@@ -723,36 +723,47 @@ def test_readme_cites_only_names_that_exist():
     # attribute (`AntennaModel.values`) is an attribute of some iadof
     # module, so the docs cannot keep naming a deleted one.  A dataclass
     # field counts, though a field without a default is no class attribute.
+    # A lower-case dotted span (`plan.streams`, `np.lexsort`) is resolved
+    # from its first name: `np`, `iadof`, or a name the README's `## Library`
+    # block binds.  File names (`directions.py`, `BENCH_31.json`) are not names.
     import dataclasses
     import importlib
     import pkgutil
+
+    import numpy as np
 
     import iadof
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     cited = set(re.findall(r"`([A-Za-z_][\w.]*)\(", readme)) - {"sorted", "searchsorted"}
-    named = {
-        span
-        for span in re.findall(r"`([A-Za-z_][\w.]*)`", readme)
-        if re.fullmatch(r"[A-Z][A-Z0-9_]+|_\w+|[A-Z]\w*\.\w+", span)
-    }
+    files = r".*\.(py|toml|md|json)"
+    spans = {s for s in re.findall(r"`([A-Za-z_][\w.]*)`", readme) if not re.fullmatch(files, s)}
+    named = {s for s in spans if re.fullmatch(r"[A-Z][A-Z0-9_]+|_\w+|[A-Z]\w*\.\w+", s)}
+    dotted = {s for s in spans if re.fullmatch(r"[a-z]\w*(\.\w+)+", s)}
     modules = [iadof] + [
         importlib.import_module(f"iadof.{m.name}") for m in pkgutil.iter_modules(iadof.__path__)
     ]
+    roots = {"np": np, "iadof": iadof, **readme_library_namespace()}
 
-    def resolves(dotted):
-        for module in modules:
-            obj = module
-            for part in dotted.split("."):
-                fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
-                obj = next((f for f in fields if f.name == part), None) or getattr(obj, part, None)
-            if obj is not None:
-                return True
-        return False
+    def lookup(obj, name):
+        for part in name.split("."):
+            fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+            obj = next((f for f in fields if f.name == part), None) or getattr(obj, part, None)
+        return obj
+
+    def resolves(name):
+        return any(lookup(module, name) is not None for module in modules)
+
+    def resolves_from_root(name):
+        root, rest = name.split(".", 1)
+        return root in roots and lookup(roots[root], rest) is not None
 
     assert cited
     assert {"SLOPE_Q", "_kept_draw", "AntennaModel.values"} <= named
+    assert {"plan.streams", "np.lexsort", "iadof.run_link_sim"} <= dotted
+    assert not {"directions.py", "pyproject.toml", "BENCH_31.json"} & (named | dotted)
     assert sorted(name for name in cited | named if not resolves(name)) == []
+    assert sorted(name for name in dotted if not resolves_from_root(name)) == []
 
 
 def test_readme_cli_transcripts(capsys):
@@ -773,13 +784,19 @@ def test_readme_cli_transcripts(capsys):
         assert out[: len(shown)] == shown, command
 
 
-def test_readme_library_example():
-    # the README's `## Library` block runs as written, asserts included
+def readme_library_namespace():
+    """The names the README's `## Library` block binds, run as written."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
+    return namespace
+
+
+def test_readme_library_example():
+    # the README's `## Library` block runs as written, asserts included
+    namespace = readme_library_namespace()
     assert len(namespace["plan"].streams[(1, 1, 1)]) == 2
     assert set(namespace["result"].ser) == {1e2, 1e6}
 

@@ -205,6 +205,15 @@ def check_nearest(case, grid_path):
 @example((np.array([2.0, -1e300]), np.array([0.1, 0.2, 0.1 + 0.2, 0.3]), np.array([0.0, 0.0, -0.0])))
 @example((np.array([], dtype=np.float64), np.array([3.0]), np.array([1.0])))
 @example((np.array([1e300]), np.array([1e300, -1e300]), np.array([-1e300, 0.0, 1e300])))
+# runs of descending, repeated queries; the sums hold both 0.0 and -0.0
+@example(
+    (
+        np.array([1e300, 1e300, 0.0, -0.0, -0.0, -1e300]),
+        np.array([0.0, -0.0, 1.0]),
+        np.array([-0.0, 0.0, 1e300, -1e300, 0.5, -0.5, 0.0]),
+    )
+)
+@example((np.array([-0.0, 2.0, -1e300, 1e300]), np.array([-0.0]), np.array([1e300, -0.0, 0.0, 2.0, -0.0])))
 def test_nearest_equals_scan(case):
     check_nearest(case, grid_path=False)
 
@@ -214,6 +223,11 @@ def test_nearest_equals_scan(case):
 @example((np.array([2.0, -7.5]), np.array([3.0]), np.array([0.0])))
 @example((np.array([0.5, 1e300, -1e300]), np.array([0.0, 1.0]), np.array([0.0, 1.0])))
 @example((np.array([0.3, 0.3, 1e300]), np.array([0.1, 0.2, 0.0, -0.0]), np.array([0.2, 0.1, 0.3])))
+# runs of descending, repeated queries; the sums hold both 0.0 and -0.0
+@example(
+    (np.array([0.0, -0.0, -1e300, -1e300, 1e300, 0.0, -0.0]), np.array([-0.0, 0.0]), np.array([-0.0, 0.0, 1e300]))
+)
+@example((np.array([0.0, -0.0, -1e300, 1e300, 1e300]), np.array([-0.0, 1e300, -1e300]), np.array([0.0, -0.0])))
 def test_nearest_grid_path_equals_scan(case):
     check_nearest(case, grid_path=True)
 

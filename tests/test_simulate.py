@@ -716,6 +716,21 @@ def test_noisy_run_queries_the_kept_tables(monkeypatch):
     assert calls == [("query", 2000)] * 3
 
 
+@pytest.mark.parametrize("K,M,N,cap", [(3, 1, 1, 1), (3, 1, 1, 2), (2, 2, 2, 1)])
+def test_stacked_snr_points_equal_one_point_runs(K, M, N, cap):
+    # a noisy run searches every rho's queries of an antenna in one call;
+    # each one-rho run on the kept draw shares its symbols U and noise Z,
+    # so its SER and amplitude equal the stacked run's at that rho exactly.
+    # cap 2 and M = 2 decode two desired axes at each antenna.
+    config = SystemConfig(K=K, M=M, N=N, seed=2)
+    stacked = run_link_sim(config, SimConfig(snr_points=SNR3, trials=200), cap=cap)
+    assert all(0 < ser < 1 for ser in stacked.ser.values())
+    for rho in SNR3:
+        alone = run_link_sim(config, SimConfig(snr_points=(rho,), trials=200), cap=cap)
+        assert alone.ser == {rho: stacked.ser[rho]}
+        assert alone.amplitudes == {rho: stacked.amplitudes[rho]}
+
+
 def test_plan_serves_every_draw_of_its_system():
     # the seed belongs to the channel draw: a plan built at seed 0 decodes
     # the seed-5 draw with seed 5's symbols and noise
