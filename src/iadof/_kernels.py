@@ -23,6 +23,7 @@ caller's order unchanged.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,12 +38,23 @@ USE_NUMBA = False
 PAIR_CHUNK = 8192
 
 
+# A command asks for a few radii again and again: mult * (Q - 1) to decode
+# and 2 * mult * (q - 1) for the distances, five on a sim_sweep draw.  The
+# decode budget holds a grid to 10**7 entries.
+@lru_cache(maxsize=16)
+def _grid(r: int) -> np.ndarray:
+    """The integers -r..r as a read-only float64 array, kept per radius."""
+    g = np.arange(-r, r + 1, dtype=np.float64)
+    g.flags.writeable = False
+    return g
+
+
 def _block_sums(gains, radii, lo, hi):
-    """All signed-combination sums of gains[lo:hi], C-order raveled."""
+    """All signed-combination sums of gains[lo:hi], C-order raveled, in a
+    fresh array."""
     v = np.zeros(1)
     for i in range(lo, hi):
-        r = int(radii[i])
-        vals = np.arange(-r, r + 1).astype(np.float64) * gains[i]
+        vals = _grid(int(radii[i])) * gains[i]
         v = (v[:, None] + vals[None, :]).ravel()
     return v
 
@@ -208,6 +220,9 @@ def min_abs_combination(
     each accumulated in index order, and the value is |fl(d + i)|.  The
     interference sums are sorted once and -d is bisected among them: fl(d + i)
     is monotone in i, so the two neighbours hold the minimum (Horowitz-Sahni).
+    The all-zero desired choice is ruled out by writing +inf over its sum:
+    |inf + i| = inf for every finite i, so it is the minimum only when no
+    other desired choice exists.
     """
     gains = np.ascontiguousarray(gains, dtype=np.float64)
     radii = np.ascontiguousarray(radii, dtype=np.int64)
@@ -221,9 +236,7 @@ def min_abs_combination(
     zero_idx = 0
     for i in range(n_desired):
         zero_idx = zero_idx * (2 * int(radii[i]) + 1) + int(radii[i])
-    d_sum = np.concatenate((d_sum[:zero_idx], d_sum[zero_idx + 1 :]))
-    if d_sum.shape[0] == 0:
-        return float("inf")
+    d_sum[zero_idx] = np.inf
     i_sum = np.sort(_block_sums(gains, radii, n_desired, gains.shape[0]))
     pos = np.searchsorted(i_sum, -d_sum)
     below = i_sum[np.maximum(pos - 1, 0)]

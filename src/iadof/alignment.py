@@ -35,17 +35,21 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, product
 from operator import le, ne
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .channel import CoefficientId, SystemConfig
 from .directions import _check_exponents, _columns, _runs
+
+# Only the finite-gamma DoF, which no command prints, needs fractions (and
+# with it decimal); it imports them when called.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # (k, m, n): stream of user k, transmit antenna m, destined receive antenna n
 Stream = tuple[int, int, int]
@@ -151,6 +155,8 @@ def closed_form_counts(config: SystemConfig) -> tuple[int, int]:
 def per_antenna_dof_gamma(config: SystemConfig) -> Fraction:
     """Exact DoF of one receive antenna at finite gamma: M*L desired
     dimensions over the whole space of M*L + L' + 1."""
+    from fractions import Fraction
+
     L, l_prime = closed_form_counts(config)
     M = config.M
     return Fraction(M * L, 1 + M * L + l_prime)

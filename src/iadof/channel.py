@@ -6,6 +6,7 @@ antenna indices are 1-based throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,7 +76,7 @@ class ChannelRealization:
             raise ValueError(f"expected {expected} gains, got {len(gains)}")
         for cid, v in gains.items():
             _check_id(config, *cid)
-            if not np.isfinite(v) or v == 0.0:
+            if not math.isfinite(v) or v == 0.0:
                 raise ValueError(f"gain {cid} must be finite and nonzero, got {v}")
         self.config = config
         self.gains = gains

@@ -28,6 +28,10 @@ EXIT_BUDGET = 4
 
 SCHEMA = "ia-dof/1"
 
+# json.dumps builds an encoder on every call that passes an option; one kept
+# encoder writes the same text.
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
 SWEEP_COLUMNS = (
     "K",
     "achievable_total",
@@ -46,7 +50,7 @@ def _json_text(payload: dict) -> str:
     writes those as None; any non-finite float left raises ValueError, a
     usage error, rather than print a token JSON does not have.
     """
-    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    return _JSON.encode(payload) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -62,6 +62,14 @@ DEFAULT_DECODE_BUDGET = 10**7
 EPSILON = 0.1
 # The alphabet half-widths over which the separation slope is fitted.
 SLOPE_Q = (2, 4, 8, 16)
+# The least-squares system np.polyfit(np.log(SLOPE_Q), y, 1) solves, as it
+# builds it: the Vandermonde matrix of log q over its column norms (the
+# scale), and rcond = 4 * eps.
+_SLOPE_DESIGN = np.vander(np.log(np.array(SLOPE_Q, dtype=float)), 2)
+_SLOPE_SCALE = np.sqrt((_SLOPE_DESIGN * _SLOPE_DESIGN).sum(axis=0))
+_SLOPE_DESIGN /= _SLOPE_SCALE
+_SLOPE_RCOND = len(SLOPE_Q) * np.finfo(np.float64).eps
+_SLOPE_DESIGN.flags.writeable = _SLOPE_SCALE.flags.writeable = False
 
 # sub-seed roles so message and noise draws never share a stream
 _MESSAGE_ROLE = 0xA1
@@ -419,12 +427,18 @@ class _Draw:
     @cached_property
     def slope(self) -> float:
         """Least-squares slope of log d_min against log Q over SLOPE_Q at
-        unit amplitude on the first antenna; NaN if a distance is zero or
-        any Q's box is refused."""
-        d = self._distances([(0, q) for q in SLOPE_Q])
-        if d is None or any(v <= 0 for v in d):
-            return float("nan")
-        return float(np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0])
+        unit amplitude on the first antenna (_fit_slope)."""
+        return _fit_slope(self._distances([(0, q) for q in SLOPE_Q]))
+
+
+def _fit_slope(d: list[float] | None) -> float:
+    """np.polyfit(np.log(SLOPE_Q), np.log(d), 1)[0], bit for bit: the same
+    lstsq on the same kept design, over the same scale.  NaN if d is None
+    (a refused box) or a distance is zero."""
+    if d is None or any(v <= 0 for v in d):
+        return float("nan")
+    c = np.linalg.lstsq(_SLOPE_DESIGN, np.log(d), rcond=_SLOPE_RCOND)[0]
+    return float(c[0] / _SLOPE_SCALE[0])
 
 
 def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
@@ -438,11 +452,11 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
     antenna's queries of every SNR point with one broadcast,
     y + Z / A, pass-major, and searches them in one call; the desired
     symbols are read off each index's desired part, index // |I|, without
-    unravelling the interference axes.  The decode budget is checked
-    here, on each call, before any antenna is decoded; d_min and the slope
-    are the draw's, held to the same budget.  A0 > 0 and rounding is
-    monotone, so A0 * d_min is the least of A0 times each antenna's
-    distance.
+    unravelling the interference axes; a lone desired coordinate is that
+    part itself.  The decode budget is checked here, on each call, before
+    any antenna is decoded; d_min and the slope are the draw's, held to the
+    same budget.  A0 > 0 and rounding is monotone, so A0 * d_min is the
+    least of A0 times each antenna's distance.
     """
     Q = draw.plan.config.Q
     models = draw.models
@@ -469,11 +483,11 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
         nd = len(cols)
         n_i = math.prod(2 * x + 1 for x in r[nd:])
         idx = nearest_candidate_indices(y, table) // n_i
-        pos = np.unravel_index(idx, [2 * x + 1 for x in r[:nd]])
+        pos = (idx,) if nd == 1 else np.unravel_index(idx, [2 * x + 1 for x in r[:nd]])
         for d, col in enumerate(cols):
             decoded = (pos[d] - (Q - 1)).reshape(passes, trials)
             # a noiseless pass counts at every rho
-            wrong += np.sum(decoded != U[:, col], axis=1)
+            wrong += np.count_nonzero(decoded != U[:, col], axis=1)
             total += trials
     ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
 

@@ -850,3 +850,18 @@ def test_directions_loads_no_simulator():
     )
     assert "iadof.alignment" in loaded
     assert loaded.isdisjoint({"iadof.simulate", "iadof._kernels"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "directions -K 3 -M 1 -N 1 --json",
+        "simulate -K 3 -M 1 -N 1 --trials 50 --snr 1e2,1e6 --json",
+    ],
+)
+def test_numpy_commands_load_no_fractions(argv):
+    # only the bound layer and the finite-gamma DoF, which no such command
+    # prints, use Fraction
+    loaded = _modules_after(f"from iadof.cli import main\nassert main({argv.split()!r}) == 0")
+    assert {"iadof.alignment", "numpy"} <= loaded
+    assert loaded.isdisjoint({"fractions", "decimal"})

@@ -366,6 +366,44 @@ def test_numpy_min_abs_matches_brute_force():
         assert min_abs_combination(gains, radii, nd) == brute_min_abs(gains, radii, nd)
 
 
+def test_min_abs_zero_choice_only_desired_choice_is_inf():
+    # every desired radius 0: the all-zero choice is the only desired
+    # choice, its sum is +inf, and no interference sum brings it back
+    for gains, radii, nd in (
+        (np.array([0.7]), np.array([0], dtype=np.int64), 1),
+        (np.array([0.7, 1e300, -0.3]), np.array([0, 0, 2], dtype=np.int64), 2),
+        (np.array([2.5, -1e300, 0.0]), np.array([0, 2, 1], dtype=np.int64), 1),
+    ):
+        assert min_abs_combination(gains, radii, nd) == brute_min_abs(gains, radii, nd) == np.inf
+
+
+def test_min_abs_exact_with_radius_zero_axes():
+    # a radius-0 axis has one choice, 0: on a desired axis it moves the
+    # zero choice's index, on an interference one it adds only zeros
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        gains, radii, nd = random_instance(rng, int(rng.integers(2, 6)))
+        radii[rng.integers(0, len(radii))] = 0
+        assert min_abs_combination(gains, radii, nd) == brute_min_abs(gains, radii, nd)
+
+
+def test_grids_are_kept_read_only_and_bounded():
+    g = kernels._grid(3)
+    assert kernels._grid(3) is g
+    assert g.dtype == np.float64 and not g.flags.writeable
+    assert g.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        g[3] = np.inf
+    # one desired axis of radius 3: the desired sums are this grid times
+    # the gain, and the zero choice's +inf goes into their own array
+    assert min_abs_combination(np.array([1.0, 0.4]), np.array([3, 3]), 1) == brute_min_abs(
+        np.array([1.0, 0.4]), np.array([3, 3]), 1
+    )
+    assert kernels._grid(3) is g
+    assert g.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    assert kernels._grid.cache_info().maxsize == 16
+
+
 def test_min_abs_no_aggregates():
     gains = np.array([0.7, 0.3])
     radii = np.array([1, 1], dtype=np.int64)

@@ -16,6 +16,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iadof._kernels import decode_table, min_abs_combination, nearest_candidate_indices
 from iadof.alignment import TransmitPlan, build_transmit_directions, expand_received
@@ -25,6 +27,7 @@ from iadof.directions import evaluate
 from iadof.simulate import (
     DEFAULT_DECODE_BUDGET,
     MIN_AMPLITUDE,
+    SLOPE_Q,
     DecodeBudgetError,
     SimConfig,
     SimResult,
@@ -33,6 +36,7 @@ from iadof.simulate import (
     _Draw,
     _draw_noise,
     _draw_symbols,
+    _fit_slope,
     _operate,
     antenna_model,
     run_link_sim,
@@ -322,6 +326,23 @@ def test_draw_slope_refuses_before_any_distance(monkeypatch):
     monkeypatch.setattr(sim, "min_abs_combination", counted)
     assert math.isnan(draw.slope)
     assert calls == []
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=4, max_size=4))
+@example([1e-300, 1e300, 1e-300, 1e300])
+@example([0.5, 0.25, 0.125, 0.0625])
+@example([1.0, 1.0, 1.0, 1.0])
+def test_slope_fit_is_polyfit_bit_for_bit(d):
+    # the kept design must give np.polyfit's own slope: a numpy whose
+    # polyfit builds another system fails here, not in a printed digit
+    want = np.polyfit(np.log(np.array(SLOPE_Q, dtype=float)), np.log(d), 1)[0]
+    assert repr(_fit_slope(d)) == repr(float(want))
+
+
+def test_slope_fit_nan_paths():
+    # a refused box (None) and a zero distance have no slope
+    assert math.isnan(_fit_slope(None))
+    assert math.isnan(_fit_slope([0.5, 0.0, 0.1, 0.05]))
 
 
 def test_separation_floor_counts_directions():
