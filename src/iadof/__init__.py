@@ -13,7 +13,6 @@ _LAZY = {
     "dof_upper_bound": "bounds",
     "gou_jafar_reference": "bounds",
     "regime_classify": "bounds",
-    "solve_partition_balance": "bounds",
     "AlignmentReport": "alignment",
     "EnumerationBudgetError": "alignment",
     "ReceiverProfile": "alignment",

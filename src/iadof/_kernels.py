@@ -220,9 +220,10 @@ def min_abs_combination(
     each accumulated in index order, and the value is |fl(d + i)|.  The
     interference sums are sorted once and -d is bisected among them: fl(d + i)
     is monotone in i, so the two neighbours hold the minimum (Horowitz-Sahni).
-    The all-zero desired choice is ruled out by writing +inf over its sum:
-    |inf + i| = inf for every finite i, so it is the minimum only when no
-    other desired choice exists.
+    The all-zero desired choice is ruled out by writing +inf over its
+    distance, so it is the minimum only when no other desired choice exists.
+    A sum that overflowed gives NaN where inf meets -inf; fmin skips it, as
+    a scan that keeps the least |fl(d + i)| does.
     """
     gains = np.ascontiguousarray(gains, dtype=np.float64)
     radii = np.ascontiguousarray(radii, dtype=np.int64)
@@ -236,9 +237,10 @@ def min_abs_combination(
     zero_idx = 0
     for i in range(n_desired):
         zero_idx = zero_idx * (2 * int(radii[i]) + 1) + int(radii[i])
-    d_sum[zero_idx] = np.inf
     i_sum = np.sort(_block_sums(gains, radii, n_desired, gains.shape[0]))
     pos = np.searchsorted(i_sum, -d_sum)
     below = i_sum[np.maximum(pos - 1, 0)]
     above = i_sum[np.minimum(pos, i_sum.shape[0] - 1)]
-    return float(min(np.min(np.abs(d_sum + below)), np.min(np.abs(d_sum + above))))
+    dist = np.fmin(np.abs(d_sum + below), np.abs(d_sum + above))
+    dist[zero_idx] = np.inf
+    return float(np.fmin.reduce(dist))

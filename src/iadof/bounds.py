@@ -42,58 +42,6 @@ def achievable_dof(M: int, N: int, K: int) -> Fraction:
     return Fraction(M * N * K, M + N)
 
 
-def solve_partition_balance(
-    M: int, N: int, K: int, mu: int, sign: str
-) -> tuple[frozenset[int], int]:
-    """Partitions sitting exactly mu balance steps off the even split.
-
-    sign="minus" solves mx*l_min = mn*l_max - g*mu and returns the feasible
-    l_min values; sign="plus" solves mx*l_min = mn*l_max + g*mu and returns
-    the feasible l_max values.  The extremal is the maximum, or 0 for an
-    empty set (the degenerate convention used by the bound).
-    """
-    mn, mx, g = _roles(M, N, K)
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1, got {mu}")
-    if sign not in ("minus", "plus"):
-        raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    offset = -g * mu if sign == "minus" else g * mu
-    values = []
-    for l_max in range(0, K + 1):
-        num = mn * l_max + offset
-        if num < 0 or num % mx:
-            continue
-        l_min = num // mx
-        if l_min <= l_max and l_min + l_max <= K:
-            values.append(l_min if sign == "minus" else l_max)
-    if not values:
-        return frozenset(), 0
-    return frozenset(values), max(values)
-
-
-def _balance_pair(
-    mn: int, mx: int, g: int, mu: int, sign: str, extremal: int
-) -> tuple[int, int]:
-    """Recover the (l_min, l_max) pair behind an extremal balance value."""
-    if sign == "minus":
-        l_min = extremal
-        l_max, rem = divmod(mx * l_min + g * mu, mn)
-    else:
-        l_max = extremal
-        l_min, rem = divmod(mn * l_max + g * mu, mx)
-    assert rem == 0, "extremal value does not satisfy its balance equation"
-    return l_min, l_max
-
-
-def _oriented(M: int, N: int, l_min: int, l_max: int) -> tuple[int, int]:
-    """(l1, l2) with l1 counting users pooled on the M side.
-
-    The balance equations pair l_min with the larger array, so the side
-    with more antennas is the one pooling fewer users.
-    """
-    return (l_min, l_max) if M >= N else (l_max, l_min)
-
-
 @dataclass(frozen=True)
 class PartitionWitness:
     """The partition attaining the reported upper bound.
@@ -127,7 +75,9 @@ def _witness(
     M: int, N: int, l_min: int, l_max: int, mu: Optional[int], sign: str,
     value: Fraction,
 ) -> PartitionWitness:
-    l1, l2 = _oriented(M, N, l_min, l_max)
+    # the balance equations pair l_min with the larger array, so the side
+    # with more antennas is the one pooling fewer users
+    l1, l2 = (l_min, l_max) if M >= N else (l_max, l_min)
     return PartitionWitness(
         l1=l1, l2=l2, l_min=l_min, l_max=l_max, mu=mu, sign=sign,
         bound_value=value,
@@ -137,38 +87,46 @@ def _witness(
 def dof_upper_bound(M: int, N: int, K: int) -> tuple[Fraction, PartitionWitness]:
     """Tightest partition upper bound on total DoF, with its witness.
 
-    For K >= (M+N)/gcd(M,N) the balanced partition is feasible and the
-    bound is exactly K*MN/(M+N).  Below that threshold the bound is the
-    minimum over both off-balance families with mu capped where each
-    family provably empties out.
+    The bound is the least K*max(mx*l_min, mn*l_max)/(l_min + l_max) over
+    the partitions of 1 <= l_min + l_max <= K users with l_min <= l_max,
+    where mn <= mx are the two antenna counts and g = gcd(M, N).  For
+    K >= (M+N)/g the balanced partition mx*l_min = mn*l_max is feasible
+    and the bound is exactly K*MN/(M+N).
+
+    Below that threshold every partition sits mu = |mn*l_max - mx*l_min|/g
+    balance steps off the even split, on the "minus" side when
+    mn*l_max > mx*l_min and on the "plus" side otherwise.  The scan walks
+    minus, then plus, each mu from 1 up to where its family provably
+    empties out, and for each takes the feasible pair with the largest
+    l_max, the least value of that (sign, mu).  Ties go to minus, then to
+    the smaller mu.  (l_min, l_max) = (0, 1) sits at minus, mu = mn/g, so
+    the scan always finds a partition.
     """
     mn, mx, g = _roles(M, N, K)
-    threshold = (M + N) // g
-    if K >= threshold:
+    if K >= (M + N) // g:
         bound = Fraction(M * N * K, M + N)
         return bound, _witness(M, N, mn // g, mx // g, None, "exact", bound)
 
     best: Optional[tuple[Fraction, PartitionWitness]] = None
-    for sign in ("minus", "plus"):
-        if sign == "minus":
-            mu_cap = (mn * K) // g
-        else:
-            mu_cap = ((mx - mn) * K) // (2 * g)
-        if mu_cap > (M + N) * K:  # pragma: no cover - scan size sanity check
-            raise RuntimeError(f"balance scan cap {mu_cap} out of range")
+    for sign, step, mu_cap in (
+        ("minus", -g, (mn * K) // g),
+        ("plus", g, ((mx - mn) * K) // (2 * g)),
+    ):
         for mu in range(1, mu_cap + 1):
-            members, ext = solve_partition_balance(M, N, K, mu, sign)
-            if not members:
+            pair = None
+            for l_max in range(0, K + 1):
+                num = mn * l_max + step * mu
+                if num < 0 or num % mx:
+                    continue
+                l_min = num // mx
+                if l_min <= l_max and l_min + l_max <= K:
+                    pair = l_min, l_max
+            if pair is None:
                 continue
-            side = mn if sign == "minus" else mx
-            term = Fraction(
-                K * (M * N * ext + mu * side * g), (M + N) * ext + mu * g
-            )
+            l_min, l_max = pair
+            term = Fraction(K * max(mx * l_min, mn * l_max), l_min + l_max)
             if best is None or term < best[0]:
-                l_min, l_max = _balance_pair(mn, mx, g, mu, sign, ext)
-                best = (term, _witness(M, N, l_min, l_max, mu, sign, term))
-    if best is None:  # pragma: no cover - minus family is never globally empty
-        raise RuntimeError(f"no partition candidate for M={M} N={N} K={K}")
+                best = term, _witness(M, N, l_min, l_max, mu, sign, term)
     return best
 
 

@@ -6,6 +6,7 @@ lattice.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,6 @@ from iadof.bounds import (
     fraction_json,
     gou_jafar_reference,
     regime_classify,
-    solve_partition_balance,
 )
 
 sizes = st.integers(min_value=1, max_value=6)
@@ -48,6 +48,26 @@ def partition_bound(M: int, N: int, K: int, l1: int, l2: int) -> Fraction:
     mn, mx = sorted((M, N))
     l_min, l_max = sorted((l1, l2))
     return Fraction(K * max(mx * l_min, mn * l_max), l1 + l2)
+
+
+def partition_witness(M: int, N: int, K: int) -> tuple:
+    """(value, sign, mu, l_min, l_max, l1, l2) of the least partition, ties
+    to minus, then to the smaller mu: the oracle of dof_upper_bound's
+    witness below the balanced threshold, where no partition is balanced.
+    A partition sits mu = |mn*l_max - mx*l_min|/g steps off the even
+    split, on the minus side when mn*l_max > mx*l_min."""
+    mn, mx = sorted((M, N))
+    g = gcd(M, N)
+    best = None
+    for l_min in range(0, K // 2 + 1):
+        for l_max in range(max(l_min, 1), K - l_min + 1):
+            off = mn * l_max - mx * l_min
+            sign = "minus" if off > 0 else "plus"
+            key = (partition_bound(M, N, K, l_min, l_max), sign != "minus", abs(off) // g)
+            if best is None or key < best[0]:
+                l1, l2 = (l_min, l_max) if M >= N else (l_max, l_min)
+                best = key, (key[0], sign, key[2], l_min, l_max, l1, l2)
+    return best[1]
 
 
 def brute_force_upper_bound(M: int, N: int, K: int) -> Fraction:
@@ -120,50 +140,6 @@ def test_partition_bound_vs_two_user_relaxation(M, N, K):
             assert pooled <= max(mx * l_min, mn * l_max)
 
 
-# ------------------------------------------------------------ balance sets
-
-
-def test_solve_partition_balance_examples():
-    assert solve_partition_balance(5, 2, 4, 1, "minus") == (frozenset({1}), 1)
-    assert solve_partition_balance(5, 2, 4, 2, "minus") == (frozenset({0}), 0)
-    assert solve_partition_balance(2, 1, 2, 1, "plus") == (frozenset({1}), 1)
-    # no l_max <= K satisfies 5*l_min = 2*l_max - 1 here
-    assert solve_partition_balance(5, 2, 2, 1, "minus") == (frozenset(), 0)
-
-
-def test_solve_partition_balance_validation():
-    with pytest.raises(ValueError):
-        solve_partition_balance(2, 1, 2, 0, "minus")
-    with pytest.raises(ValueError):
-        solve_partition_balance(2, 1, 0, 1, "minus")
-    with pytest.raises(ValueError):
-        solve_partition_balance(2, 1, 2, 1, "both")
-
-
-@given(sizes, sizes, users, st.integers(1, 8), st.sampled_from(["minus", "plus"]))
-def test_solve_partition_balance_members_satisfy_equation(M, N, K, mu, sign):
-    from math import gcd
-
-    mn, mx = sorted((M, N))
-    g = gcd(M, N)
-    members, ext = solve_partition_balance(M, N, K, mu, sign)
-    off = -g * mu if sign == "minus" else g * mu
-    for v in members:
-        if sign == "minus":
-            l_min = v
-            l_max = (mx * l_min + g * mu) // mn
-        else:
-            l_max = v
-            l_min = (mn * l_max + off) // mx
-        assert mx * l_min == mn * l_max + off
-        assert 0 <= l_min <= l_max
-        assert l_min + l_max <= K
-    if members:
-        assert ext == max(members)
-    else:
-        assert ext == 0
-
-
 # ------------------------------------------------------------- upper bound
 
 
@@ -202,6 +178,17 @@ def test_upper_bound_witness_is_attained():
                 val, w = dof_upper_bound(M, N, K)
                 assert partition_bound(M, N, K, w.l1, w.l2) == val
                 assert w.bound_value == val
+
+
+def test_upper_bound_witness_is_the_least_partition():
+    # below the balanced threshold the witness is the partition oracle's,
+    # sign, mu and orientation included
+    for M in range(1, 13):
+        for N in range(1, 13):
+            for K in range(1, (M + N) // gcd(M, N)):
+                val, w = dof_upper_bound(M, N, K)
+                got = (val, w.sign, w.mu, w.l_min, w.l_max, w.l1, w.l2)
+                assert got == partition_witness(M, N, K), (M, N, K)
 
 
 @given(sizes, sizes, users)
@@ -269,8 +256,6 @@ def test_regime_examples():
 
 @given(sizes, sizes, users)
 def test_regimes_are_disjoint_and_total(M, N, K):
-    from math import gcd
-
     mn, mx = sorted((M, N))
     r = regime_classify(M, N, K)
     small = K <= mx // mn

@@ -133,6 +133,26 @@ def test_sweep_bad_range(capsys):
     assert "k-min" in err
 
 
+# stdout sha256 of the commands that print a witness, recorded before the
+# balance solver was folded into dof_upper_bound; the benchmark's sweeps
+# write CSV, which has no witness column
+WITNESS_OUTPUTS = {
+    "sweep -M 13 -N 14 --k-min 1 --k-max 28 --json":
+        "0fcccae8119ceede951eaa869429e2f08e7c096f3f240417b8acb1edbfc96768",
+    "sweep -M 5 -N 2 --k-min 1 --k-max 8 --json":
+        "8643e216b005af992ceeac83b32e355c0c63ac4118d9b40daf979c80201d009e",
+    "bounds -M 5 -N 2 -K 4 --json":
+        "61bc5d1984d55aa1aa4b889dcf33333eeef6e6e3d02da2fcc6608e8e2869d58c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WITNESS_OUTPUTS))
+def test_witness_outputs_frozen(command, capsys):
+    code, out, err = run(command.split(), capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITNESS_OUTPUTS[command]
+
+
 # --------------------------------------------------------------- directions
 
 
@@ -704,7 +724,7 @@ def test_exports_are_their_defining_objects():
     import iadof
 
     assert iadof.__all__ == sorted(iadof._LAZY)
-    assert len(iadof.__all__) == 26
+    assert len(iadof.__all__) == 25
     for name in iadof.__all__:
         home = importlib.import_module(f"iadof.{iadof._LAZY[name]}")
         assert getattr(iadof, name) is getattr(home, name), name

@@ -377,6 +377,20 @@ def test_min_abs_zero_choice_only_desired_choice_is_inf():
         assert min_abs_combination(gains, radii, nd) == brute_min_abs(gains, radii, nd) == np.inf
 
 
+def test_min_abs_overflowed_sums_give_no_nan():
+    # 2e308 overflows, so the block sums hold -inf, +inf and NaN (inf - inf);
+    # the zero choice's distance is +inf whatever its neighbours hold, and a
+    # NaN distance is skipped, as the scan skips it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gains, radii, want in (
+            ([1.0, 1e308, 1e308], [1, 2, 2], 1.0),
+            ([1.0, 1e308, 1e308], [0, 2, 2], np.inf),
+            ([1e308, 1e308, 1e308], [2, 2, 2], 0.0),
+        ):
+            gains, radii = np.array(gains), np.array(radii, dtype=np.int64)
+            assert min_abs_combination(gains, radii, 1) == brute_min_abs(gains, radii, 1) == want
+
+
 def test_min_abs_exact_with_radius_zero_axes():
     # a radius-0 axis has one choice, 0: on a desired axis it moves the
     # zero choice's index, on an interference one it adds only zeros
