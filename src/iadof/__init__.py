@@ -21,7 +21,6 @@ _LAZY = {
     "build_transmit_directions": "alignment",
     "closed_form_counts": "alignment",
     "expand_received": "alignment",
-    "per_antenna_dof_gamma": "alignment",
     "verify_alignment": "alignment",
     "ChannelRealization": "channel",
     "SystemConfig": "channel",
@@ -29,7 +28,6 @@ _LAZY = {
     "DecodeBudgetError": "simulate",
     "SimConfig": "simulate",
     "SimResult": "simulate",
-    "antenna_model": "simulate",
     "run_link_sim": "simulate",
 }
 

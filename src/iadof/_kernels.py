@@ -4,10 +4,12 @@ A candidate is a desired-block sum d plus an interference-block sum i, each
 summed left to right, valued fl(d + i).  The decoder splits in two: a
 decode table sorts the distinct interference sums once (decode_table), and
 a query bisects every (desired sum, query) pair in it
-(nearest_candidate_indices).  The distance kernel bisects each -d.  Both
-equal a full scan over fl(d + i) bit for bit, ties included: rounding is
-monotone, so every row d + sorted(i) is sorted and its best candidates lie
-next to the insertion point of the query.
+(nearest_candidate_indices).  A query answers the desired index of its
+nearest candidate, as a receiver decodes its own symbols and treats the
+aligned interference as a nuisance lattice.  The distance kernel bisects
+each -d.  Both equal a full scan over fl(d + i) bit for bit, ties
+included: rounding is monotone, so every row d + sorted(i) is sorted and
+its best candidates lie next to the insertion point of the query.
 
 A table of |D| desired and |I| interference sums for T queries sorts at
 most max(|I|, |D| * T) sums, and a query costs O(|D| * T * log |I|).  The
@@ -60,16 +62,16 @@ def _block_sums(gains, radii, lo, hi):
 
 
 class DecodeTable(NamedTuple):
-    """Candidates in rows d + sorted(i): candidate a * width + b has the
-    value fl(d_sum[a] + i_sum[b]).  distinct holds the sorted distinct
-    values of i_sum (0.0 and -0.0 are one), and first[j] the lowest b whose
-    value is distinct[j].  A table of one row has d = 0, and gap is then the
-    least difference of two entries; with several rows it is 0."""
+    """Candidates in rows d + sorted(i): candidate (a, b) has the value
+    fl(d_sum[a] + i_sum[b]) and the desired index a.  distinct holds the
+    sorted distinct values of i_sum (0.0 and -0.0 are one), and label[j]
+    the desired index of the lowest candidate whose value is distinct[j].
+    A table of one row has d = 0, and gap is then the least difference of
+    two entries; with several rows it is 0, and the row is the label."""
 
     d_sum: np.ndarray
     distinct: np.ndarray
-    first: np.ndarray
-    width: int
+    label: np.ndarray
     gap: float
 
 
@@ -82,7 +84,8 @@ def decode_table(d_sum: np.ndarray, i_sum: np.ndarray, queries: int) -> DecodeTa
     d_sum, i_sum = (np.ascontiguousarray(v, dtype=np.float64) for v in (d_sum, i_sum))
     if d_sum.shape[0] == 0 or i_sum.shape[0] == 0:
         raise ValueError("candidate list is empty")
-    if queries >= i_sum.shape[0] or d_sum.shape[0] == 1:
+    width = i_sum.shape[0]
+    if queries >= width or d_sum.shape[0] == 1:
         d_sum, i_sum = np.zeros(1), (d_sum[:, None] + i_sum[None, :]).ravel()
     order = np.argsort(i_sum)
     ranked = i_sum[order]
@@ -90,7 +93,7 @@ def decode_table(d_sum: np.ndarray, i_sum: np.ndarray, queries: int) -> DecodeTa
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     distinct = ranked[starts]
     gap = float(np.min(np.diff(distinct), initial=np.inf)) if d_sum.shape[0] == 1 else 0.0
-    return DecodeTable(d_sum, distinct, np.minimum.reduceat(order, starts), i_sum.shape[0], gap)
+    return DecodeTable(d_sum, distinct, np.minimum.reduceat(order, starts) // width, gap)
 
 
 def _insertion(y: np.ndarray, d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
@@ -120,16 +123,15 @@ def _insertion(y: np.ndarray, d: np.ndarray, distinct: np.ndarray) -> np.ndarray
     return p
 
 
-def _nearest_rows(y: np.ndarray, d_sum: np.ndarray, distinct: np.ndarray):
-    """Each query's first row at the least distance, and its insertion point
-    in that row, as two arrays.  The (row, query) pairs are bisected
-    PAIR_CHUNK at a time: a chunk of queries against a block of rows."""
+def _nearest_rows(y: np.ndarray, d_sum: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Each query's first row at the least distance.  The (row, query)
+    pairs are bisected PAIR_CHUNK at a time: a chunk of queries against a
+    block of rows."""
     T = y.shape[0]
     chunk = max(1, min(T, PAIR_CHUNK))
     rows = max(1, PAIR_CHUNK // chunk)
     best = np.empty(T)
     a = np.empty(T, dtype=np.int64)
-    pos = np.empty(T, dtype=np.int64)
     for q in range(0, T, chunk):
         yq = y[q : q + chunk]
         cols = np.arange(yq.shape[0])
@@ -142,69 +144,63 @@ def _nearest_rows(y: np.ndarray, d_sum: np.ndarray, distinct: np.ndarray):
             dist = dist[k, cols]
             # a later block replaces a query's row only at a smaller distance
             t = cols if r == 0 else np.flatnonzero(dist < best[q : q + chunk])
-            best[q + t], a[q + t], pos[q + t] = dist[t], r + k[t], p[k[t], t]
-    return a, pos
+            best[q + t], a[q + t] = dist[t], r + k[t]
+    return a
 
 
 def nearest_candidate_indices(y: np.ndarray, table: DecodeTable) -> np.ndarray:
-    """Index of the closest candidate of the table for each entry of y, ties
-    to the lowest index, as argmin(abs(y[t] - values)) over the candidates
-    in index order would give.
+    """Desired index of the closest candidate of the table for each entry
+    of y, ties to the lowest candidate index: argmin(abs(y[t] - values))
+    over the candidates in index order d_idx * |I| + i_idx, divided by |I|.
 
     The queries are sorted once and searched in that order, and the indices
     are scattered back to the caller's: a query's index depends only on its
     own value and the table, so this is exact, and bisecting sorted keys
     saves the branch mispredictions that fresh unsorted keys cost.
 
-    In a one-row table each query is one bisection of distinct itself: the
-    row is d = 0, y - 0 = y and fl(0 + x) = x, so no zero row is formed.
-    With more rows every (desired sum, query) pair is bisected, and each
-    query keeps its first row at the least distance.  In that row the
-    distance falls up to the insertion point and rises after it, so the
-    entries at the least distance form one run there; the two next to the
-    insertion point resolve the query, unless the next entry past one of
-    them ties too.  That takes rounding, as at |y| = 1e17 where
-    fl(|y - v|) collapses, or a row where fl(d + x) collapses.  A one-row
-    table's entries are at least gap apart, and two reals that far apart
-    round to one float F only if spacing(F) >= gap, so below that no query
-    walks.  Otherwise the run is walked past each edge that ties.
+    With several rows every (desired sum, query) pair is bisected, and each
+    query's first row at the least distance is its answer: a tie inside
+    that row changes only the interference index.  In a one-row table each
+    query is one bisection of distinct itself: the row is d = 0, y - 0 = y
+    and fl(0 + x) = x, so no zero row is formed.  There the entries at the
+    least distance form one run next to the insertion point, and a tie can
+    cross labels.  The two entries next to the insertion point resolve the
+    query, unless the next entry past one of them ties too.  That takes
+    rounding, as at |y| = 1e17 where fl(|y - v|) collapses.  The entries
+    are at least gap apart, and two reals that far apart round to one float
+    F only if spacing(F) >= gap, so below that no query walks.  Otherwise
+    the run is walked past each edge that ties, for the least label.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     order = np.argsort(y)
     y = y[order]
-    d_sum, distinct, first, width, gap = table
-    n = distinct.shape[0]
-    if d_sum.shape[0] == 1:
-        row, pos = None, np.searchsorted(distinct, y)
+    d_sum, distinct, label, gap = table
+    if d_sum.shape[0] > 1:
+        out = _nearest_rows(y, d_sum, distinct)
     else:
-        row, pos = _nearest_rows(y, d_sum, distinct)
-        d = d_sum[row]
-
-    def value(j, t=slice(None)):
-        """Row entries at j (clipped) of the queries t."""
-        v = distinct.take(j, mode="clip")
-        return v if row is None else d[t] + v
-
-    lo, hi = pos - 1, pos
-    below = np.abs(y - value(lo))
-    above = np.abs(y - value(hi))
-    best = np.minimum(below, above)
-    out = np.where(below == best, first.take(lo, mode="clip"), width)
-    np.minimum(out, np.where(above == best, first.take(hi, mode="clip"), width), out=out)
-    if not gap > np.spacing(best.max(initial=0.0)):
-        # past an edge; from lo = -1 or hi = n, both clipped, the walk starts outside
-        for dist, j, step in ((below, lo - 1, -1), (above, hi + 1, 1)):
-            t = np.flatnonzero((dist == best) & (j >= 0) & (j < n))
-            j = j[t]
-            while t.shape[0]:
-                tie = np.abs(y[t] - value(j, t)) == best[t]
-                t, j = t[tie], j[tie]
-                out[t] = np.minimum(out[t], first[j])
-                j = j + step
-                inside = (j >= 0) & (j < n)
-                t, j = t[inside], j[inside]
-    if row is not None:
-        out += row * width
+        n = distinct.shape[0]
+        hi = np.searchsorted(distinct, y)
+        lo = hi - 1
+        below = np.abs(y - distinct.take(lo, mode="clip"))
+        above = np.abs(y - distinct.take(hi, mode="clip"))
+        best = np.minimum(below, above)
+        # the least label of the ends at the least distance
+        at_lo, at_hi = label.take(lo, mode="clip"), label.take(hi, mode="clip")
+        out = np.minimum(
+            np.where(below == best, at_lo, at_hi), np.where(above == best, at_hi, at_lo)
+        )
+        if not gap > np.spacing(best.max(initial=0.0)):
+            # past an edge; from lo = -1 or hi = n, both clipped, the walk starts outside
+            for dist, j, step in ((below, lo - 1, -1), (above, hi + 1, 1)):
+                t = np.flatnonzero((dist == best) & (j >= 0) & (j < n))
+                j = j[t]
+                while t.shape[0]:
+                    tie = np.abs(y[t] - distinct[j]) == best[t]
+                    t, j = t[tie], j[tie]
+                    out[t] = np.minimum(out[t], label[j])
+                    j = j + step
+                    inside = (j >= 0) & (j < n)
+                    t, j = t[inside], j[inside]
     res = np.empty_like(out)
     res[order] = out
     return res

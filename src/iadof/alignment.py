@@ -152,18 +152,10 @@ def closed_form_counts(config: SystemConfig) -> tuple[int, int]:
     return L, l_prime
 
 
-def per_antenna_dof_gamma(config: SystemConfig) -> Fraction:
-    """Exact DoF of one receive antenna at finite gamma: M*L desired
-    dimensions over the whole space of M*L + L' + 1."""
-    from fractions import Fraction
-
-    L, l_prime = closed_form_counts(config)
-    M = config.M
-    return Fraction(M * L, 1 + M * L + l_prime)
-
-
 def achievable_dof_gamma(config: SystemConfig) -> Fraction:
-    """Total DoF of the construction at finite gamma.
+    """Total DoF of the construction at finite gamma: each of the K*N
+    receive antennas has M*L desired dimensions over the whole space of
+    M*L + L' + 1.
 
     For M = 1 it tends to the paper's K*MN/(M+N) = K*N/(1+N) as gamma
     grows.  For M > 1 it does not: sibling transmit antennas of one user
@@ -171,7 +163,11 @@ def achievable_dof_gamma(config: SystemConfig) -> Fraction:
     tends to 1 (at K=3, M=2, N=1 it falls from 1.043 at gamma=1 towards 1,
     against the paper's 2).
     """
-    return config.K * config.N * per_antenna_dof_gamma(config)
+    from fractions import Fraction
+
+    L, l_prime = closed_form_counts(config)
+    M = config.M
+    return config.K * config.N * Fraction(M * L, 1 + M * L + l_prime)
 
 
 @dataclass(frozen=True)

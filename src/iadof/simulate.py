@@ -1,11 +1,12 @@
 """Link-level simulation: encode over direction sets, propagate, decode.
 
-Each antenna model (antenna_model) evaluates the antenna's own stream sets
-once, and a draw (_Draw) reads its forward map W and its transmit powers
-off those values.  The Monte Carlo loop is a product on W.
-Decoding is exact nearest-point search over the finite constellation each
-antenna can see: desired symbols jointly with bounded integer interference
-aggregates.  The constellation is never built: each antenna's distinct
+A draw (_Draw) evaluates each stream set once, at the one antenna that
+desires it, and reads its forward map W, its transmit powers and each
+antenna's desired gains off those values.  The Monte Carlo loop is a
+product on W.  Decoding is exact nearest-point search over the finite
+constellation each antenna can see: desired symbols jointly with bounded
+integer interference aggregates, of which only the desired symbols are
+answered.  The constellation is never built: each antenna's distinct
 interference sums are sorted once into a decode table, and every (desired
 sum, query) pair is bisected in it (_kernels).  All randomness is keyed by
 (seed, role) so every run replays bit for bit.
@@ -20,7 +21,7 @@ in it.
 
 The channel is fixed and known at every node, so all a run derives from one
 draw, before its operating points, is a function of (config, seed, cap,
-trials): the channel, the antenna models, the forward map, the stream
+trials): the channel, each antenna's gains, the forward map, the stream
 powers, the symbols and noise, each antenna's decode table, the
 unit-amplitude d_min and the separation slope.  A _Draw holds them, and
 run_link_sim keeps the last one (_kept_draw).  Each call checks its
@@ -156,74 +157,29 @@ def _amplitudes(powers: list[float], rhos: tuple[float, ...]) -> dict[float, flo
     return amplitudes
 
 
-@dataclass(frozen=True)
-class AntennaModel:
-    """What one receive antenna sees, numerically, at unit amplitude.
-
-    coords lists the desired (m, l) stream coordinates in decode order.
-    values holds the desired stream sets' values at unit gain, {m: array in
-    member order}; a draw reads its forward map and transmit powers off them.
-    gains holds the desired arrival gains, then one gain per distinct
-    interference direction; mults holds 1 per desired coordinate, then
-    each direction's alignment multiplicity.  An axis of multiplicity mult
-    carries symbol sums within mult*(Q-1) of zero, so the decode lattice
-    has radius mult*(Q-1) on it and the difference box 2*mult*(Q-1).
-    profile is the symbolic view the model was built from, the antenna's
-    expansion of the plan (expand_received).
-    """
-
-    coords: tuple[tuple[int, int], ...]
-    values: dict[int, np.ndarray]
-    gains: np.ndarray
-    mults: tuple[int, ...]
-    profile: ReceiverProfile
-
-
-def antenna_model(
-    plan: TransmitPlan, prof: ReceiverProfile, h: ChannelRealization, k: int, n: int
-) -> AntennaModel:
-    """Antenna (k, n)'s model under a draw, from the plan and the antenna's
-    profile of it; refused when a desired direction is also interference."""
-    if prof.desired_overlap is not None:
-        raise ValueError(
-            f"desired direction {monomial_text(prof.desired_overlap)} aligned with "
-            f"interference at antenna ({k},{n}); exhaustive decoding is ill-posed"
-        )
-    values = {m: evaluate(plan.streams[(k, m, n)], h) for m in range(1, plan.config.M + 1)}
-    coords = tuple((m, l) for m, v in values.items() for l in range(len(v)))
-    desired = [h.coefficient(k, k, n, m) ** 2 * v for m, v in values.items()]
-    return AntennaModel(
-        coords=coords,
-        values=values,
-        gains=np.concatenate(desired + [evaluate(prof.interference, h)]),
-        mults=(1,) * len(coords) + tuple(prof.multiplicity.tolist()),
-        profile=prof,
-    )
-
-
-def _decode_radii(model: AntennaModel, Q: int, queries: int) -> list[int]:
-    """Radii of the decode lattice at Q, refused before any work when its
-    interference sums or its desired sums times the queries exceed the
-    decode budget."""
+def _decode_radii(mults: tuple[int, ...], n_desired: int, Q: int, queries: int) -> list[int]:
+    """Radii of the decode lattice at Q of an antenna whose first n_desired
+    axes are desired, refused before any work when its interference sums or
+    its desired sums times the queries exceed the decode budget."""
     budget = DEFAULT_DECODE_BUDGET
-    radii = [mult * (Q - 1) for mult in model.mults]
-    n_i = math.prod(2 * r + 1 for r in radii[len(model.coords) :])
+    radii = [mult * (Q - 1) for mult in mults]
+    n_i = math.prod(2 * r + 1 for r in radii[n_desired:])
     if n_i > budget:
         raise DecodeBudgetError(n_i, budget, "interference block")
-    work = math.prod(2 * r + 1 for r in radii[: len(model.coords)]) * queries
+    work = math.prod(2 * r + 1 for r in radii[:n_desired]) * queries
     if work > budget:
         raise DecodeBudgetError(work, budget, "desired sums times queries")
     return radii
 
 
-def _distance_radii(model: AntennaModel, Q: int) -> list[int]:
+def _distance_radii(mults: tuple[int, ...], Q: int) -> list[int]:
     """Radii of the difference box behind d_min at Q, refused before any
     work when the box is over the decode budget.  Desired differences range
     over -2(Q-1)..2(Q-1) and each aggregate's over twice its bound, so
     min_abs_combination over the box is the unit-amplitude d_min.  Every
     radius is at least 2, so the budget of 10**7 refuses 11 axes or more."""
     budget = DEFAULT_DECODE_BUDGET
-    radii = [2 * (Q - 1) * mult for mult in model.mults]
+    radii = [2 * (Q - 1) * mult for mult in mults]
     # exact: a 12-axis box at Q=16 is 61**12, past int64
     box = math.prod(2 * r + 1 for r in radii)
     if box > budget:
@@ -312,13 +268,22 @@ class _Draw:
     derives from (plan, channel, trials) before its operating points.
 
     Built from a plan and its profiles at every receive antenna, user-major
-    as _kept_plan returns them, into the antenna models, and off their
-    values the forward map:
-    coords, the plan coordinates (k, m, n, l) by sorted stream and member,
-    and W = pre[:, None] * H[tx].  Coordinate i leaves transmit antenna
-    tx[i] (a row of H) with weight pre[i], its direction value times the
-    direct gain to its destination antenna, so one trial receives
+    as _kept_plan returns them; a plan whose desired direction is also
+    interference at some antenna is refused before any evaluation.  Stream
+    (k, m, n) is desired at antenna (k, n) alone, so each stream set is
+    evaluated once, sorted by stream, and the forward map is read off those
+    values: coords, the plan coordinates (k, m, n, l) by sorted stream and
+    member, and W = pre[:, None] * H[tx].  Coordinate i leaves transmit
+    antenna tx[i] (a row of H) with weight pre[i], its direction value times
+    the direct gain to its destination antenna, so one trial receives
     y = A * u @ W + z.
+
+    Per antenna, user-major: columns, its desired symbols as columns of U in
+    decode order; gains, the desired arrival gains, then one gain per
+    distinct interference direction; mults, 1 per desired coordinate, then
+    each direction's alignment multiplicity.  The decode lattice has radius
+    mult*(Q-1) on an axis and the difference box 2*mult*(Q-1).  floor is
+    the separation floor of antenna 0, whose slope is fitted.
 
     The unit-amplitude stream powers are computed, and the symbols U and
     y_unit = U @ W drawn, on the first decode, and the noise Z on the first
@@ -339,16 +304,18 @@ class _Draw:
         trials: int,
     ):
         c = plan.config
+        self.ants = _antennas(c.K, c.N)
+        for (k, n), prof in zip(self.ants, profiles):
+            if prof.desired_overlap is not None:
+                raise ValueError(
+                    f"desired direction {monomial_text(prof.desired_overlap)} aligned with "
+                    f"interference at antenna ({k},{n}); exhaustive decoding is ill-posed"
+                )
         self.plan = plan
         self.trials = trials
-        self.ants = _antennas(c.K, c.N)
-        self.models = [
-            antenna_model(plan, prof, h, k, n) for (k, n), prof in zip(self.ants, profiles)
-        ]
         self.h = h
-        # stream (k, m, n) is desired at antenna (k, n) alone; sorted by stream
         values = self.values = {
-            (k, m, n): self.models[(k - 1) * c.N + n - 1].values[m]
+            (k, m, n): evaluate(plan.streams[(k, m, n)], h)
             for k in range(1, c.K + 1) for m in range(1, c.M + 1) for n in range(1, c.N + 1)
         }
         self.coords = [(*s, l) for s, v in values.items() for l in range(len(v))]
@@ -356,11 +323,14 @@ class _Draw:
         pre = np.concatenate([h.coefficient(k, k, n, m) * v for (k, m, n), v in values.items()])
         self.W = pre[:, None] * _channel_matrix(h)[tx]
         col_of = {x: i for i, x in enumerate(self.coords)}
-        # each antenna's desired symbols, as columns of U in decode order
-        self.columns = [
-            [col_of[(k, m, n, l)] for (m, l) in model.coords]
-            for (k, n), model in zip(self.ants, self.models)
-        ]
+        self.columns, self.gains, self.mults = [], [], []
+        for (k, n), prof in zip(self.ants, profiles):
+            own = [(k, m, n) for m in range(1, c.M + 1)]
+            self.columns.append([col_of[(*s, l)] for s in own for l in range(len(values[s]))])
+            desired = [h.coefficient(k, k, n, s[1]) ** 2 * values[s] for s in own]
+            self.gains.append(np.concatenate(desired + [evaluate(prof.interference, h)]))
+            self.mults.append((1,) * len(self.columns[-1]) + tuple(prof.multiplicity.tolist()))
+        self.floor = separation_floor(profiles[0])
         self.tables: dict[int, DecodeTable] = {}
         self.distances: dict[tuple[int, int], float] = {}
 
@@ -396,7 +366,7 @@ class _Draw:
         form decodes every query alike."""
         t = self.tables.get(ai)
         if t is None:
-            gains, nd = self.models[ai].gains, len(self.models[ai].coords)
+            gains, nd = self.gains[ai], len(self.columns[ai])
             d_sum = _block_sums(gains, radii, 0, nd)
             i_sum = _block_sums(gains, radii, nd, len(radii))
             t = self.tables[ai] = decode_table(d_sum, i_sum, queries)
@@ -407,13 +377,14 @@ class _Draw:
         if the decode budget refuses any of them: every box is checked
         before any is solved."""
         try:
-            radii = [_distance_radii(self.models[ai], q) for ai, q in boxes]
+            radii = [_distance_radii(self.mults[ai], q) for ai, q in boxes]
         except DecodeBudgetError:
             return None
         for (ai, q), r in zip(boxes, radii):
             if (ai, q) not in self.distances:
-                model = self.models[ai]
-                self.distances[ai, q] = min_abs_combination(model.gains, r, len(model.coords))
+                self.distances[ai, q] = min_abs_combination(
+                    self.gains[ai], r, len(self.columns[ai])
+                )
         return [self.distances[box] for box in boxes]
 
     @cached_property
@@ -421,7 +392,7 @@ class _Draw:
         """Unit-amplitude d_min at the draw's Q: the least distance over
         the antennas, NaN if any antenna's box is refused."""
         Q = self.plan.config.Q
-        d = self._distances([(ai, Q) for ai in range(len(self.models))])
+        d = self._distances([(ai, Q) for ai in range(len(self.ants))])
         return float("nan") if d is None else min(d)
 
     @cached_property
@@ -450,28 +421,29 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
     run receives the same values at every SNR point, so it decodes them
     once and counts the same errors at each.  A noisy run builds an
     antenna's queries of every SNR point with one broadcast,
-    y + Z / A, pass-major, and searches them in one call; the desired
-    symbols are read off each index's desired part, index // |I|, without
-    unravelling the interference axes; a lone desired coordinate is that
-    part itself.  The decode budget is checked here, on each call, before
-    any antenna is decoded; d_min and the slope are the draw's, held to the
-    same budget.  A0 > 0 and rounding is monotone, so A0 * d_min is the
-    least of A0 times each antenna's distance.
+    y + Z / A, pass-major, and searches them in one call; the decoder
+    answers each query's desired index, unravelled into the desired
+    symbols; a lone desired coordinate is that index itself.  The decode
+    budget is checked here, on each call, before any antenna is decoded;
+    d_min and the slope are the draw's, held to the same budget.  A0 > 0
+    and rounding is monotone, so A0 * d_min is the least of A0 times each
+    antenna's distance.
     """
     Q = draw.plan.config.Q
-    models = draw.models
     trials = sim_config.trials
     rhos = sim_config.snr_points
     passes = 1 if sim_config.noiseless else len(rhos)
     # every antenna is checked before any is decoded
-    radii = [_decode_radii(m, Q, trials * passes) for m in models]
+    radii = [
+        _decode_radii(mults, len(cols), Q, trials * passes)
+        for mults, cols in zip(draw.mults, draw.columns)
+    ]
     amplitudes = _amplitudes(draw.powers, rhos)
     U, y_unit = draw.U, draw.y_unit
 
     # One antenna at a time, each searched once with the queries of every
     # pass stacked, pass-major: the queries are independent, so the indices
-    # are those of one search per pass.  A candidate's index is its desired
-    # index times |I| plus its interference index.
+    # are those of one search per pass.
     A = np.array([amplitudes[rho] for rho in rhos])
     wrong = np.zeros(len(rhos), dtype=np.int64)
     total = 0
@@ -479,10 +451,8 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
         y = y_unit[:, ai]
         if not sim_config.noiseless:
             y = (y + draw.Z[:, ai] / A[:, None]).ravel()
-        table = draw.table(ai, r, trials * passes)
+        idx = nearest_candidate_indices(y, draw.table(ai, r, trials * passes))
         nd = len(cols)
-        n_i = math.prod(2 * x + 1 for x in r[nd:])
-        idx = nearest_candidate_indices(y, table) // n_i
         pos = (idx,) if nd == 1 else np.unravel_index(idx, [2 * x + 1 for x in r[:nd]])
         for d, col in enumerate(cols):
             decoded = (pos[d] - (Q - 1)).reshape(passes, trials)
@@ -491,7 +461,7 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
             total += trials
     ser = {rho: int(w) / total for rho, w in zip(rhos, wrong)}
 
-    n_streams = len(models[0].coords)
+    n_streams = len(draw.columns[0])
     hit = [rho for rho in rhos if ser[rho] < 1e-3]
     rate = n_streams * math.log2(2 * Q - 1) if hit else 0.0
 
@@ -502,7 +472,7 @@ def _operate(draw: _Draw, sim_config: SimConfig) -> SimResult:
         d_min=amplitudes[rhos[0]] * draw.d_min,
         ser=ser,
         separation_slope=draw.slope,
-        separation_floor=separation_floor(models[0].profile),
+        separation_floor=draw.floor,
         decoded_rate=rate,
         amplitudes=amplitudes,
     )

@@ -5,7 +5,7 @@ The library builds only the first rows of each stream set
 set outright, as a box of pair-family exponents times the family incidence
 matrix, for the tests that need whole sets: the walk is pinned against its
 first rows, and the row oracles (verify_oracle, within_oracle) read whole
-plans.
+plans.  antenna_of reads one receive antenna's numbers off a draw.
 """
 
 import dataclasses
@@ -19,9 +19,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from iadof import alignment
-from iadof.alignment import TransmitPlan, families, family_pair
+from iadof.alignment import TransmitPlan, expand_received, families, family_pair
 from iadof.channel import SystemConfig
 from iadof.directions import _check_exponents, _runs
+from iadof.simulate import _antennas, _Draw
 
 settings.register_profile(
     "default",
@@ -75,6 +76,16 @@ def full_plan(config):
                 caps[fam] = cap
         streams[k, m, n] = full_box(config, n, caps)
     return TransmitPlan(config=config, streams=streams)
+
+
+def antenna_of(plan, h, k, n):
+    """(gains, mults, desired count) of receive antenna (k, n) under the
+    channel h: what a _Draw of the plan, expanded afresh at every receive
+    antenna, holds for it."""
+    ants = _antennas(plan.config.K, plan.config.N)
+    draw = _Draw(plan, tuple(expand_received(plan, *a) for a in ants), h, 1)
+    i = ants.index((k, n))
+    return draw.gains[i], draw.mults[i], len(draw.columns[i])
 
 
 @pytest.fixture

@@ -58,7 +58,6 @@ from iadof.alignment import (
     expand_received,
     families,
     family_pair,
-    per_antenna_dof_gamma,
     stream_family_cap,
     verify_alignment,
 )
@@ -168,9 +167,9 @@ def test_closed_form_two_receive_antennas_reduction():
 
 
 def test_per_antenna_dof_values():
-    # M*L / (1 + M*L + L') per antenna, from the pinned (L, L') pairs
-    # (16, 28) and (1024, 4993)
-    assert per_antenna_dof_gamma(cfg(3)) == Fraction(16, 1 + 16 + 28) == Fraction(16, 45)
+    # M*L / (1 + M*L + L') per antenna, K*N antennas, from the pinned
+    # (L, L') pairs (16, 28) and (1024, 4993)
+    assert achievable_dof_gamma(cfg(3)) == 3 * Fraction(16, 1 + 16 + 28) == 3 * Fraction(16, 45)
     assert achievable_dof_gamma(cfg(3)) == Fraction(16, 15)
     assert achievable_dof_gamma(cfg(3, 1, 2)) == 6 * Fraction(1024, 1 + 1024 + 4993)
     assert achievable_dof_gamma(cfg(3, 1, 2)) == Fraction(1024, 1003)

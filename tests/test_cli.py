@@ -724,7 +724,7 @@ def test_exports_are_their_defining_objects():
     import iadof
 
     assert iadof.__all__ == sorted(iadof._LAZY)
-    assert len(iadof.__all__) == 25
+    assert len(iadof.__all__) == 23
     for name in iadof.__all__:
         home = importlib.import_module(f"iadof.{iadof._LAZY[name]}")
         assert getattr(iadof, name) is getattr(home, name), name
@@ -740,7 +740,7 @@ def test_unknown_export_raises_attribute_error():
 def test_readme_cites_only_names_that_exist():
     # every `name(` the README cites, dotted or not, and every code span that
     # is a constant (`SLOPE_Q`), a private name (`_kept_draw`) or a class
-    # attribute (`AntennaModel.values`) is an attribute of some iadof
+    # attribute (`DecodeTable.label`) is an attribute of some iadof
     # module, so the docs cannot keep naming a deleted one.  A dataclass
     # field counts, though a field without a default is no class attribute.
     # A lower-case dotted span (`plan.streams`, `np.lexsort`) is resolved
@@ -779,7 +779,7 @@ def test_readme_cites_only_names_that_exist():
         return root in roots and lookup(roots[root], rest) is not None
 
     assert cited
-    assert {"SLOPE_Q", "_kept_draw", "AntennaModel.values"} <= named
+    assert {"SLOPE_Q", "_kept_draw", "DecodeTable.label"} <= named
     assert {"plan.streams", "np.lexsort", "iadof.run_link_sim"} <= dotted
     assert not {"directions.py", "pyproject.toml", "BENCH_31.json"} & (named | dotted)
     assert sorted(name for name in cited | named if not resolves(name)) == []

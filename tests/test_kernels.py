@@ -2,8 +2,10 @@
 
 The sorted-search kernels must equal a full scan bit for bit, ties
 included, so simulation output does not depend on how the search is done.
-The scans below are the references.  Two earlier decoders are oracles too:
-one built every candidate, summed left to right over all axes, and
+The scans below are the references; they answer the full candidate index
+d_idx * |I| + i_idx, and the decoder, which answers the desired index
+alone, must equal it divided by |I|.  Two earlier decoders are oracles
+too: one built every candidate, summed left to right over all axes, and
 searched that flat list (`lattice_values` and `flat_nearest`); the other
 formed each row d + sorted(i) in full and bisected every query in it
 (`row_loop_nearest`), |D| * |I| work a call.
@@ -23,9 +25,9 @@ from iadof._kernels import (
     min_abs_combination,
     nearest_candidate_indices,
 )
-from iadof.alignment import build_transmit_directions, expand_received
+from iadof.alignment import build_transmit_directions
 from iadof.channel import SystemConfig, generate_channel
-from iadof.simulate import antenna_model
+from conftest import antenna_of
 
 
 def scan_nearest(y, values):
@@ -42,11 +44,11 @@ def scan_split(y, d_sum, i_sum):
     return scan_nearest(y, (d_sum[:, None] + i_sum[None, :]).ravel())
 
 
-def lattice_values(model, Q):
+def lattice_values(gains, mults, Q):
     """Every candidate of the decode lattice at Q, each summed left to right
     over all axes (desired, then interference), in C order."""
-    radii = [mult * (Q - 1) for mult in model.mults]
-    return _block_sums(model.gains, radii, 0, len(radii))
+    radii = [mult * (Q - 1) for mult in mults]
+    return _block_sums(gains, radii, 0, len(radii))
 
 
 def flat_nearest(y, values):
@@ -127,7 +129,7 @@ def nearest(y, d_sum, i_sum):
 def assert_nearest_exact(y, d_sum, i_sum):
     want = scan_split(y, d_sum, i_sum)
     assert np.array_equal(row_loop_nearest(y, d_sum, i_sum), want)
-    assert np.array_equal(nearest(y, d_sum, i_sum), want)
+    assert np.array_equal(nearest(y, d_sum, i_sum), want // len(i_sum))
 
 
 def scan_min_abs(gains, radii, n_desired):
@@ -281,8 +283,8 @@ def test_nearest_bisects_collapsed_rows():
     guess = np.searchsorted(distinct, y[None, :] - d_sum[:, None])
     exact = np.array([np.searchsorted(d + distinct, y) for d in d_sum])
     assert np.max(np.abs(guess - exact)) > 500
-    # the bisection moves every pair to its row's insertion point, so the
-    # tie walk starts next to it, not a run of 990 collapsed entries away
+    # the bisection moves every pair to its row's insertion point, so each
+    # row's distance is read next to it, not a run of 990 collapsed entries away
     assert np.array_equal(kernels._insertion(y, d_sum[:, None], distinct), exact)
     assert_nearest_exact(y, d_sum, i_sum)
 
@@ -299,12 +301,12 @@ def test_nearest_walks_far_queries():
         assert nearest(y[:2], d_sum, i_sum).tolist() == [0, 0]
     # entries 0.5 apart tie only at distances spaced 0.5 or wider: from
     # 2**52 + 2 the distance to 0.5, 2**52 + 1.5, rounds half to even onto
-    # the distance to 0.0, and the lower index is the entry past the edge
-    table = decode_table(np.array([0.0]), np.array([0.0, 0.5]), 1)
-    assert table.gap == 0.5
+    # the distance to 0.0, and the lower label is the entry past the edge
+    table = decode_table(np.array([0.0, 0.5]), np.array([0.0]), 1)
+    assert table.gap == 0.5 and table.label.tolist() == [0, 1]
     for y, want in (([0.2, 0.3], [0, 1]), ([2.0**52 + 2], [0])):
         assert nearest_candidate_indices(np.array(y), table).tolist() == want
-        assert scan_split(np.array(y), np.zeros(1), np.array([0.0, 0.5])).tolist() == want
+        assert scan_split(np.array(y), np.array([0.0, 0.5]), np.zeros(1)).tolist() == want
 
 
 def test_nearest_chunks_pairs(monkeypatch):
@@ -327,13 +329,12 @@ def test_kernels_equal_scan_on_decode_lattice():
     # 49 desired sums times 2,401 interference sums
     config = SystemConfig(K=3, Q=4, seed=0)
     h = generate_channel(config)
-    plan = build_transmit_directions(config, 2)
-    model = antenna_model(plan, expand_received(plan, 1, 1), h, 1, 1)
-    radii = [3 * m for m in model.mults]
-    d_sum = _block_sums(model.gains, radii, 0, 2)
-    i_sum = _block_sums(model.gains, radii, 2, len(radii))
+    gains, mults, nd = antenna_of(build_transmit_directions(config, 2), h, 1, 1)
+    radii = [3 * m for m in mults]
+    d_sum = _block_sums(gains, radii, 0, nd)
+    i_sum = _block_sums(gains, radii, nd, len(radii))
     assert (d_sum.shape, i_sum.shape) == ((49,), (2401,))
-    values = lattice_values(model, 4)
+    values = lattice_values(gains, mults, 4)
     assert values.shape == (117649,)
     rng = np.random.default_rng(5)
     exact = values[rng.integers(0, values.shape[0], size=60)]
@@ -342,21 +343,19 @@ def test_kernels_equal_scan_on_decode_lattice():
     # bit, and both decoders still pick the same candidate
     want = flat_nearest(y, values)
     assert np.array_equal(want, scan_nearest(y, values))
-    assert np.array_equal(nearest(y, d_sum, i_sum), want)
     assert np.array_equal(row_loop_nearest(y, d_sum, i_sum), want)
+    assert np.array_equal(nearest(y, d_sum, i_sum), want // 2401)
     # the same queries, 21 times over, take the whole-grid path
     many = np.tile(y, 21)
     assert many.shape[0] >= i_sum.shape[0]
-    assert np.array_equal(nearest(many, d_sum, i_sum), np.tile(want, 21))
+    assert np.array_equal(nearest(many, d_sum, i_sum), np.tile(want // 2401, 21))
     # a table kept from one query count decodes another alike
     table = decode_table(d_sum, i_sum, many.shape[0])
     assert table.d_sum.shape == (1,)
-    assert np.array_equal(nearest_candidate_indices(y, table), want)
+    assert np.array_equal(nearest_candidate_indices(y, table), want // 2401)
 
-    radii = np.array([6 * m for m in model.mults])
-    assert min_abs_combination(model.gains, radii, len(model.coords)) == scan_min_abs(
-        model.gains, radii, len(model.coords)
-    )
+    radii = np.array([6 * m for m in mults])
+    assert min_abs_combination(gains, radii, nd) == scan_min_abs(gains, radii, nd)
 
 
 def test_numpy_min_abs_matches_brute_force():
@@ -446,12 +445,16 @@ def test_min_abs_validation():
 
 
 def test_nearest_numpy_basic_and_ties():
-    # both layouts list the values 0, 1, 1, 2 in index order; 1.5 ties
-    # between the two 1.0 (idx 1, 2) and 2.0 (idx 3): lowest index wins
+    # every layout lists the values 0, 1, 1, 2 in index order; 1.5 ties
+    # between the two 1.0 (idx 1, 2) and 2.0 (idx 3): the lowest index
+    # wins, and the answer is its desired index, idx // |I|
     y = np.array([0.9, 1.5, -3.0])
-    split = nearest(y, np.array([0.0]), np.array([0.0, 1.0, 1.0, 2.0]))
-    grid = nearest(y, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    assert split.tolist() == grid.tolist() == [1, 1, 0]
+    for d_sum, i_sum, want in (
+        ([0.0, 1.0, 1.0, 2.0], [0.0], [1, 1, 0]),
+        ([0.0, 1.0], [0.0, 1.0], [0, 0, 0]),
+        ([0.0], [0.0, 1.0, 1.0, 2.0], [0, 0, 0]),
+    ):
+        assert nearest(y, np.array(d_sum), np.array(i_sum)).tolist() == want
 
 
 def test_decode_table_rejects_empty_candidates():

@@ -38,12 +38,11 @@ from iadof.simulate import (
     _draw_symbols,
     _fit_slope,
     _operate,
-    antenna_model,
     run_link_sim,
     separation_floor,
     symbol_variance,
 )
-from conftest import full_plan
+from conftest import antenna_of, full_plan
 from test_directions import members, mono_eval
 
 SNR3 = (1e2, 1e4, 1e6)
@@ -54,11 +53,6 @@ def make(K, M=1, N=1, gamma=1, Q=2, seed=0, cap=None):
     h = generate_channel(config)
     plan = full_plan(config) if cap is None else build_transmit_directions(config, cap)
     return config, h, plan
-
-
-def model_of(plan, h, k, n):
-    """antenna_model of antenna (k, n) on a fresh expansion of the plan."""
-    return antenna_model(plan, expand_received(plan, k, n), h, k, n)
 
 
 def draw_of(plan, h, trials):
@@ -89,10 +83,11 @@ def decode_budget(monkeypatch):
     sim._kept_draw.cache_clear()
 
 
-def unit_distance(model, Q):
-    """d_min of an antenna model at unit amplitude: min_abs_combination over
-    its difference box, refused as the simulator refuses it."""
-    return min_abs_combination(model.gains, _distance_radii(model, Q), len(model.coords))
+def unit_distance(antenna, Q):
+    """d_min of an antenna (antenna_of) at unit amplitude: min_abs_combination
+    over its difference box, refused as the simulator refuses it."""
+    gains, mults, nd = antenna
+    return min_abs_combination(gains, _distance_radii(mults, Q), nd)
 
 
 def forward_oracle(plan, h):
@@ -231,7 +226,7 @@ def test_run_amplitude_binds_the_strongest_antenna():
 def test_unit_distance_single_user_is_squared_gain():
     config, h, plan = make(1, seed=5)
     H = h.coefficient(1, 1, 1, 1)
-    d = unit_distance(model_of(plan, h, 1, 1), 2)
+    d = unit_distance(antenna_of(plan, h, 1, 1), 2)
     assert d == H * H
     assert d == pytest.approx(1.7030326309839905, rel=1e-12)
     # the simulator's d_min is that distance at the first point's amplitude
@@ -244,7 +239,7 @@ def test_unit_distance_positive_across_seeds():
     for seed in range(30):
         config, h, plan = make(3, seed=seed, cap=1)
         for Q in (2, 4):
-            d = unit_distance(model_of(plan, h, 1, 1), Q)
+            d = unit_distance(antenna_of(plan, h, 1, 1), Q)
             assert d > 1e-9
 
 
@@ -252,10 +247,11 @@ def test_distance_radii_refuses_44_axis_box():
     # the full plan: 16 + 28 directions, four of them of multiplicity 2, so
     # at Q=2 the box is 5**40 * 9**4 points, refused by the box budget
     config, h, plan = make(3, seed=0)
-    model = model_of(plan, h, 1, 1)
-    assert len(model.mults) == 44 and model.mults.count(2) == 4
+    antenna = antenna_of(plan, h, 1, 1)
+    mults = antenna[1]
+    assert len(mults) == 44 and mults.count(2) == 4
     with pytest.raises(DecodeBudgetError) as exc:
-        unit_distance(model, config.Q)
+        unit_distance(antenna, config.Q)
     assert exc.value.required == 5**40 * 9**4
     assert exc.value.budget == DEFAULT_DECODE_BUDGET
 
@@ -264,13 +260,12 @@ def test_distance_box_bounds_the_axis_count(decode_budget):
     # every radius 2*mult*(Q-1) is at least 2, so a 13-axis box holds at
     # least 5**13 points: the box budget alone refuses many axes, with no
     # cap on the count.  _distance_radii reads only the multiplicities.
-    config, h, plan = make(3, seed=0, cap=1)
-    model = dataclasses.replace(model_of(plan, h, 1, 1), mults=(1,) * 13)
+    mults = (1,) * 13
     decode_budget(5**13)
-    assert _distance_radii(model, 2) == [2] * 13
+    assert _distance_radii(mults, 2) == [2] * 13
     decode_budget(5**13 - 1)
     with pytest.raises(DecodeBudgetError) as exc:
-        _distance_radii(model, 2)
+        _distance_radii(mults, 2)
     assert exc.value.required == 5**13
 
 
@@ -278,7 +273,7 @@ def test_distance_radii_budget(decode_budget):
     config, h, plan = make(3, seed=0, cap=1)
     decode_budget(10)
     with pytest.raises(DecodeBudgetError):
-        unit_distance(model_of(plan, h, 1, 1), 2)
+        unit_distance(antenna_of(plan, h, 1, 1), 2)
 
 
 def test_distance_radii_box_past_int64_refused():
@@ -286,11 +281,11 @@ def test_distance_radii_box_past_int64_refused():
     # Q=16 the difference box is 61**12, which an int64 product wraps to a
     # negative number that would pass the budget check
     config, h, plan = make(4, Q=16, seed=0, cap=3)
-    model = model_of(plan, h, 1, 1)
-    assert model.mults == (1,) * 12
+    antenna = antenna_of(plan, h, 1, 1)
+    assert antenna[1] == (1,) * 12
     assert int(np.prod(np.full(12, 61, dtype=np.int64))) < 0
     with pytest.raises(DecodeBudgetError) as exc:
-        unit_distance(model, 16)
+        unit_distance(antenna, 16)
     assert exc.value.required == 61**12
     assert exc.value.budget == 10**7
 
@@ -315,7 +310,7 @@ def test_draw_slope_refuses_before_any_distance(monkeypatch):
     config, h, plan = make(3, Q=4, seed=0, cap=2)
     draw = draw_of(plan, h, 1)
     with pytest.raises(DecodeBudgetError) as exc:
-        _distance_radii(draw.models[0], 8)
+        _distance_radii(draw.mults[0], 8)
     assert exc.value.required == 29**6
     calls = []
 
@@ -370,27 +365,42 @@ def test_separation_slope_near_floor():
 # ------------------------------------------------------------ inconsistency
 
 
-def test_antenna_model_rejects_overlapping_plan():
-    # the kept plan of the same system is warm; the hand-built plan is
-    # expanded on its own and refused on every request
+def test_draw_rejects_overlapping_plan(monkeypatch):
+    # the kept plan of the same system is warm; each hand-built plan is
+    # expanded on its own and refused on every request.  The refusal names
+    # the first antenna, user-major, whose desired direction is also
+    # interference, and comes before any direction set is evaluated: the
+    # second plan overlaps at antenna (2,1) alone, after a clean (1,1)
+    import iadof.simulate as sim
+
     config = SystemConfig(K=2, seed=0)
     run_link_sim(config, SimConfig(snr_points=(1e2,), trials=10), cap=1)
     h = generate_channel(config)
-    fake = TransmitPlan(
-        config=config,
-        streams={(1, 1, 1): np.array([[0, 1, 0, 1]]), (2, 1, 1): np.array([[2, 0, 0, 0]])},
-    )
-    refusal = (
-        "desired direction H[1,1](1,1)^2 * H[1,2](1,1) * H[2,2](1,1) aligned with"
-        " interference at antenna (1,1); exhaustive decoding is ill-posed"
-    )
-    for _ in range(2):
-        with pytest.raises(ValueError) as err:
-            model_of(fake, h, 1, 1)
-        assert str(err.value) == refusal
-    with pytest.raises(ValueError) as err:
-        draw_of(fake, h, 10)
-    assert str(err.value) == refusal
+    calls = []
+
+    def counted(exps, h):
+        calls.append(exps)
+        return evaluate(exps, h)
+
+    monkeypatch.setattr(sim, "evaluate", counted)
+    for streams, refusal in (
+        (
+            {(1, 1, 1): [[0, 1, 0, 1]], (2, 1, 1): [[2, 0, 0, 0]]},
+            "desired direction H[1,1](1,1)^2 * H[1,2](1,1) * H[2,2](1,1) aligned with"
+            " interference at antenna (1,1); exhaustive decoding is ill-posed",
+        ),
+        (
+            {(1, 1, 1): [[0, 0, 0, 2]], (2, 1, 1): [[1, 0, 1, 0]]},
+            "desired direction H[1,1](1,1) * H[2,1](1,1) * H[2,2](1,1)^2 aligned with"
+            " interference at antenna (2,1); exhaustive decoding is ill-posed",
+        ),
+    ):
+        fake = TransmitPlan(config=config, streams=streams)
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                draw_of(fake, h, 10)
+            assert str(err.value) == refusal
+    assert calls == []
 
 
 def test_plan_streams_are_read_only_and_its_own():
@@ -519,13 +529,13 @@ def test_noiseless_run_decodes_each_query_once(monkeypatch, decode_budget):
 def test_run_expands_each_antenna_once(monkeypatch):
     # one symbolic expansion per receive antenna feeds the decoder, d_min,
     # the separation slope and its floor, which equal an oracle computed
-    # here on antenna models built afresh: min_abs_combination over each
+    # here on antennas expanded afresh: min_abs_combination over each
     # difference box of radii 2*mult*(Q-1), and a fit over Q = 2, 4, 8, 16
     import iadof.simulate as sim
 
-    def distance(model, Q):
-        radii = [2 * mult * (Q - 1) for mult in model.mults]
-        return min_abs_combination(model.gains, radii, len(model.coords))
+    def distance(antenna, Q):
+        gains, mults, nd = antenna
+        return min_abs_combination(gains, [2 * mult * (Q - 1) for mult in mults], nd)
 
     config, h, plan = make(3, seed=4, cap=1)
     calls = []
@@ -544,13 +554,13 @@ def test_run_expands_each_antenna_once(monkeypatch):
     assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
     monkeypatch.undo()
     a0 = result.amplitudes[1e2]
-    models = [model_of(plan, h, k, 1) for k in (1, 2, 3)]
-    assert result.d_min == min(a0 * distance(model, config.Q) for model in models)
+    antennas = [antenna_of(plan, h, k, 1) for k in (1, 2, 3)]
+    assert result.d_min == min(a0 * distance(a, config.Q) for a in antennas)
     qs = (2, 4, 8, 16)
-    d = [distance(models[0], q) for q in qs]
+    d = [distance(antennas[0], q) for q in qs]
     slope = np.polyfit(np.log(np.array(qs, dtype=float)), np.log(d), 1)[0]
     assert result.separation_slope == float(slope)
-    assert result.separation_floor == separation_floor(models[0].profile)
+    assert result.separation_floor == separation_floor(expand_received(plan, 1, 1))
 
 
 def test_stream_powers_computed_once(monkeypatch):
@@ -573,9 +583,9 @@ def test_stream_powers_computed_once(monkeypatch):
 
 @pytest.mark.parametrize("K,M,N,evaluations", [(3, 1, 1, 6), (2, 2, 2, 12)])
 def test_draw_evaluates_each_direction_set_once(monkeypatch, K, M, N, evaluations):
-    # the antenna models evaluate each stream set at its one destination and
-    # each antenna's interference set: K*M*N + K*N calls for a whole run,
-    # forward map and transmit powers included
+    # the draw evaluates each stream set at its one destination and each
+    # antenna's interference set: K*M*N + K*N calls for a whole run,
+    # forward map, transmit powers and desired gains included
     import iadof.simulate as sim
 
     config = SystemConfig(K=K, M=M, N=N, seed=1)
